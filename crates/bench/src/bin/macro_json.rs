@@ -11,8 +11,8 @@
 //!   engine statistic (the bit-identity contract `tests/determinism.rs`
 //!   pins), checks the stamped `expect` lines, and writes one record per
 //!   scenario — `{"id", "wall_ns", "configs_explored", "outcome",
-//!   "seq_wall_ns"[, "scoped_wall_ns"]}` — as a versioned JSON document to
-//!   `--out PATH` (default `MACRO_BENCH.json`).
+//!   "seq_wall_ns"}` — as a versioned JSON document to `--out PATH`
+//!   (default `MACRO_BENCH.json`).
 //! * **Gate** (`--gate BASELINE.json`): compares each scenario's `wall_ns`
 //!   against the committed baseline and exits non-zero when any scenario
 //!   regressed by more than `DDS_MACRO_MAX_RATIO` (default 3.0) *and* more
@@ -31,9 +31,6 @@
 //!   `dds_gen::macro_suite()`, stamps each scenario's verified outcome as
 //!   an `expect` line, and (re)writes `<dir>/<id>.dds`. The suite is
 //!   seed-pinned, so minting is reproducible byte-for-byte.
-//! * **`--scoped-ref OLD.json`**: copies `wall_ns` values recorded by an
-//!   older engine build into each record as `scoped_wall_ns` — how the
-//!   committed baseline carries the pre-work-stealing reference timings.
 //!
 //! Refreshing the committed baseline after an intentional perf change:
 //!
@@ -55,8 +52,6 @@ struct Record {
     outcome: String,
     /// Single-thread wall time from the determinism cross-run.
     seq_wall_ns: u128,
-    /// Reference wall time from `--scoped-ref`, if present.
-    scoped_wall_ns: Option<u128>,
     /// Log2-bucketed BFS layer-width histogram (`EngineStats::layer_widths`)
     /// — deterministic, so identical on both legs.
     layer_widths: [u64; 16],
@@ -193,7 +188,6 @@ fn run_one(path: &str, threads: usize, reps: u32) -> Record {
         configs_explored: p.configs_explored,
         outcome: p.outcome.clone(),
         seq_wall_ns,
-        scoped_wall_ns: None,
         layer_widths: p
             .stats
             .as_ref()
@@ -209,11 +203,7 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
             let base = render::record(&r.id, r.wall_ns, r.configs_explored, &r.outcome);
             // Splice the macro-only fields into the shared record shape.
             let mut obj = base[..base.len() - 1].to_owned();
-            obj.push_str(&format!(",\"seq_wall_ns\":{}", r.seq_wall_ns));
-            if let Some(scoped) = r.scoped_wall_ns {
-                obj.push_str(&format!(",\"scoped_wall_ns\":{scoped}"));
-            }
-            obj.push('}');
+            obj.push_str(&format!(",\"seq_wall_ns\":{}}}", r.seq_wall_ns));
             obj
         })
         .collect();
@@ -407,7 +397,6 @@ fn main() {
     let mut dir = "bench/macro".to_owned();
     let mut out_path = "MACRO_BENCH.json".to_owned();
     let mut gate_path = None;
-    let mut scoped_ref = None;
     let mut widths_path = None;
     let mut do_mint = false;
     let mut threads: usize = env_or("DDS_MACRO_THREADS", 4);
@@ -431,10 +420,6 @@ fn main() {
                 gate_path = Some(take(i, "--gate"));
                 i += 2;
             }
-            "--scoped-ref" => {
-                scoped_ref = Some(take(i, "--scoped-ref"));
-                i += 2;
-            }
             "--widths" => {
                 widths_path = Some(take(i, "--widths"));
                 i += 2;
@@ -452,7 +437,7 @@ fn main() {
             other => {
                 eprintln!(
                     "usage: macro_json [--dir DIR] [--out PATH] [--gate BASELINE.json] \
-                     [--mint] [--threads N] [--scoped-ref OLD.json] [--widths PATH]"
+                     [--mint] [--threads N] [--widths PATH]"
                 );
                 fail(&format!("unknown argument: {other}"));
             }
@@ -467,19 +452,10 @@ fn main() {
     if paths.is_empty() {
         fail(&format!("{dir}: no .dds scenarios (run --mint first?)"));
     }
-    let mut records: Vec<Record> = paths
+    let records: Vec<Record> = paths
         .iter()
         .map(|p| run_one(p.to_str().expect("utf-8 path"), threads, reps))
         .collect();
-    if let Some(ref_path) = scoped_ref {
-        let reference = read_baseline(&ref_path).unwrap_or_else(|e| fail(&e));
-        for r in &mut records {
-            r.scoped_wall_ns = reference
-                .iter()
-                .find(|(id, _)| *id == r.id)
-                .map(|(_, w)| *w);
-        }
-    }
     write_json(&out_path, &records).expect("write results");
     eprintln!("wrote {} records to {out_path}", records.len());
     if let Some(w) = widths_path {

@@ -23,6 +23,7 @@
 
 use crate::equiv::EquivReport;
 use crate::runner::SpecReport;
+use dds_core::EngineStats;
 use std::fmt::Write as _;
 
 /// The JSON report schema version this workspace writes.
@@ -65,6 +66,23 @@ pub fn error_json(code: &str, message: &str, line: Option<usize>) -> String {
     )
 }
 
+/// Writes the deterministic `EngineStats` counters as one indented
+/// `stats:` line (shared by [`text`] and [`equiv_text`]).
+fn stats_line(out: &mut String, s: &EngineStats) {
+    let _ = writeln!(
+        out,
+        "  stats: explored={} unique={} transitions={} cache_hits={} dedup={}/{} levels={} initial={}",
+        s.configs_explored,
+        s.unique_configs,
+        s.transitions_computed,
+        s.transition_cache_hits,
+        s.dedup_hits,
+        s.dedup_probes,
+        s.levels,
+        s.initial_configs,
+    );
+}
+
 /// Renders one spec report as text.
 ///
 /// Everything printed is deterministic (outcomes, traces, witnesses, the
@@ -86,18 +104,7 @@ pub fn text(report: &SpecReport, timings: bool) -> String {
         };
         let _ = writeln!(out, "property {}: {}{verdict}", p.id, p.outcome);
         if let Some(s) = &p.stats {
-            let _ = writeln!(
-                out,
-                "  stats: explored={} unique={} transitions={} cache_hits={} dedup={}/{} levels={} initial={}",
-                s.configs_explored,
-                s.unique_configs,
-                s.transitions_computed,
-                s.transition_cache_hits,
-                s.dedup_hits,
-                s.dedup_probes,
-                s.levels,
-                s.initial_configs,
-            );
+            stats_line(&mut out, s);
         }
         if let Some(t) = &p.trace {
             let _ = writeln!(out, "  trace: {t}");
@@ -153,18 +160,7 @@ pub fn equiv_text(report: &EquivReport, timings: bool) -> String {
             p.name, p.a_outcome, p.b_outcome, p.verdict
         );
         if let Some(s) = &p.stats {
-            let _ = writeln!(
-                out,
-                "  stats: explored={} unique={} transitions={} cache_hits={} dedup={}/{} levels={} initial={}",
-                s.configs_explored,
-                s.unique_configs,
-                s.transitions_computed,
-                s.transition_cache_hits,
-                s.dedup_hits,
-                s.dedup_probes,
-                s.levels,
-                s.initial_configs,
-            );
+            stats_line(&mut out, s);
         }
         if let Some(d) = &p.detail {
             let _ = writeln!(out, "  note: {d}");

@@ -1,5 +1,5 @@
-//! The Theorem 5 decision procedure, determinised — as an interned,
-//! optionally parallel frontier engine.
+//! The Theorem 5 decision procedure, determinised — as one interned,
+//! optionally parallel breadth-first search loop.
 //!
 //! The paper's algorithm nondeterministically guesses a sequence of small
 //! configurations connected by sub-transitions; correctness is Appendix C's
@@ -15,9 +15,16 @@
 //!
 //! ## Engine architecture
 //!
-//! Three decisions make the search fast without changing a single explored
-//! edge (see `tests/determinism.rs` in the workspace root for the proof by
-//! testing):
+//! There is one search loop ([`Engine::run_multi`]): a level-synchronous
+//! BFS driven by *target masks*, one bit per requested target set. It
+//! records the first node of every target set in BFS order and stops once
+//! every target is decided, the frontier is exhausted, or the budget runs
+//! out. [`Engine::run`] is its one-target projection: the target set is the
+//! compiled system's accepting states, and `Reached` / `Unreachable` /
+//! `Undecided` become [`Outcome::NonEmpty`] / [`Outcome::Empty`] /
+//! [`Outcome::ResourceLimit`]. Three decisions make the loop fast without
+//! changing a single explored edge (see `tests/determinism.rs` in the
+//! workspace root for the proof by testing):
 //!
 //! * **Hash-consing** ([`crate::intern::Interner`]): every canonical
 //!   configuration is stored exactly once and addressed by a dense
@@ -30,21 +37,23 @@
 //!   syntactically equal guards share a guard class. Systems that reuse a
 //!   guard across control states (ubiquitous in the E1–E10 experiments) pay
 //!   for each expansion once.
-//! * **Work-stealing parallel frontier** (`threads >= 2`): one set of
+//! * **An optional work-stealing pool** (`threads >= 2`): one set of
 //!   workers persists for the whole search (the crate-internal `pool`
-//!   module); each BFS
-//!   layer's uncached successor computations are published to them as an
-//!   *epoch* whose task list is claimed in chunks through per-worker
-//!   steal-on-empty queues, then a sequential merge replays the layer in
-//!   exactly the order the `threads = 1` path uses. Outcomes, traces,
-//!   statistics (up to wall-clock timings and steal counts) and
-//!   certificates are bit-identical to the sequential engine, because the
-//!   merge performs the identical sequence of dedup probes, arena pushes
-//!   and counter updates — workers only *precompute* pure data into
-//!   per-task slots, and which worker computed a slot never matters.
+//!   module). Before a layer's merge, its uncached successor computations
+//!   may be published to them as an *epoch* whose task list is claimed in
+//!   chunks through per-worker steal-on-empty queues. Task collection stops
+//!   at the node whose hits would decide every still-undecided target,
+//!   because the merge never expands past it. The merge itself is the same
+//!   code with or without a pool: it replays the layer in arena order, so
+//!   outcomes, traces, statistics (up to wall-clock timings and scheduling
+//!   counters) and certificates are bit-identical at every worker count —
+//!   workers only *precompute* pure data into per-task slots, and which
+//!   worker computed a slot never matters. At `threads = 1` there is no
+//!   pool and the loop pays for none of it: no task list, no epoch, no
+//!   certification thread.
 //!
-//! The parallel path moves the expensive per-successor work off the
-//! coordinator while keeping that bit-identity:
+//! The pool moves the expensive per-successor work off the coordinator
+//! while keeping that bit-identity:
 //!
 //! * **Worker-side resolution**: inside their tasks, workers canonicalize
 //!   successors (the class's `transitions` returns canonical forms),
@@ -67,11 +76,10 @@
 //!   coordinator when its estimated work would not pay for the round-trip
 //!   (or when the OS reports a single hardware thread). The chunk size of
 //!   published layers scales with layer width (`TaskQueues::auto_chunk`).
-//! * **Overlapped certification**: when the outcome of a layer is already
-//!   decided — a multi-target hit, or a single-target accept that no
-//!   budget stop can preempt — witness concretization and certification
-//!   run on a scoped thread concurrently with the remaining search/merge
-//!   instead of serializing after it.
+//! * **Overlapped certification**: a target hit that leaves other targets
+//!   undecided is final at once, so its witness is concretized and
+//!   certified on a scoped thread while the search goes on. The hit that
+//!   decides the last target ends the search and certifies inline.
 //!
 //! On a non-empty answer the engine extracts the trace and asks the class to
 //! *concretize* it into an actual database and run, then re-validates the
@@ -119,9 +127,6 @@ pub enum ParallelMode {
     /// Publish every layer with more than one task (the pre-adaptive
     /// behavior; used by the determinism matrix to force the epoch path).
     Eager,
-    /// Never publish — the workers stay parked for the whole search. The
-    /// lower bound the adaptive mode is measured against.
-    Inline,
 }
 
 /// Tunables for the search.
@@ -287,8 +292,8 @@ impl EngineOptions {
 /// Per-layer frontier-width histogram: bucket `b` counts BFS layers whose
 /// width (nodes in the layer) lies in `[2^b, 2^(b+1))`, with the top bucket
 /// open-ended. Deterministic — the width of every layer is a search
-/// invariant, recorded at the same point by the sequential and parallel
-/// paths — so it participates in [`EngineStats`] equality and the macro
+/// invariant, recorded at the same point of the loop at every worker
+/// count — so it participates in [`EngineStats`] equality and the macro
 /// suite can publish it per scenario.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LayerWidths(pub [u64; 16]);
@@ -510,14 +515,6 @@ impl<Cfg> Outcome<Cfg> {
         }
     }
 
-    fn stats_mut(&mut self) -> &mut EngineStats {
-        match self {
-            Outcome::Empty { stats }
-            | Outcome::NonEmpty { stats, .. }
-            | Outcome::ResourceLimit { stats } => stats,
-        }
-    }
-
     /// The certified witness, if any.
     pub fn witness(&self) -> Option<&(Structure, Run)> {
         match self {
@@ -601,9 +598,9 @@ impl<C: SymbolicClass> std::fmt::Debug for Engine<'_, C> {
 
 /// A search node: an interned configuration at a control state, with the
 /// `(arena index, rule index)` that produced it.
-struct Node {
-    state: StateId,
-    cfg: ConfigId,
+pub(crate) struct Node {
+    pub(crate) state: StateId,
+    pub(crate) cfg: ConfigId,
     parent: Option<(usize, usize)>,
 }
 
@@ -645,6 +642,12 @@ enum SuccSet<Cfg> {
     Pre(Vec<Resolved<Cfg>>),
 }
 
+/// One expansion: a configuration and the index of the rule to apply.
+type Task = (ConfigId, usize);
+
+/// Transition-memo key: `(configuration id, guard class)`.
+type MemoKey = (u32, u32);
+
 /// What an overlapped certification thread hands back: the certified trace,
 /// the witness, and the nanoseconds certification took.
 type CertResult<Cfg> = (Trace<Cfg>, Option<(Structure, Run)>, u64);
@@ -667,7 +670,7 @@ struct Epoch<Cfg> {
     /// Layer-start snapshot of the per-state visited bitmaps.
     visited: Vec<Vec<u64>>,
     /// The layer's distinct uncached `(configuration, rule)` expansions.
-    tasks: Vec<(ConfigId, usize)>,
+    tasks: Vec<Task>,
     queues: TaskQueues,
     results: Vec<OnceLock<Vec<Resolved<Cfg>>>>,
     /// Whether workers may pre-resolve against the visited snapshot (sound
@@ -685,6 +688,7 @@ struct Epoch<Cfg> {
 /// fed by both inline and published layers. Purely a heuristic: it decides
 /// *where* a layer runs, never what the merge does, so a cold or skewed
 /// estimate costs time, not correctness.
+#[derive(Default)]
 struct CostModel {
     /// Exponential moving average of nanoseconds per task; `0.0` = no
     /// sample yet.
@@ -692,10 +696,6 @@ struct CostModel {
 }
 
 impl CostModel {
-    fn new() -> CostModel {
-        CostModel { est_task_ns: 0.0 }
-    }
-
     /// Feeds one layer's measured expansion cost (summed across whoever
     /// expanded it) into the average.
     fn observe(&mut self, tasks: usize, total_ns: u64) {
@@ -725,15 +725,30 @@ impl CostModel {
     }
 }
 
-/// The mutable search state shared by the sequential and parallel paths.
-struct Search<Cfg> {
+/// The worker pool of one `threads >= 2` search: the epoch gate its
+/// workers park on, the participant count (coordinator included), the
+/// scope overlapped certifications spawn into, and the adaptive
+/// scheduler's cost model.
+struct Pool<'g, 'scope, 'env, Cfg> {
+    gate: &'g EpochGate<Epoch<Cfg>>,
+    threads: usize,
+    /// Hardware threads the OS reports (the adaptive scheduler never
+    /// publishes on a single one).
+    hw_threads: usize,
+    scope: &'scope Scope<'scope, 'env>,
+    cost: CostModel,
+}
+
+/// The mutable search state: interned configurations, visited bitmaps, the
+/// BFS arena, the transition memo and the counters.
+pub(crate) struct Search<Cfg> {
     interner: Interner<Cfg>,
     /// Visited bitmap per control state, indexed by configuration id.
     visited: Vec<Vec<u64>>,
-    arena: Vec<Node>,
+    pub(crate) arena: Vec<Node>,
     /// Memoized successor ids keyed by `(configuration id, guard class)`.
-    cache: HashMap<(u32, u32), Box<[ConfigId]>>,
-    stats: EngineStats,
+    cache: HashMap<MemoKey, Box<[ConfigId]>>,
+    pub(crate) stats: EngineStats,
 }
 
 /// Merges one successor-id slice into the search: every id is probed
@@ -825,33 +840,104 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         &self.compiled
     }
 
-    fn effective_threads(&self) -> usize {
-        self.options.resolved_threads()
+    /// Decides emptiness: the one-target projection of [`Engine::run_multi`]
+    /// with the compiled system's accepting states as the target set.
+    /// `Reached` maps to [`Outcome::NonEmpty`], `Unreachable` to
+    /// [`Outcome::Empty`] and `Undecided` to [`Outcome::ResourceLimit`].
+    pub fn run(&self) -> Outcome<C::Config> {
+        let accepting = self.compiled.accepting().to_vec();
+        let MultiOutcome { mut targets, stats } = self.run_multi(std::slice::from_ref(&accepting));
+        match targets.pop().expect("one status per target set") {
+            TargetStatus::Reached { trace, witness } => Outcome::NonEmpty {
+                trace,
+                witness,
+                stats,
+            },
+            TargetStatus::Unreachable => Outcome::Empty { stats },
+            TargetStatus::Undecided => Outcome::ResourceLimit { stats },
+        }
     }
 
-    /// Decides emptiness.
-    pub fn run(&self) -> Outcome<C::Config> {
+    /// Decides reachability of up to 64 target state sets in one shared
+    /// search (the product-construction workhorse behind `dds equiv`, and
+    /// what [`Engine::run`] projects).
+    ///
+    /// The search does not stop at the first target hit: a node whose state
+    /// belongs to some still-undecided target set records the first hit for
+    /// every such set and is then expanded like any other node, until every
+    /// target is decided or the frontier (or the budget) is exhausted.
+    ///
+    /// The result is bit-identical across worker counts (the pool only
+    /// precomputes pure successor sets; the merge replays the sequential
+    /// order).
+    ///
+    /// # Panics
+    /// Panics when more than 64 target sets are requested or a target state
+    /// is out of range for the system.
+    pub fn run_multi(&self, targets: &[Vec<StateId>]) -> MultiOutcome<C::Config> {
+        assert!(
+            targets.len() <= 64,
+            "run_multi supports at most 64 target sets"
+        );
         let t0 = Instant::now();
         let (allocs0, reuses0) = crate::amalgam::scratch_counters();
-        let threads = self.effective_threads();
-        let mut outcome = if threads <= 1 {
-            self.run_sequential()
+        let threads = self.options.resolved_threads();
+        let mut out = if threads <= 1 {
+            self.search(targets, None)
         } else {
-            self.run_parallel(threads)
+            self.search_with_pool(targets, threads)
         };
         let total = t0.elapsed().as_nanos() as u64;
         let (allocs1, reuses1) = crate::amalgam::scratch_counters();
-        let stats = outcome.stats_mut();
-        stats.search_ns = total.saturating_sub(stats.certify_ns);
+        out.stats.search_ns = total.saturating_sub(out.stats.certify_ns);
         // Process-wide deltas: exact for a single run, blurred (but still
         // indicative) when runs overlap in one process.
-        stats.scratch_allocs = allocs1.saturating_sub(allocs0);
-        stats.scratch_reuses = reuses1.saturating_sub(reuses0);
-        outcome
+        out.stats.scratch_allocs = allocs1.saturating_sub(allocs0);
+        out.stats.scratch_reuses = reuses1.saturating_sub(reuses0);
+        out
+    }
+
+    /// Spawns `threads - 1` persistent pool workers around
+    /// [`Engine::search`], shutting the pool down when the search returns.
+    /// Workers live for the whole search — layer hand-off is a condvar
+    /// epoch, not a thread spawn.
+    fn search_with_pool(
+        &self,
+        targets: &[Vec<StateId>],
+        threads: usize,
+    ) -> MultiOutcome<C::Config> {
+        let gate: EpochGate<Epoch<C::Config>> = EpochGate::new();
+        let mut out = std::thread::scope(|scope| {
+            for worker in 1..threads {
+                let gate = &gate;
+                scope.spawn(move || {
+                    let mut seq = 0;
+                    while let Some((epoch, next)) = gate.next_epoch(seq) {
+                        seq = next;
+                        self.drain_epoch(&epoch, worker);
+                        gate.finish(epoch);
+                    }
+                });
+            }
+            let pool = Pool {
+                gate: &gate,
+                threads,
+                hw_threads: std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1),
+                scope,
+                cost: CostModel::default(),
+            };
+            let out = self.search(targets, Some(pool));
+            gate.shutdown();
+            out
+        });
+        out.stats.idle_ns += gate.idle_ns();
+        out
     }
 
     /// Interns the initial configurations and seeds the arena.
-    fn init_search(&self) -> Search<C::Config> {
+    pub(crate) fn init_search(&self) -> Search<C::Config> {
         let k = self.compiled.num_registers();
         let mut s = Search {
             interner: Interner::with_shards(self.options.resolved_shards()),
@@ -881,15 +967,36 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         s
     }
 
+    /// The class's canonical successors of `cfg` under rule `rule_idx`,
+    /// computed on the calling thread.
+    fn raw_successors(
+        &self,
+        interner: &Interner<C::Config>,
+        cfg: ConfigId,
+        rule_idx: usize,
+    ) -> SuccSet<C::Config> {
+        SuccSet::Raw(
+            self.class
+                .transitions(interner.get(cfg), &self.compiled.rules()[rule_idx].guard),
+        )
+    }
+
+    /// Expands node `idx` entirely on the calling thread — the merge of
+    /// [`Engine::search`] with every successor set computed inline.
+    pub(crate) fn expand(&self, s: &mut Search<C::Config>, idx: usize) {
+        self.merge_node(s, idx, &mut |interner, cfg, rule_idx| {
+            self.raw_successors(interner, cfg, rule_idx)
+        });
+    }
     /// Expands one node deterministically: for each applicable rule, obtain
     /// the successor ids (memo, else `compute`, interned in order) and merge
-    /// them through the visited set into the arena. Both engine paths funnel
-    /// every arena/stats mutation through this function, which is what makes
-    /// them bit-identical.
+    /// them through the visited set into the arena. Every arena/stats
+    /// mutation of the search goes through this function, inline and
+    /// published layers alike, which is what makes them bit-identical.
     ///
     /// `compute` hands back either raw canonical successors
-    /// ([`SuccSet::Raw`] — sequential path and inline layers, interned here
-    /// in list order) or worker pre-resolved verdicts ([`SuccSet::Pre`] —
+    /// ([`SuccSet::Raw`] — computed on the coordinator, interned here in
+    /// list order) or worker pre-resolved verdicts ([`SuccSet::Pre`] —
     /// published layers). The two forms perform the identical sequence of
     /// id assignments, bitmap probes and arena pushes: interning never
     /// touches the bitmaps and probing never interns, so resolving each
@@ -988,66 +1095,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         }
     }
 
-    /// The `threads = 1` path: today's exact exploration order (FIFO over
-    /// the arena), with interning and memoization.
-    fn run_sequential(&self) -> Outcome<C::Config> {
-        let mut s = self.init_search();
-        let mut compute = |interner: &Interner<C::Config>, cfg: ConfigId, rule_idx: usize| {
-            SuccSet::Raw(
-                self.class
-                    .transitions(interner.get(cfg), &self.compiled.rules()[rule_idx].guard),
-            )
-        };
-        let mut head = 0;
-        let mut level_end = 0;
-        while head < s.arena.len() {
-            if head == level_end {
-                s.stats.levels += 1;
-                level_end = s.arena.len();
-                s.stats.layer_widths.record(level_end - head);
-            }
-            let idx = head;
-            head += 1;
-            s.stats.configs_explored += 1;
-            if self.compiled.is_accepting(s.arena[idx].state) {
-                return self.accept(idx, &s);
-            }
-            if s.arena.len() > self.options.max_configs {
-                s.stats.unique_configs = s.interner.len();
-                return Outcome::ResourceLimit { stats: s.stats };
-            }
-            self.merge_node(&mut s, idx, &mut compute);
-        }
-        s.stats.unique_configs = s.interner.len();
-        Outcome::Empty { stats: s.stats }
-    }
-
-    /// The `threads >= 2` path: spawns `threads - 1` persistent pool
-    /// workers around [`Engine::parallel_search`], shutting the pool down
-    /// when the search returns. Workers live for the whole search — layer
-    /// hand-off is a condvar epoch, not a thread spawn.
-    fn run_parallel(&self, threads: usize) -> Outcome<C::Config> {
-        let gate: EpochGate<Epoch<C::Config>> = EpochGate::new();
-        let mut outcome = std::thread::scope(|scope| {
-            for worker in 1..threads {
-                let gate = &gate;
-                scope.spawn(move || {
-                    let mut seq = 0;
-                    while let Some((epoch, next)) = gate.next_epoch(seq) {
-                        seq = next;
-                        self.drain_epoch(&epoch, worker);
-                        gate.finish(epoch);
-                    }
-                });
-            }
-            let out = self.parallel_search(&gate, threads, scope);
-            gate.shutdown();
-            out
-        });
-        outcome.stats_mut().idle_ns += gate.idle_ns();
-        outcome
-    }
-
     /// Drains one epoch as participant `me`: claims chunks from its own
     /// queue, then steals from the others ([`TaskQueues::claim`]). Pure
     /// speculation — per-task [`Resolved`] verdicts land in [`OnceLock`]
@@ -1098,23 +1145,19 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
     /// drives the epoch to completion: the interner and visited bitmaps
     /// move into the epoch, every participant (coordinator included)
     /// drains tasks, and the moved state plus per-task resolved slots come
-    /// back out. Returns `None` when the layer stays inline — the merge's
-    /// fallback then computes raw successors on the coordinator, which is
-    /// the sequential path verbatim.
-    fn expand_layer(
+    /// back out. Returns `None` when the layer stays inline — the merge then
+    /// computes raw successors on the coordinator, exactly as without a
+    /// pool.
+    fn publish(
         &self,
-        gate: &EpochGate<Epoch<C::Config>>,
-        threads: usize,
-        hw_threads: usize,
+        pool: &mut Pool<'_, '_, '_, C::Config>,
         s: &mut Search<C::Config>,
-        tasks: Vec<(ConfigId, usize)>,
-        cost: &mut CostModel,
+        tasks: Vec<Task>,
     ) -> Option<ResolvedSlots<C::Config>> {
         let publish = tasks.len() > 1
             && match self.options.parallel_mode {
-                ParallelMode::Inline => false,
                 ParallelMode::Eager => true,
-                ParallelMode::Adaptive => cost.worthwhile(tasks.len(), hw_threads),
+                ParallelMode::Adaptive => pool.cost.worthwhile(tasks.len(), pool.hw_threads),
             };
         if !publish {
             s.stats.layers_inline += 1;
@@ -1125,12 +1168,12 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         let chunk = if self.options.chunk_size > 0 {
             self.options.chunk_size
         } else {
-            TaskQueues::auto_chunk(n_tasks, threads)
+            TaskQueues::auto_chunk(n_tasks, pool.threads)
         };
         let epoch = Arc::new(Epoch {
             interner: std::mem::take(&mut s.interner),
             visited: std::mem::take(&mut s.visited),
-            queues: TaskQueues::split(n_tasks, threads, chunk),
+            queues: TaskQueues::split(n_tasks, pool.threads, chunk),
             results: std::iter::repeat_with(OnceLock::new)
                 .take(n_tasks)
                 .collect(),
@@ -1140,9 +1183,9 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             canon_ns: AtomicU64::new(0),
             contention: AtomicU64::new(0),
         });
-        gate.publish(Arc::clone(&epoch), threads - 1);
+        pool.gate.publish(Arc::clone(&epoch), pool.threads - 1);
         self.drain_epoch(&epoch, 0);
-        gate.wait_done();
+        pool.gate.wait_done();
         let Ok(done) = Arc::try_unwrap(epoch) else {
             unreachable!("workers returned their epoch references at the done barrier")
         };
@@ -1153,209 +1196,170 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         s.stats.canon_ns += done.canon_ns.load(Ordering::Relaxed);
         s.stats.shard_contention += done.contention.load(Ordering::Relaxed);
         s.stats.tasks_stolen += done.queues.stolen();
-        cost.observe(n_tasks, busy);
+        pool.cost.observe(n_tasks, busy);
         Some(done.results)
     }
 
-    /// True when the merge of the current layer is guaranteed to reach the
-    /// accepting node at `accept_idx`: even if every pre-accept expansion
-    /// pushed all of its successors, the arena cannot exceed `max_configs`
-    /// at any budget check before the accept. Requires every pre-accept
-    /// successor count to be known (memo entry or published result slot),
-    /// so inline layers conservatively return false.
-    fn accept_is_certain(
+    /// The distinct uncached `(configuration, rule)` expansions of the layer
+    /// `level`, in arena order, with each memo key's task index. Collection
+    /// stops at the node whose hits decide every still-undecided target:
+    /// the merge ends the search there, so nodes at or past it are
+    /// deterministically never expanded — no point speculating on them.
+    fn layer_tasks(
         &self,
         s: &Search<C::Config>,
-        task_of: &HashMap<(u32, u32), usize>,
-        results: Option<&ResolvedSlots<C::Config>>,
-        level_start: usize,
-        accept_idx: usize,
-    ) -> bool {
-        let Some(results) = results else {
-            return false;
-        };
-        let mut bound = s.arena.len();
-        for idx in level_start..accept_idx {
-            let node = &s.arena[idx];
+        level: std::ops::Range<usize>,
+        masks: &[u64],
+        mut undecided: u64,
+    ) -> (HashMap<MemoKey, usize>, Vec<Task>) {
+        let mut task_of: HashMap<MemoKey, usize> = HashMap::new();
+        let mut tasks: Vec<Task> = Vec::new();
+        for node in &s.arena[level] {
+            undecided &= !masks[node.state.index()];
+            if undecided == 0 {
+                break;
+            }
             for &rule_idx in &self.rules_by_state[node.state.index()] {
                 let key = (node.cfg.0, self.guard_class[rule_idx as usize]);
-                let n = if let Some(ids) = s.cache.get(&key) {
-                    ids.len()
-                } else if let Some(&t) = task_of.get(&key) {
-                    match results[t].get() {
-                        Some(v) => v.len(),
-                        None => return false,
-                    }
-                } else {
-                    return false;
-                };
-                bound += n;
-                if bound > self.options.max_configs {
-                    return false;
+                if self.options.transition_cache && s.cache.contains_key(&key) {
+                    continue;
+                }
+                if let std::collections::hash_map::Entry::Vacant(e) = task_of.entry(key) {
+                    e.insert(tasks.len());
+                    tasks.push((node.cfg, rule_idx as usize));
                 }
             }
         }
-        true
+        (task_of, tasks)
     }
 
-    /// The coordinator's level-synchronous search loop. Each worthwhile
-    /// layer's uncached `(configuration, guard)` expansions are published
-    /// to the pool as an epoch (the whole interner and visited bitmaps move
-    /// into it and back out — no clone, no lock) and drained cooperatively,
-    /// coordinator included; a sequential merge then replays the layer in
-    /// arena order, performing the identical probe/push/count sequence as
-    /// [`Engine::run_sequential`] — so every outcome, trace and
-    /// deterministic statistic is bit-identical. Layers below the adaptive
-    /// threshold run inline on the coordinator through the very same merge.
-    fn parallel_search<'env, 'scope>(
+    /// The search: a level-synchronous BFS over the arena, driven by target
+    /// masks, deciding every target set or exhausting the frontier or the
+    /// budget.
+    ///
+    /// Without a pool every successor set is computed inline by the merge.
+    /// With one, each layer's uncached expansions are first either
+    /// published to the workers as an epoch or left inline
+    /// ([`Engine::publish`]); the merge then replays the layer in arena
+    /// order with the identical probe/push/count sequence, consuming
+    /// pre-resolved slots where there are any — so every outcome, trace
+    /// and deterministic statistic is bit-identical at any worker count.
+    /// A hit that leaves targets undecided is final at once, so with a pool
+    /// its witness certifies on a scoped thread, overlapping the rest of
+    /// the search; the hit that decides the last target ends the search and
+    /// certifies inline.
+    fn search<'env, 'scope>(
         &'env self,
-        gate: &EpochGate<Epoch<C::Config>>,
-        threads: usize,
-        scope: &'scope Scope<'scope, 'env>,
-    ) -> Outcome<C::Config> {
-        let hw_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut cost = CostModel::new();
+        targets: &[Vec<StateId>],
+        mut pool: Option<Pool<'_, 'scope, 'env, C::Config>>,
+    ) -> MultiOutcome<C::Config> {
+        // `masks[q]` has bit `t` set iff state `q` belongs to target set `t`.
+        let mut masks = vec![0u64; self.compiled.num_states()];
+        for (t, set) in targets.iter().enumerate() {
+            for &q in set {
+                masks[q.index()] |= 1 << t;
+            }
+        }
+        // The low `targets.len()` bits.
+        let mut undecided = u64::MAX.checked_shr(64 - targets.len() as u32).unwrap_or(0);
+        let mut first_hit: Vec<Option<usize>> = vec![None; targets.len()];
+        let mut cert_handles: Vec<(usize, ScopedJoinHandle<'scope, CertResult<C::Config>>)> =
+            Vec::new();
         let mut s = self.init_search();
         let mut level_start = 0usize;
-        loop {
+        let mut limited = false;
+        'search: while undecided != 0 {
             let level_end = s.arena.len();
             if level_start == level_end {
-                s.stats.unique_configs = s.interner.len();
-                return Outcome::Empty { stats: s.stats };
+                break;
             }
             s.stats.levels += 1;
             s.stats.layer_widths.record(level_end - level_start);
 
-            // Collect this layer's distinct uncached expansions, in order.
-            // The merge below returns at the layer's first accepting node,
-            // so nodes at or past it are deterministically never expanded —
-            // don't speculate on them.
-            let mut accept_at: Option<usize> = None;
-            let mut task_of: HashMap<(u32, u32), usize> = HashMap::new();
-            let mut tasks: Vec<(ConfigId, usize)> = Vec::new();
-            for idx in level_start..level_end {
-                let node = &s.arena[idx];
-                if self.compiled.is_accepting(node.state) {
-                    accept_at = Some(idx);
-                    break;
-                }
-                for &rule_idx in &self.rules_by_state[node.state.index()] {
-                    let key = (node.cfg.0, self.guard_class[rule_idx as usize]);
-                    if self.options.transition_cache && s.cache.contains_key(&key) {
-                        continue;
-                    }
-                    if let std::collections::hash_map::Entry::Vacant(e) = task_of.entry(key) {
-                        e.insert(tasks.len());
-                        tasks.push((node.cfg, rule_idx as usize));
-                    }
-                }
+            let mut n_tasks = 0;
+            let mut published = None;
+            if let Some(pool) = pool.as_mut() {
+                let (task_of, tasks) =
+                    self.layer_tasks(&s, level_start..level_end, &masks, undecided);
+                n_tasks = tasks.len();
+                published = self
+                    .publish(pool, &mut s, tasks)
+                    .map(|results| (task_of, results));
             }
+            let t_merge = published.is_some().then(Instant::now);
 
-            let n_tasks = tasks.len();
-            let mut results =
-                self.expand_layer(gate, threads, hw_threads, &mut s, tasks, &mut cost);
-            let published = results.is_some();
-
-            // Certification overlap: the merge below will accept at
-            // `accept_at` unless a budget stop preempts it. When the
-            // published successor counts prove no stop can, concretize the
-            // witness on a scoped thread concurrent with the merge.
-            let mut pending_cert: Option<(usize, ScopedJoinHandle<'scope, CertResult<C::Config>>)> =
-                None;
-            if let Some(aidx) = accept_at {
-                if self.options.concretize
-                    && self.accept_is_certain(&s, &task_of, results.as_ref(), level_start, aidx)
-                {
-                    let trace = self.trace_to(aidx, &s);
-                    let handle = scope.spawn(move || {
-                        let (witness, certify_ns) = self.certify_witness(&trace);
-                        (trace, witness, certify_ns)
-                    });
-                    pending_cert = Some((aidx, handle));
-                }
-            }
-
-            // Deterministic merge: identical order to the sequential path.
+            // Deterministic merge: the same order with or without a pool.
             let cache_on = self.options.transition_cache;
             let mut compute = |interner: &Interner<C::Config>, cfg: ConfigId, rule_idx: usize| {
-                let pre = results.as_mut().and_then(|res| {
-                    let key = (cfg.0, self.guard_class[rule_idx]);
-                    match task_of.get(&key) {
+                let pre = published.as_mut().and_then(|(task_of, results)| {
+                    match task_of.get(&(cfg.0, self.guard_class[rule_idx])) {
                         // With the memo on, each task is consumed exactly
                         // once (later occurrences hit the memo); without
                         // it, clone so repeated occurrences in this layer
                         // stay served.
-                        Some(&t) if cache_on => res[t].take(),
-                        Some(&t) => res[t].get().cloned(),
+                        Some(&t) if cache_on => results[t].take(),
+                        Some(&t) => results[t].get().cloned(),
                         None => None,
                     }
                 });
                 match pre {
                     Some(entries) => SuccSet::Pre(entries),
-                    None => SuccSet::Raw(
-                        self.class
-                            .transitions(interner.get(cfg), &self.compiled.rules()[rule_idx].guard),
-                    ),
+                    None => self.raw_successors(interner, cfg, rule_idx),
                 }
             };
             let expand_before = s.stats.expand_ns;
-            let t_merge = Instant::now();
             for idx in level_start..level_end {
                 s.stats.configs_explored += 1;
-                if self.compiled.is_accepting(s.arena[idx].state) {
-                    if let Some((cidx, handle)) = pending_cert.take() {
-                        if cidx == idx {
-                            let (trace, witness, certify_ns) = match handle.join() {
-                                Ok(v) => v,
-                                Err(panic) => std::panic::resume_unwind(panic),
-                            };
-                            let mut stats = s.stats;
-                            stats.unique_configs = s.interner.len();
-                            stats.certify_ns = certify_ns;
-                            return Outcome::NonEmpty {
-                                trace,
-                                witness,
-                                stats,
-                            };
+                let hits = masks[s.arena[idx].state.index()] & undecided;
+                if hits != 0 {
+                    for (t, first) in first_hit.iter_mut().enumerate() {
+                        if hits >> t & 1 == 1 {
+                            *first = Some(idx);
                         }
-                        // Unreachable by construction (`accept_at` is the
-                        // layer's first accepting node); the speculative
-                        // thread joins at scope exit.
                     }
-                    return self.accept(idx, &s);
+                    undecided &= !hits;
+                    if undecided == 0 {
+                        break 'search;
+                    }
+                    if let Some(pool) = pool.as_ref().filter(|_| self.options.concretize) {
+                        let trace = self.trace_to(idx, &s);
+                        let handle = pool.scope.spawn(move || {
+                            let (witness, certify_ns) = self.certify_witness(&trace);
+                            (trace, witness, certify_ns)
+                        });
+                        cert_handles.push((idx, handle));
+                    }
                 }
                 if s.arena.len() > self.options.max_configs {
-                    s.stats.unique_configs = s.interner.len();
-                    return Outcome::ResourceLimit { stats: s.stats };
+                    limited = true;
+                    break 'search;
                 }
                 self.merge_node(&mut s, idx, &mut compute);
             }
-            if published {
+            if let Some(t_merge) = t_merge {
                 s.stats.merge_ns += t_merge.elapsed().as_nanos() as u64;
-            } else if n_tasks > 0 {
-                cost.observe(n_tasks, s.stats.expand_ns - expand_before);
+            } else if let Some(pool) = pool.as_mut().filter(|_| n_tasks > 0) {
+                pool.cost
+                    .observe(n_tasks, s.stats.expand_ns - expand_before);
             }
             level_start = level_end;
         }
-    }
-
-    fn accept(&self, idx: usize, s: &Search<C::Config>) -> Outcome<C::Config> {
-        let mut stats = s.stats;
-        stats.unique_configs = s.interner.len();
-        let trace = self.trace_to(idx, s);
-        let (witness, certify_ns) = self.certify_witness(&trace);
-        stats.certify_ns = certify_ns;
-        Outcome::NonEmpty {
-            trace,
-            witness,
-            stats,
-        }
+        let certified = cert_handles
+            .into_iter()
+            .map(|(idx, handle)| {
+                (
+                    idx,
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                )
+            })
+            .collect();
+        self.finish_multi(&first_hit, limited, &s, certified)
     }
 
     /// Rebuilds the root-to-`idx` trace from the arena's parent chain.
-    fn trace_to(&self, idx: usize, s: &Search<C::Config>) -> Trace<C::Config> {
+    pub(crate) fn trace_to(&self, idx: usize, s: &Search<C::Config>) -> Trace<C::Config> {
         let mut steps = Vec::new();
         let mut cur = idx;
         loop {
@@ -1402,254 +1406,12 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         (w, t0.elapsed().as_nanos() as u64)
     }
 
-    /// Decides reachability of up to 64 target state sets in one shared
-    /// search (the product-construction workhorse behind `dds equiv`).
-    ///
-    /// Unlike [`Engine::run`], the search does not stop at the system's
-    /// accepting states: a node whose state belongs to some still-undecided
-    /// target set records the first hit for every such set and is then
-    /// expanded like any other node, until every target is decided or the
-    /// frontier (or the budget) is exhausted. With a single target set equal
-    /// to the system's accepting states, the exploration prefix — and hence
-    /// every deterministic statistic up to the decision point — coincides
-    /// with [`Engine::run`]'s.
-    ///
-    /// The result is bit-identical across worker counts, exactly like
-    /// [`Engine::run`] (the parallel path only precomputes pure successor
-    /// sets; the merge replays the sequential order).
-    ///
-    /// # Panics
-    /// Panics when more than 64 target sets are requested or a target state
-    /// is out of range for the system.
-    pub fn run_multi(&self, targets: &[Vec<StateId>]) -> MultiOutcome<C::Config> {
-        assert!(
-            targets.len() <= 64,
-            "run_multi supports at most 64 target sets"
-        );
-        let t0 = Instant::now();
-        let (allocs0, reuses0) = crate::amalgam::scratch_counters();
-        let threads = self.effective_threads();
-        let mut outcome = if threads <= 1 {
-            self.multi_sequential(targets)
-        } else {
-            self.multi_parallel(threads, targets)
-        };
-        let total = t0.elapsed().as_nanos() as u64;
-        let (allocs1, reuses1) = crate::amalgam::scratch_counters();
-        outcome.stats.search_ns = total.saturating_sub(outcome.stats.certify_ns);
-        outcome.stats.scratch_allocs = allocs1.saturating_sub(allocs0);
-        outcome.stats.scratch_reuses = reuses1.saturating_sub(reuses0);
-        outcome
-    }
-
-    /// `target_masks()[q]` has bit `t` set iff state `q` belongs to target
-    /// set `t`.
-    fn target_masks(&self, targets: &[Vec<StateId>]) -> Vec<u64> {
-        let mut masks = vec![0u64; self.compiled.num_states()];
-        for (t, set) in targets.iter().enumerate() {
-            for &q in set {
-                masks[q.index()] |= 1u64 << t;
-            }
-        }
-        masks
-    }
-
-    /// The `threads = 1` multi-target path; mirrors
-    /// [`Engine::run_sequential`]'s level/stats/budget ordering exactly.
-    fn multi_sequential(&self, targets: &[Vec<StateId>]) -> MultiOutcome<C::Config> {
-        let masks = self.target_masks(targets);
-        let mut undecided: u64 = mask_all(targets.len());
-        let mut first_hit: Vec<Option<usize>> = vec![None; targets.len()];
-        let mut s = self.init_search();
-        let mut compute = |interner: &Interner<C::Config>, cfg: ConfigId, rule_idx: usize| {
-            SuccSet::Raw(
-                self.class
-                    .transitions(interner.get(cfg), &self.compiled.rules()[rule_idx].guard),
-            )
-        };
-        let mut head = 0;
-        let mut level_end = 0;
-        let mut limited = false;
-        while undecided != 0 && head < s.arena.len() {
-            if head == level_end {
-                s.stats.levels += 1;
-                level_end = s.arena.len();
-                s.stats.layer_widths.record(level_end - head);
-            }
-            let idx = head;
-            head += 1;
-            s.stats.configs_explored += 1;
-            let hits = masks[s.arena[idx].state.index()] & undecided;
-            if hits != 0 {
-                record_hits(hits, idx, &mut first_hit);
-                undecided &= !hits;
-                if undecided == 0 {
-                    break;
-                }
-            }
-            if s.arena.len() > self.options.max_configs {
-                limited = true;
-                break;
-            }
-            self.merge_node(&mut s, idx, &mut compute);
-        }
-        self.finish_multi(&first_hit, limited, &s, HashMap::new())
-    }
-
-    /// The `threads >= 2` multi-target path: same persistent pool as
-    /// [`Engine::run_parallel`], same deterministic merge as
-    /// [`Engine::multi_sequential`].
-    fn multi_parallel(&self, threads: usize, targets: &[Vec<StateId>]) -> MultiOutcome<C::Config> {
-        let gate: EpochGate<Epoch<C::Config>> = EpochGate::new();
-        let mut outcome = std::thread::scope(|scope| {
-            for worker in 1..threads {
-                let gate = &gate;
-                scope.spawn(move || {
-                    let mut seq = 0;
-                    while let Some((epoch, next)) = gate.next_epoch(seq) {
-                        seq = next;
-                        self.drain_epoch(&epoch, worker);
-                        gate.finish(epoch);
-                    }
-                });
-            }
-            let out = self.multi_parallel_search(&gate, threads, targets, scope);
-            gate.shutdown();
-            out
-        });
-        outcome.stats.idle_ns += gate.idle_ns();
-        outcome
-    }
-
-    /// Level-synchronous multi-target coordinator loop. Identical layer
-    /// scheduling to [`Engine::parallel_search`], except that the layer
-    /// speculates on *every* node: a target hit does not end the layer's
-    /// merge (the node is still expanded), so no node is deterministically
-    /// skipped short of full decision or the budget. A hit is final the
-    /// moment it is recorded, so its certification starts immediately on a
-    /// scoped thread, overlapping the rest of the search.
-    fn multi_parallel_search<'env, 'scope>(
-        &'env self,
-        gate: &EpochGate<Epoch<C::Config>>,
-        threads: usize,
-        targets: &[Vec<StateId>],
-        scope: &'scope Scope<'scope, 'env>,
-    ) -> MultiOutcome<C::Config> {
-        let hw_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut cost = CostModel::new();
-        let masks = self.target_masks(targets);
-        let mut undecided: u64 = mask_all(targets.len());
-        let mut first_hit: Vec<Option<usize>> = vec![None; targets.len()];
-        let mut cert_handles: Vec<(usize, ScopedJoinHandle<'scope, CertResult<C::Config>>)> =
-            Vec::new();
-        let mut s = self.init_search();
-        let mut level_start = 0usize;
-        let mut limited = false;
-        'search: while undecided != 0 {
-            let level_end = s.arena.len();
-            if level_start == level_end {
-                break;
-            }
-            s.stats.levels += 1;
-            s.stats.layer_widths.record(level_end - level_start);
-
-            // Collect this layer's distinct uncached expansions, in order.
-            // Unlike the single-target layer loop there is no accepting
-            // cutoff: barring full decision or the budget, every node of the
-            // layer gets expanded by the merge below.
-            let mut task_of: HashMap<(u32, u32), usize> = HashMap::new();
-            let mut tasks: Vec<(ConfigId, usize)> = Vec::new();
-            for node in &s.arena[level_start..level_end] {
-                for &rule_idx in &self.rules_by_state[node.state.index()] {
-                    let key = (node.cfg.0, self.guard_class[rule_idx as usize]);
-                    if self.options.transition_cache && s.cache.contains_key(&key) {
-                        continue;
-                    }
-                    if let std::collections::hash_map::Entry::Vacant(e) = task_of.entry(key) {
-                        e.insert(tasks.len());
-                        tasks.push((node.cfg, rule_idx as usize));
-                    }
-                }
-            }
-
-            let n_tasks = tasks.len();
-            let mut results =
-                self.expand_layer(gate, threads, hw_threads, &mut s, tasks, &mut cost);
-            let published = results.is_some();
-
-            // Deterministic merge: identical order to the sequential path.
-            let cache_on = self.options.transition_cache;
-            let mut compute = |interner: &Interner<C::Config>, cfg: ConfigId, rule_idx: usize| {
-                let pre = results.as_mut().and_then(|res| {
-                    let key = (cfg.0, self.guard_class[rule_idx]);
-                    match task_of.get(&key) {
-                        Some(&t) if cache_on => res[t].take(),
-                        Some(&t) => res[t].get().cloned(),
-                        None => None,
-                    }
-                });
-                match pre {
-                    Some(entries) => SuccSet::Pre(entries),
-                    None => SuccSet::Raw(
-                        self.class
-                            .transitions(interner.get(cfg), &self.compiled.rules()[rule_idx].guard),
-                    ),
-                }
-            };
-            let expand_before = s.stats.expand_ns;
-            let t_merge = Instant::now();
-            for idx in level_start..level_end {
-                s.stats.configs_explored += 1;
-                let hits = masks[s.arena[idx].state.index()] & undecided;
-                if hits != 0 {
-                    record_hits(hits, idx, &mut first_hit);
-                    undecided &= !hits;
-                    // The hit is final: start concretizing its witness now,
-                    // concurrent with the remaining search.
-                    if self.options.concretize {
-                        let trace = self.trace_to(idx, &s);
-                        let handle = scope.spawn(move || {
-                            let (witness, certify_ns) = self.certify_witness(&trace);
-                            (trace, witness, certify_ns)
-                        });
-                        cert_handles.push((idx, handle));
-                    }
-                    if undecided == 0 {
-                        break 'search;
-                    }
-                }
-                if s.arena.len() > self.options.max_configs {
-                    limited = true;
-                    break 'search;
-                }
-                self.merge_node(&mut s, idx, &mut compute);
-            }
-            if published {
-                s.stats.merge_ns += t_merge.elapsed().as_nanos() as u64;
-            } else if n_tasks > 0 {
-                cost.observe(n_tasks, s.stats.expand_ns - expand_before);
-            }
-            level_start = level_end;
-        }
-        let mut certified: HashMap<usize, CertResult<C::Config>> = HashMap::new();
-        for (idx, handle) in cert_handles {
-            let result = match handle.join() {
-                Ok(v) => v,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            certified.insert(idx, result);
-        }
-        self.finish_multi(&first_hit, limited, &s, certified)
-    }
-
     /// Converts recorded hits into per-target statuses: hit targets get a
     /// trace (and certified witness) to their first-hit node; unhit targets
     /// are `Unreachable` on exhaustion, `Undecided` on a budget stop.
-    /// `certified` carries overlapped certifications already joined by the
-    /// parallel path, keyed by hit node; targets whose node is absent (the
-    /// sequential path, or concretization off) certify here.
+    /// `certified` carries overlapped certifications already joined, keyed
+    /// by hit node; targets whose node is absent (no pool, the hit that
+    /// ended the search, or concretization off) certify here.
     fn finish_multi(
         &self,
         first_hit: &[Option<usize>],
@@ -1687,26 +1449,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             targets: statuses,
             stats,
         }
-    }
-}
-
-/// A mask with the low `n` bits set (`n <= 64`).
-fn mask_all(n: usize) -> u64 {
-    if n == 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-/// Records `idx` as the first hit for every target bit set in `hits`.
-fn record_hits(hits: u64, idx: usize, first_hit: &mut [Option<usize>]) {
-    let mut bits = hits;
-    while bits != 0 {
-        let t = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        debug_assert!(first_hit[t].is_none());
-        first_hit[t] = Some(idx);
     }
 }
 

@@ -13,14 +13,14 @@
 //! [`bisim`] is the stretch mode: instead of comparing final reachability it
 //! compares, depth by depth, the *sets of accepting configurations* the two
 //! sides have produced — stepwise outcome equivalence, strictly finer than
-//! reachability agreement. It runs sequentially (its verdict is a pure
-//! function of the product, so there is nothing thread-dependent to pin).
+//! reachability agreement. It runs sequentially on the engine's search
+//! primitives (its verdict is a pure function of the product, so there is
+//! nothing thread-dependent to pin).
 
-use crate::class::{SymbolicClass, Trace, TraceStep};
-use crate::intern::{ConfigId, Interner};
-use dds_system::{eliminate_existentials, Run, StateId, System};
-use std::collections::BTreeSet;
-use std::collections::HashMap;
+use crate::class::{SymbolicClass, Trace};
+use crate::engine::{Engine, Search};
+use dds_system::{Run, StateId, System};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Which input system a product state (or a witness) belongs to.
@@ -229,63 +229,36 @@ pub struct BisimCheck<Cfg> {
     pub configs_explored: usize,
 }
 
-/// Stepwise outcome equivalence over a product: breadth-first search with
-/// one shared interner, comparing after every layer the cumulative sets of
-/// configurations each side has produced *at its accepting states*. The
-/// first layer after which the sets differ yields a divergence witness; if
-/// both frontiers exhaust with the sets still equal, the sides are stepwise
-/// equivalent (which implies outcome equivalence, not vice versa).
+/// Stepwise outcome equivalence over a product: the engine's breadth-first
+/// search (one shared interner, visited bitmaps and transition memo),
+/// comparing after every layer the cumulative sets of configurations each
+/// side has produced *at its accepting states*. The first layer after which
+/// the sets differ yields a divergence witness; if both frontiers exhaust
+/// with the sets still equal, the sides are stepwise equivalent (which
+/// implies outcome equivalence, not vice versa).
 pub fn bisim<C: SymbolicClass>(
     class: &C,
     prod: &Product,
     max_configs: usize,
 ) -> BisimCheck<C::Config> {
-    let compiled = eliminate_existentials(prod.system())
-        .expect("guards must be existential formulas (Fact 2)");
-    let mut rules_by_state: Vec<Vec<usize>> = vec![Vec::new(); compiled.num_states()];
-    for (i, rule) in compiled.rules().iter().enumerate() {
-        rules_by_state[rule.from.index()].push(i);
-    }
-
-    struct Node {
-        state: StateId,
-        cfg: ConfigId,
-        parent: Option<(usize, usize)>,
-    }
-    let mut interner: Interner<C::Config> = Interner::new();
-    let mut visited: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); compiled.num_states()];
-    let mut arena: Vec<Node> = Vec::new();
+    let engine = Engine::new(class, prod.system());
+    let mut s = engine.init_search();
     // Cumulative accepting configurations per side, and the arena index that
     // first produced each (for the witness trace).
     let mut seen: [BTreeSet<u32>; 2] = [BTreeSet::new(), BTreeSet::new()];
     let mut origin: HashMap<(usize, u32), usize> = HashMap::new();
-
-    let ids: Vec<ConfigId> = class
-        .initial_configs(compiled.num_registers())
-        .into_iter()
-        .map(|cfg| interner.intern(cfg).0)
-        .collect();
-    for &q in compiled.initial() {
-        for &id in &ids {
-            if visited[q.index()].insert(id.0) {
-                arena.push(Node {
-                    state: q,
-                    cfg: id,
-                    parent: None,
-                });
-            }
-        }
-    }
-
-    let mut explored = 0usize;
-    let mut depth = 0usize;
+    let check = |outcome, s: &Search<C::Config>| BisimCheck {
+        outcome,
+        depth: s.stats.levels,
+        configs_explored: s.stats.configs_explored,
+    };
     let mut level_start = 0usize;
     loop {
-        let level_end = arena.len();
+        let level_end = s.arena.len();
         // Ingest the layer's accepting configurations into the side sets.
         for idx in level_start..level_end {
-            let node = &arena[idx];
-            if !compiled.is_accepting(node.state) {
+            let node = &s.arena[idx];
+            if !engine.compiled_system().is_accepting(node.state) {
                 continue;
             }
             let side_idx = match prod.side_of(node.state).0 {
@@ -299,91 +272,35 @@ pub fn bisim<C: SymbolicClass>(
         // Compare cumulatively: the smallest configuration id in the
         // symmetric difference (deterministic — ids follow interning order)
         // names the divergence.
-        if seen[0] != seen[1] {
-            let extra = seen[0]
-                .symmetric_difference(&seen[1])
-                .next()
-                .copied()
-                .expect("sets differ");
+        if let Some(&extra) = seen[0].symmetric_difference(&seen[1]).next() {
             let (side, side_idx) = if seen[0].contains(&extra) {
                 (Side::A, 0)
             } else {
                 (Side::B, 1)
             };
-            let at = origin[&(side_idx, extra)];
-            let trace = trace_to(&arena, &interner, at);
-            return BisimCheck {
-                outcome: BisimOutcome::Divergent { side, depth, trace },
-                depth,
-                configs_explored: explored,
-            };
+            let trace = engine.trace_to(origin[&(side_idx, extra)], &s);
+            let depth = s.stats.levels;
+            return check(BisimOutcome::Divergent { side, depth, trace }, &s);
         }
         if level_start == level_end {
-            return BisimCheck {
-                outcome: BisimOutcome::Equivalent,
-                depth,
-                configs_explored: explored,
-            };
+            return check(BisimOutcome::Equivalent, &s);
         }
-        depth += 1;
-        // Expand the layer.
+        s.stats.levels += 1;
         for idx in level_start..level_end {
-            explored += 1;
-            if arena.len() > max_configs {
-                return BisimCheck {
-                    outcome: BisimOutcome::ResourceLimit,
-                    depth,
-                    configs_explored: explored,
-                };
+            s.stats.configs_explored += 1;
+            if s.arena.len() > max_configs {
+                return check(BisimOutcome::ResourceLimit, &s);
             }
-            let state = arena[idx].state;
-            let cfg = arena[idx].cfg;
-            for r in 0..rules_by_state[state.index()].len() {
-                let rule_idx = rules_by_state[state.index()][r];
-                let rule = &compiled.rules()[rule_idx];
-                let succs = class.transitions(interner.get(cfg), &rule.guard);
-                for succ in succs {
-                    let id = interner.intern(succ).0;
-                    if visited[rule.to.index()].insert(id.0) {
-                        arena.push(Node {
-                            state: rule.to,
-                            cfg: id,
-                            parent: Some((idx, rule_idx)),
-                        });
-                    }
-                }
-            }
+            engine.expand(&mut s, idx);
         }
         level_start = level_end;
-    }
-
-    fn trace_to<Cfg>(arena: &[Node], interner: &Interner<Cfg>, idx: usize) -> Trace<Cfg>
-    where
-        Cfg: Clone + Eq + std::hash::Hash,
-    {
-        let mut steps = Vec::new();
-        let mut cur = idx;
-        loop {
-            let node = &arena[cur];
-            steps.push(TraceStep {
-                state: node.state,
-                config: interner.get(node.cfg).clone(),
-                rule: node.parent.map(|(_, r)| r),
-            });
-            match node.parent {
-                Some((p, _)) => cur = p,
-                None => break,
-            }
-        }
-        steps.reverse();
-        Trace { steps }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineOptions, TargetStatus};
+    use crate::engine::{EngineOptions, TargetStatus};
     use crate::free::FreeRelationalClass;
     use dds_structure::Schema;
     use dds_system::SystemBuilder;

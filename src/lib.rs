@@ -76,7 +76,7 @@ pub use dds_words as words;
 pub mod prelude {
     pub use dds_core::{
         DataClass, DataSpec, Engine, EngineOptions, EngineStats, EquivalenceClass,
-        FreeRelationalClass, HomClass, LinearOrderClass, Outcome, ParallelMode, SymbolicClass,
+        FreeRelationalClass, HomClass, LinearOrderClass, Outcome, SymbolicClass,
     };
     pub use dds_logic::{Formula, Term, Var};
     pub use dds_structure::{Element, Schema, Structure, SymbolId};

@@ -6,8 +6,9 @@
 //! file must fail to load with exactly the pinned diagnostic; every
 //! `specs/equiv/` pair is run through `dds equiv` and its text/JSON
 //! reports (or structured comparability errors) are pinned under
-//! `tests/golden/equiv/`. JSON snapshots are normalized (`wall_ns`
-//! zeroed) so measurements never flap.
+//! `tests/golden/equiv/`, plus `--bisim` reports for one equivalent and one
+//! divergent pair as `<stem>.bisim.{txt,json}`. JSON snapshots are
+//! normalized (`wall_ns` zeroed) so measurements never flap.
 //!
 //! Refresh after an intentional change with:
 //!
@@ -186,6 +187,34 @@ fn equiv_pair_corpus_matches_snapshots() {
     }
 }
 
+/// Pairs pinned in stepwise (`--bisim`) mode too: one the stepwise check
+/// proves equivalent, one it splits, so the bisim depth, explored count and
+/// divergence trace are all snapshotted.
+const BISIM_PAIRS: [&str; 2] = ["order_renamed", "order_relaxed_deadline"];
+
+#[test]
+fn equiv_bisim_pairs_match_snapshots() {
+    let root = root();
+    for stem in BISIM_PAIRS {
+        let path_a = format!("specs/equiv/{stem}_a.dds");
+        let path_b = format!("specs/equiv/{stem}_b.dds");
+        let report = EquivRequest::from_files(&path_a, &path_b)
+            .and_then(|req| req.bisim(true).run())
+            .unwrap_or_else(|e| panic!("{path_a}: {e}"));
+        let golden = root.join("tests/golden/equiv");
+        compare(
+            &golden.join(format!("{stem}.bisim.txt")),
+            &render::equiv_text(&report, false),
+            &path_a,
+        );
+        compare(
+            &golden.join(format!("{stem}.bisim.json")),
+            &render::normalize_wall_ns(&render::equiv_json(&report)),
+            &path_a,
+        );
+    }
+}
+
 #[test]
 fn golden_directory_has_no_orphans() {
     // Renaming a spec must not leave stale snapshots behind silently.
@@ -223,6 +252,17 @@ fn golden_directory_has_no_orphans() {
     for entry in fs::read_dir(root.join("tests/golden/equiv")).unwrap() {
         let p = entry.unwrap().path();
         let stem = p.file_stem().unwrap().to_str().unwrap();
+        let stem = match stem.strip_suffix(".bisim") {
+            Some(pair) => {
+                assert!(
+                    BISIM_PAIRS.contains(&pair),
+                    "orphaned golden file {} (not in BISIM_PAIRS)",
+                    p.display()
+                );
+                pair
+            }
+            None => stem,
+        };
         assert!(
             pair_stems.iter().any(|s| s == stem),
             "orphaned golden file {} (no specs/equiv/{stem}_a.dds pair)",

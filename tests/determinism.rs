@@ -1,38 +1,66 @@
 //! The parallel frontier engine must be bit-identical to the sequential one.
 //!
-//! `Engine::run` with `threads >= 2` expands each BFS layer on scoped
-//! workers and merges deterministically; this suite pins the guarantee
-//! across every class family (free relational, `HOM`, words, trees, data
+//! `Engine::run` with `threads >= 2` expands BFS layers on pool workers
+//! and merges deterministically; this suite pins the guarantee across
+//! every class family (free relational, `HOM`, words, trees, data
 //! products, linear orders) and both answer polarities: identical
 //! [`Outcome`] variants, witness traces, certificates, and all
 //! stats-invariant fields (`EngineStats` equality deliberately excludes the
-//! wall-clock timings).
+//! wall-clock timings). At every point of the matrix `run` must also equal
+//! the one-target projection of `run_multi`, the one search loop both
+//! share.
 
-use dds::core::{EngineOptions, ParallelMode};
+use dds::core::{EngineOptions, ParallelMode, TargetStatus};
 use dds::prelude::*;
+
+/// `run_multi` over the compiled system's accepting states, mapped to the
+/// [`Outcome`] that `run` must return (`Reached` → `NonEmpty`,
+/// `Unreachable` → `Empty`, `Undecided` → `ResourceLimit`).
+fn projected<C: SymbolicClass>(engine: &Engine<'_, C>) -> Outcome<C::Config> {
+    let accepting = engine.compiled_system().accepting().to_vec();
+    let out = engine.run_multi(&[accepting]);
+    let stats = out.stats;
+    match out.targets.into_iter().next().expect("one target set") {
+        TargetStatus::Reached { trace, witness } => Outcome::NonEmpty {
+            trace,
+            witness,
+            stats,
+        },
+        TargetStatus::Unreachable => Outcome::Empty { stats },
+        TargetStatus::Undecided => Outcome::ResourceLimit { stats },
+    }
+}
 
 /// Runs the engine at 1, 2, 4 and 8 workers crossed with 1, 4 and 16
 /// interner shards (plus a tiny-chunk variant) and asserts every
-/// configuration produces the identical outcome. The matrix runs in
-/// [`ParallelMode::Eager`] so the epoch path is genuinely exercised even on
-/// a single-core host, where the default adaptive scheduler would inline
-/// every layer; the adaptive default is pinned separately at the end.
+/// configuration produces the identical outcome, and that at every point
+/// `run` equals the one-target projection of `run_multi`. The matrix runs
+/// in [`ParallelMode::Eager`] so the epoch path is genuinely exercised even
+/// on a single-core host, where the default adaptive scheduler would
+/// inline every layer; the adaptive default is pinned separately at the
+/// end.
 fn assert_deterministic<C: SymbolicClass>(class: &C, system: &System, expect_nonempty: bool)
 where
     C::Config: PartialEq,
 {
-    let sequential = Engine::new(class, system).run();
+    let run = |options: EngineOptions| {
+        let engine = Engine::new(class, system).with_options(options);
+        let outcome = engine.run();
+        assert_eq!(
+            outcome,
+            projected(&engine),
+            "run() is not the run_multi projection at {options:?}"
+        );
+        outcome
+    };
+    let sequential = run(EngineOptions::default());
     assert_eq!(sequential.is_nonempty(), expect_nonempty);
-    for threads in [2usize, 4, 8] {
+    for threads in [1usize, 2, 4, 8] {
         for shards in [1usize, 4, 16] {
-            let parallel = Engine::new(class, system)
-                .with_options(
-                    EngineOptions::default()
-                        .threads(threads)
-                        .shards(shards)
-                        .parallel_mode(ParallelMode::Eager),
-                )
-                .run();
+            let parallel = run(EngineOptions::default()
+                .threads(threads)
+                .shards(shards)
+                .parallel_mode(ParallelMode::Eager));
             assert_eq!(
                 sequential, parallel,
                 "threads = {threads}, shards = {shards}"
@@ -40,20 +68,14 @@ where
         }
     }
     // Tiny chunks maximize scheduling interleavings; the merge must not care.
-    let chunky = Engine::new(class, system)
-        .with_options(
-            EngineOptions::default()
-                .threads(3)
-                .chunk_size(1)
-                .parallel_mode(ParallelMode::Eager),
-        )
-        .run();
+    let chunky = run(EngineOptions::default()
+        .threads(3)
+        .chunk_size(1)
+        .parallel_mode(ParallelMode::Eager));
     assert_eq!(sequential, chunky, "chunk_size = 1");
     // The adaptive default may inline any subset of layers; the outcome and
     // the deterministic stats must not care where a layer ran.
-    let adaptive = Engine::new(class, system)
-        .with_options(EngineOptions::default().threads(4))
-        .run();
+    let adaptive = run(EngineOptions::default().threads(4));
     assert_eq!(sequential, adaptive, "adaptive scheduling");
 }
 
@@ -330,9 +352,9 @@ fn steal_and_scratch_counters_sane() {
 }
 
 /// The scheduling counters must distinguish where layers actually ran: a
-/// sequential run touches neither the pool nor the gate; an inline-forced
-/// run keeps workers parked (gate idle time, no steals, no published
-/// layers); an eager run publishes every multi-task layer.
+/// sequential run touches neither the pool nor the gate (no inline or
+/// published layers, no steals, no idle or merge time); an eager run
+/// publishes every multi-task layer.
 #[test]
 fn scheduling_counters_distinguish_inline_from_published() {
     let schema = graph_schema();
@@ -345,22 +367,6 @@ fn scheduling_counters_distinguish_inline_from_published() {
     assert_eq!(sequential.stats().tasks_stolen, 0);
     assert_eq!(sequential.stats().idle_ns, 0);
     assert_eq!(sequential.stats().merge_ns, 0);
-
-    let inline = Engine::new(&class, &system)
-        .with_options(
-            EngineOptions::default()
-                .threads(4)
-                .parallel_mode(ParallelMode::Inline),
-        )
-        .run();
-    assert_eq!(sequential, inline);
-    assert!(inline.stats().layers_inline > 0, "{:?}", inline.stats());
-    assert_eq!(inline.stats().layers_parallel, 0);
-    assert_eq!(inline.stats().tasks_stolen, 0);
-    assert!(
-        inline.stats().idle_ns > 0,
-        "parked workers must accrue gate idle time"
-    );
 
     let eager = Engine::new(&class, &system)
         .with_options(
