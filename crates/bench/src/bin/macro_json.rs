@@ -12,7 +12,9 @@
 //!   pins), checks the stamped `expect` lines, and writes one record per
 //!   scenario — `{"id", "wall_ns", "configs_explored", "outcome",
 //!   "seq_wall_ns"}` — as a versioned JSON document to `--out PATH`
-//!   (default `MACRO_BENCH.json`).
+//!   (default `MACRO_BENCH.json`). The document also records where it was
+//!   measured, `"host": {"cores", "git_rev"}`, so numbers from different
+//!   machines or revisions cannot be confused; the gate ignores it.
 //! * **Gate** (`--gate BASELINE.json`): compares each scenario's `wall_ns`
 //!   against the committed baseline and exits non-zero when any scenario
 //!   regressed by more than `DDS_MACRO_MAX_RATIO` (default 3.0) *and* more
@@ -196,6 +198,30 @@ fn run_one(path: &str, threads: usize, reps: u32) -> Record {
     }
 }
 
+/// Where the numbers were measured: `{"cores", "git_rev"}`. The revision
+/// is `git rev-parse HEAD` (with `+dirty` when tracked files differ from
+/// it), or `unknown` outside a git checkout.
+fn host_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+    };
+    let rev = match git(&["rev-parse", "HEAD"]) {
+        Some(rev) => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty());
+            format!("{rev}{}", if dirty { "+dirty" } else { "" })
+        }
+        None => "unknown".to_owned(),
+    };
+    format!("{{\"cores\":{cores},\"git_rev\":\"{rev}\"}}")
+}
+
 fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
     let rendered: Vec<String> = records
         .iter()
@@ -207,7 +233,13 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
             obj
         })
         .collect();
-    std::fs::write(path, render::document("macro-bench", &rendered))
+    // The host object has no `"id"`, so `read_baseline` skips it.
+    let doc = render::document("macro-bench", &rendered).replacen(
+        "\"records\": [",
+        &format!("\"host\": {},\n\"records\": [", host_json()),
+        1,
+    );
+    std::fs::write(path, doc)
 }
 
 /// Extracts `"key":<value>` from one serialized object, where the value is
@@ -384,8 +416,9 @@ fn write_widths(path: &str, records: &[Record]) -> std::io::Result<()> {
     std::fs::write(
         path,
         format!(
-            "{{\"schema_version\":{},\"kind\":\"macro-widths\",\"par_speedup\":{},\"scenarios\":[\n{}\n]}}\n",
+            "{{\"schema_version\":{},\"kind\":\"macro-widths\",\"host\":{},\"par_speedup\":{},\"scenarios\":[\n{}\n]}}\n",
             render::SCHEMA_VERSION,
+            host_json(),
             speedup,
             scenarios.join(",\n")
         ),

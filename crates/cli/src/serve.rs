@@ -36,7 +36,11 @@
 //! responses come back in request order. Framing errors (a malformed
 //! `Content-Length`, an oversized head, a mid-body disconnect) answer a
 //! structured `400` where a response is still possible and always close
-//! that connection — resynchronization is never guessed at.
+//! that connection — resynchronization is never guessed at. Such a close
+//! lingers: the write side shuts down first and the unread rest of the
+//! request is drained within a small time and byte budget, so the kernel
+//! does not answer the client's pending bytes with a reset that could
+//! destroy the error response.
 //!
 //! ## Architecture
 //!
@@ -73,13 +77,13 @@ use crate::runner::RunOptions;
 use dds_core::EngineStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Daemon configuration (`dds serve` flags lower into this).
 #[derive(Clone, Debug)]
@@ -486,6 +490,10 @@ const POLL_MS: u64 = 100;
 const STALL_BUDGET_MS: u64 = 30_000;
 /// Request heads larger than this are rejected outright.
 const MAX_HEAD: usize = 16 * 1024;
+/// Time and byte budgets for draining a rejected request's unread input
+/// before closing its connection (see [`reject_and_close`]).
+const LINGER_MS: u64 = 1_000;
+const LINGER_BYTES: usize = 256 * 1024;
 
 /// A parsed request head: method, path, declared body length, and
 /// whether the client asked to keep the connection open.
@@ -673,6 +681,32 @@ fn write_response_allow(
     stream.flush()
 }
 
+/// Answers a request whose input was not (fully) read with an error
+/// response, then closes the connection gracefully ("lingering close"):
+/// shut down the write side so the client sees the response end, and read
+/// and discard whatever the client is still sending until it closes or the
+/// [`LINGER_MS`] / [`LINGER_BYTES`] budget runs out. Closing with unread
+/// bytes in the socket would make the kernel send a reset, which can
+/// destroy the response before the client reads it.
+fn reject_and_close(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
+    if write_response(stream, status, reason, body, false).is_err()
+        || stream.shutdown(Shutdown::Write).is_err()
+    {
+        return;
+    }
+    let deadline = Instant::now() + Duration::from_millis(LINGER_MS);
+    let mut sink = Vec::new();
+    let mut drained = 0usize;
+    while drained < LINGER_BYTES && Instant::now() < deadline {
+        sink.clear();
+        match read_step(stream, &mut sink) {
+            Ok(ReadStep::Data) => drained += sink.len(),
+            Ok(ReadStep::Tick) => {}
+            Ok(ReadStep::Eof) | Err(_) => return,
+        }
+    }
+}
+
 /// Serves one connection: a keep-alive loop of
 /// `read head → dispatch → respond`, with pipelined requests answered in
 /// order out of the residual buffer.
@@ -698,7 +732,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                 stats.rejected += 1;
                 drop(stats);
                 let body = render::error_json("bad-request", &e.to_string(), None);
-                let _ = write_response(stream, 400, "Bad Request", &body, false);
+                reject_and_close(stream, 400, "Bad Request", &body);
                 return;
             }
         };
@@ -738,7 +772,7 @@ fn dispatch(
                 ),
                 None,
             );
-            let _ = write_response(stream, 413, "Payload Too Large", &body, false);
+            reject_and_close(stream, 413, "Payload Too Large", &body);
             return false;
         }
         if consume_exact(stream, buf, head.content_length).is_err() {
@@ -931,9 +965,11 @@ fn handle_verify(
         Ok(b) => b,
         Err((status, reason, doc, usable)) => {
             shared.stats.lock().unwrap().rejected += 1;
-            let ka = keep_alive && usable;
-            let _ = write_response(stream, status, reason, &doc, ka);
-            return ka;
+            if !usable {
+                reject_and_close(stream, status, reason, &doc);
+                return false;
+            }
+            return write_response(stream, status, reason, &doc, keep_alive).is_ok() && keep_alive;
         }
     };
     let parsed = match json::parse(&body) {

@@ -14,6 +14,15 @@
 //!   databases — the executable form of the paper's soundness induction
 //!   ("by closure under amalgamation we get a database A′ ...", §4.1).
 //!
+//! Amalgams are *streamed*: [`AmalgamClass::for_each_amalgam`] builds each
+//! candidate in one buffer reused for the whole call and lends it to a
+//! visitor, which may stop the enumeration with [`ControlFlow::Break`].
+//! Successor computation evaluates the guard on the borrowed candidate and
+//! canonicalizes only the ones that pass, in one pass
+//! ([`RelConfig::generated_by`]: the schemas here are relational, so the
+//! generated substructure is induced on the new points). Replay stops at the
+//! first candidate matching the trace step and clones only that one.
+//!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
 //! (free, `HOM`) only ever add cross tuples that some guard atom mentions —
@@ -28,76 +37,24 @@ use dds_logic::{Formula, Term, Var};
 use dds_structure::{Element, Schema, Structure, SymbolId};
 use dds_system::{Run, System};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-// ----------------------------------------------------------------------
-// Per-thread scratch: a structure reuse pool and a placement memo.
-//
-// The successor hot path builds one candidate structure per placement and
-// per optional-fact subset — thousands of short-lived structures per BFS
-// layer, each of which used to be a fresh allocation tree. The pool hands
-// the buffers back out ([`Structure::clone_from`] reuses the flat relation
-// rows), and the engine reports the hit/miss counters as
-// `EngineStats::scratch_reuses` / `scratch_allocs`. Thread-locals keep the
-// pool lock-free under the engine's worker pool; the counters are global
-// atomics so the coordinator can read a process-wide delta.
-// ----------------------------------------------------------------------
-
-static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Pooled structures kept per thread; beyond this, released structures are
-/// simply dropped. The hot path holds at most one layer's accepted
-/// candidates outside the pool, so a small cap suffices.
-const SCRATCH_POOL_CAP: usize = 256;
 
 /// All placements of `k` points into a base of a given size, shared by
 /// reference between the memo and its borrowers.
-type PlacementTable = Rc<Vec<Vec<PointTarget>>>;
+pub type PlacementTable = Rc<Vec<PlacementCtx>>;
 
 thread_local! {
-    static STRUCT_POOL: RefCell<Vec<Structure>> = const { RefCell::new(Vec::new()) };
     static PLACEMENTS_MEMO: RefCell<HashMap<(usize, usize), PlacementTable>> =
         RefCell::new(HashMap::new());
 }
 
-/// Process-wide `(allocs, reuses)` scratch counters; the engine snapshots a
-/// delta around each run.
-pub(crate) fn scratch_counters() -> (u64, u64) {
-    (
-        SCRATCH_ALLOCS.load(Ordering::Relaxed),
-        SCRATCH_REUSES.load(Ordering::Relaxed),
-    )
-}
-
-/// A structure initialized as a copy of `src`, drawn from this thread's
-/// reuse pool when possible. Pair with [`release_structure`] to recycle.
-pub fn scratch_structure(src: &Structure) -> Structure {
-    STRUCT_POOL.with(|pool| match pool.borrow_mut().pop() {
-        Some(mut s) => {
-            SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
-            s.clone_from(src);
-            s
-        }
-        None => {
-            SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            src.clone()
-        }
-    })
-}
-
-/// Hands a structure's buffers back to this thread's reuse pool.
-pub fn release_structure(s: Structure) {
-    STRUCT_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(s);
-        }
-    });
-}
+/// The visitor [`AmalgamClass::for_each_amalgam`] lends each candidate to:
+/// the candidate structure and its new points. Returning
+/// [`ControlFlow::Break`] stops the enumeration.
+pub type AmalgamVisitor<'a> = dyn FnMut(&Structure, &[Element]) -> ControlFlow<()> + 'a;
 
 /// A relation atom of a guard, as a variable tuple (relational schemas have
 /// no function symbols, so guard terms are plain variables).
@@ -120,16 +77,27 @@ pub trait AmalgamClass: Sync {
     /// the engine canonicalizes). Over the internal schema.
     fn initial_pointed(&self, k: usize) -> Vec<Pointed>;
 
-    /// Candidate amalgams: pointed structures `(A, new_points)` such that
-    /// `A` is a member of the class, `A` extends `base.structure` *in place*
-    /// (elements `0..base.size()` are untouched, fresh elements appended),
-    /// and `new_points` are the new register values. The returned set must
-    /// cover, for every member amalgam in the class sense *that satisfies
-    /// the guard the hints came from*, some candidate that agrees with it on
-    /// the hint atoms and on the substructure generated by the new points —
-    /// so implementations may (and should) skip placements ruled out by
-    /// [`GuardHints::placement_allows`].
-    fn amalgams(&self, base: &Pointed, hints: &GuardHints) -> Vec<Pointed>;
+    /// Visits the candidate amalgams: pointed structures `(A, new_points)`
+    /// such that `A` is a member of the class, `A` extends `base.structure`
+    /// *in place* (elements `0..base.size()` are untouched, fresh elements
+    /// appended), and `new_points` are the new register values. The visited
+    /// set must cover, for every member amalgam in the class sense *that
+    /// satisfies the guard the hints came from*, some candidate that agrees
+    /// with it on the hint atoms and on the substructure generated by the
+    /// new points — so implementations may (and should) skip placements
+    /// ruled out by [`GuardHints::placement_allows`].
+    ///
+    /// Candidates are built in a buffer reused for the whole call, so `f`
+    /// only borrows each one; the order is deterministic (placements in
+    /// [`placements`] order, then the class's own extension order). Returns
+    /// `Break` as soon as `f` does, `Continue` once every candidate has been
+    /// visited.
+    fn for_each_amalgam(
+        &self,
+        base: &Pointed,
+        hints: &GuardHints,
+        f: &mut AmalgamVisitor<'_>,
+    ) -> ControlFlow<()>;
 
     /// Projects an internal structure to the public schema (copying the
     /// symbols shared by name). The default handles the identity case.
@@ -281,12 +249,8 @@ pub fn collect_hints(guard: &Formula) -> Vec<Hint> {
 /// Interleaved old/new valuation (matches `dds_system`'s convention:
 /// variable `2i` = old value of register `i`, `2i+1` = new value).
 pub fn combined_valuation(old: &[Element], new: &[Element]) -> Vec<Element> {
-    debug_assert_eq!(old.len(), new.len());
     let mut out = Vec::with_capacity(2 * old.len());
-    for i in 0..old.len() {
-        out.push(old[i]);
-        out.push(new[i]);
-    }
+    fill_combined(&mut out, old, new);
     out
 }
 
@@ -331,37 +295,33 @@ pub fn placements(m_old: usize, k: usize) -> Vec<Vec<PointTarget>> {
     out
 }
 
-/// Memoized [`placements`]: the placement list depends only on
-/// `(m_old, k)`, and the same handful of pairs recur for every successor
-/// computation of a search, so each thread computes each list once.
-fn placements_cached(m_old: usize, k: usize) -> PlacementTable {
+/// A placement of the `k` new points over a base with `m_old` elements,
+/// in concrete elements: the new points and the fresh elements.
+#[derive(Debug)]
+pub struct PlacementCtx {
+    /// Concrete positions of the new register values.
+    pub new_points: Vec<Element>,
+    /// The fresh elements (contiguous at the end of the domain, starting at
+    /// `m_old`).
+    pub fresh: Vec<Element>,
+}
+
+/// Every placement of `k` new points over a base with `m_old` elements, in
+/// [`placements`] order. The list depends only on `(m_old, k)`, and the same
+/// handful of pairs recur for every successor computation of a search, so
+/// each thread computes each list once.
+pub fn placement_contexts(m_old: usize, k: usize) -> PlacementTable {
     PLACEMENTS_MEMO.with(|memo| {
         Rc::clone(
             memo.borrow_mut()
                 .entry((m_old, k))
-                .or_insert_with(|| Rc::new(placements(m_old, k))),
+                .or_insert_with(|| Rc::new(instantiate_placements(m_old, k))),
         )
     })
 }
 
-/// A placement instantiated against a base structure: the extended domain,
-/// the concrete new points and the fresh elements.
-#[derive(Debug)]
-pub struct PlacementCtx {
-    /// Base structure with fresh isolated elements appended.
-    pub ext: Structure,
-    /// Concrete positions of the new register values.
-    pub new_points: Vec<Element>,
-    /// The fresh elements (contiguous at the end of the domain).
-    pub fresh: Vec<Element>,
-}
-
-/// Instantiates every placement of `k` new points against `base`. The
-/// `ext` structures come from the scratch pool — callers that are done with
-/// a context should hand `ctx.ext` back via [`release_structure`].
-pub fn placement_contexts(base: &Structure, k: usize) -> Vec<PlacementCtx> {
-    let m_old = base.size();
-    placements_cached(m_old, k)
+fn instantiate_placements(m_old: usize, k: usize) -> Vec<PlacementCtx> {
+    placements(m_old, k)
         .iter()
         .map(|pl| {
             let fresh_count = pl
@@ -372,8 +332,6 @@ pub fn placement_contexts(base: &Structure, k: usize) -> Vec<PlacementCtx> {
                 })
                 .max()
                 .unwrap_or(0);
-            let mut ext = scratch_structure(base);
-            ext.extend_domain_in_place(fresh_count);
             let new_points = pl
                 .iter()
                 .map(|t| match t {
@@ -384,13 +342,16 @@ pub fn placement_contexts(base: &Structure, k: usize) -> Vec<PlacementCtx> {
             let fresh = (0..fresh_count)
                 .map(|f| Element::from_index(m_old + f))
                 .collect();
-            PlacementCtx {
-                ext,
-                new_points,
-                fresh,
-            }
+            PlacementCtx { new_points, fresh }
         })
         .collect()
+}
+
+/// Resets `buf` to `base` extended by `extra` fresh isolated elements,
+/// reusing `buf`'s relation buffers.
+pub(crate) fn reset_extended(buf: &mut Structure, base: &Structure, extra: usize) {
+    buf.clone_from(base);
+    buf.extend_domain_in_place(extra);
 }
 
 /// Concrete tuples a guard's hint atoms refer to under a combined valuation
@@ -436,38 +397,38 @@ pub fn internal_new_tuples(
     out
 }
 
-/// Enumerates all subsets of `optional` facts added on top of `base_struct`,
-/// filtered by `keep` (a per-candidate membership check), pushing accepted
-/// structures into `out`.
+/// Visits `cand` extended by every subset of `optional`, in increasing
+/// subset-mask order (bit `i` stands for `optional[i]`).
 ///
-/// Candidates are drawn from the scratch pool (one `clone_from` per mask,
-/// no fresh allocation tree) and rejected ones are returned to it;
-/// downstream consumers of `out` should [`release_structure`] the accepted
-/// ones once canonicalized.
+/// `cand` must hold the base structure on entry, with none of the
+/// (pairwise distinct) `optional` facts. Consecutive masks differ by one
+/// added fact and the removal of the facts below it, so each step edits
+/// `cand` in place instead of rebuilding it. On return `cand` holds the base
+/// plus some of the optional facts; callers reset it before reuse.
 pub fn enumerate_fact_subsets(
-    base_struct: &Structure,
+    cand: &mut Structure,
     optional: &[(SymbolId, Vec<Element>)],
-    mut keep: impl FnMut(&Structure) -> bool,
-    out: &mut Vec<Structure>,
-) {
+    mut f: impl FnMut(&Structure) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     assert!(
         optional.len() <= 24,
         "enumerate_fact_subsets: too many optional facts ({})",
         optional.len()
     );
-    for mask in 0u64..(1u64 << optional.len()) {
-        let mut cand = scratch_structure(base_struct);
-        for (i, (rel, t)) in optional.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                cand.add_fact(*rel, t).expect("valid fact");
-            }
+    debug_assert!(optional.iter().all(|(rel, t)| !cand.holds(*rel, t)));
+    f(cand)?;
+    for mask in 1u64..(1u64 << optional.len()) {
+        // From `mask - 1` to `mask`: the lowest set bit of `mask` turns on
+        // and every bit below it turns off.
+        let low = mask.trailing_zeros() as usize;
+        for (rel, t) in &optional[..low] {
+            cand.remove_fact(*rel, t).expect("valid fact");
         }
-        if keep(&cand) {
-            out.push(cand);
-        } else {
-            release_structure(cand);
-        }
+        let (rel, t) = &optional[low];
+        cand.add_fact(*rel, t).expect("valid fact");
+        f(cand)?;
     }
+    ControlFlow::Continue(())
 }
 
 /// Restricted-growth strings of length `k`: all set partitions of `k` points
@@ -518,10 +479,18 @@ pub fn surjections(k: usize, m: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// Writes the interleaved old/new valuation into `out` (see
+/// [`combined_valuation`]), reusing its buffer.
+fn fill_combined(out: &mut Vec<Element>, old: &[Element], new: &[Element]) {
+    debug_assert_eq!(old.len(), new.len());
+    out.clear();
+    out.extend(old.iter().zip(new).flat_map(|(&o, &n)| [o, n]));
+}
+
 /// Generic witness concretization by trace replay (see module docs): grows a
-/// full database step by step, at each step selecting an amalgam of the
-/// *entire current database* whose new-point-generated configuration matches
-/// the trace. Mirrors the paper's soundness induction.
+/// full database step by step, at each step selecting the first amalgam of
+/// the *entire current database* whose new-point-generated configuration
+/// matches the trace. Mirrors the paper's soundness induction.
 pub fn replay_trace<T: AmalgamClass>(
     class: &T,
     system: &System,
@@ -532,26 +501,25 @@ pub fn replay_trace<T: AmalgamClass>(
     let mut points = first.config.pointed.points.clone();
     let mut states = vec![first.state];
     let mut vals = vec![points.clone()];
+    let mut combined = Vec::new();
 
     for step in &trace.steps[1..] {
         let rule = &system.rules()[step.rule?];
         let guard = translate_formula(&rule.guard, system.schema(), class.internal_schema());
         let hints = GuardHints::of(&guard);
-        let base = Pointed::new(db.clone(), points.clone());
+        let base = Pointed::new(db, points);
         let mut found = None;
-        for cand in class.amalgams(&base, &hints) {
-            let combined = combined_valuation(&points, &cand.points);
-            if eval(&guard, &cand.structure, &combined).unwrap_or(false)
-                && RelConfig::canonical(&cand.generated()) == step.config
+        let _ = class.for_each_amalgam(&base, &hints, &mut |s, new_points| {
+            fill_combined(&mut combined, &base.points, new_points);
+            if eval(&guard, s, &combined).unwrap_or(false)
+                && RelConfig::generated_by(s, new_points) == step.config
             {
-                found = Some(cand);
-                break;
+                found = Some((s.clone(), new_points.to_vec()));
+                return ControlFlow::Break(());
             }
-            release_structure(cand.structure);
-        }
-        let cand = found?;
-        db = cand.structure;
-        points = cand.points;
+            ControlFlow::Continue(())
+        });
+        (db, points) = found?;
         states.push(step.state);
         vals.push(points.clone());
     }
@@ -580,20 +548,19 @@ impl<T: AmalgamClass> SymbolicClass for T {
     fn transitions(&self, cfg: &RelConfig, guard: &Formula) -> Vec<RelConfig> {
         let guard = translate_formula(guard, self.public_schema(), self.internal_schema());
         let hints = GuardHints::of(&guard);
-        let mut seen = BTreeSet::new();
+        let mut seen = HashSet::new();
         let mut out = Vec::new();
-        for cand in self.amalgams(&cfg.pointed, &hints) {
-            let combined = combined_valuation(&cfg.pointed.points, &cand.points);
-            if eval(&guard, &cand.structure, &combined).unwrap_or(false) {
-                let next = RelConfig::canonical(&cand.generated());
+        let mut combined = Vec::new();
+        let _ = self.for_each_amalgam(&cfg.pointed, &hints, &mut |s, new_points| {
+            fill_combined(&mut combined, &cfg.pointed.points, new_points);
+            if eval(&guard, s, &combined).unwrap_or(false) {
+                let next = RelConfig::generated_by(s, new_points);
                 if seen.insert(next.key().clone()) {
                     out.push(next);
                 }
             }
-            // The candidate is fully canonicalized (or rejected) — recycle
-            // its buffers for the next expansion.
-            release_structure(cand.structure);
-        }
+            ControlFlow::Continue(())
+        });
         out
     }
 
@@ -607,6 +574,22 @@ impl<T: AmalgamClass> SymbolicClass for T {
     fn concretize(&self, system: &System, trace: &Trace<RelConfig>) -> Option<(Structure, Run)> {
         replay_trace(self, system, trace)
     }
+}
+
+/// Every candidate of [`AmalgamClass::for_each_amalgam`], cloned out of the
+/// visitor's buffer (unit tests inspect them after the enumeration).
+#[cfg(test)]
+pub(crate) fn collect_amalgams<C: AmalgamClass>(
+    class: &C,
+    base: &Pointed,
+    hints: &GuardHints,
+) -> Vec<Pointed> {
+    let mut out = Vec::new();
+    let _ = class.for_each_amalgam(base, hints, &mut |s, points| {
+        out.push(Pointed::new(s.clone(), points.to_vec()));
+        ControlFlow::Continue(())
+    });
+    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,9 @@
 //! The interface between the Theorem 5 engine and a (semi-)Fraïssé class.
 
-use dds_structure::{canonicalize_pointed, CanonicalKey, Element, Schema, Structure};
+use dds_structure::{
+    canonicalize_generated_relational, canonicalize_pointed, CanonicalKey, Element, Schema,
+    Structure,
+};
 use dds_system::{Run, StateId, System};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -68,6 +71,24 @@ impl RelConfig {
     /// Canonicalizes a pointed structure (must be generated by its points).
     pub fn canonical(p: &Pointed) -> RelConfig {
         let (s, points, key) = canonicalize_pointed(&p.structure, &p.points);
+        RelConfig {
+            pointed: Pointed {
+                structure: s,
+                points,
+            },
+            key,
+        }
+    }
+
+    /// The configuration `points` generate inside a relational structure,
+    /// canonicalized in one pass: equal to (and with the same representative
+    /// as) `RelConfig::canonical(&Pointed::new(s.clone(), points).generated())`
+    /// without building the generated substructure first.
+    ///
+    /// # Panics
+    /// Panics when the schema has function symbols.
+    pub fn generated_by(s: &Structure, points: &[Element]) -> RelConfig {
+        let (s, points, key) = canonicalize_generated_relational(s, points);
         RelConfig {
             pointed: Pointed {
                 structure: s,

@@ -18,14 +18,16 @@
 //!
 //! Proposition 1 states `C ⊗ F` and `C ⊙ F` are Fraïssé with the same blowup
 //! as `C`; its proof amalgamates the two coordinates independently over a
-//! shared domain — exactly how [`DataClass::amalgams`] composes the inner
-//! class's amalgams with data-part extensions.
+//! shared domain — exactly how the product's
+//! [`AmalgamClass::for_each_amalgam`] composes the inner class's amalgams
+//! with data-part extensions.
 
-use crate::amalgam::{project_structure, AmalgamClass, GuardHints};
+use crate::amalgam::{project_structure, reset_extended, AmalgamClass, AmalgamVisitor, GuardHints};
 use crate::class::Pointed;
 use crate::equiv::block_extensions;
 use dds_structure::{Element, Schema, Structure, SymbolId};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Which homogeneous structure supplies the data values.
@@ -185,22 +187,28 @@ impl<C: AmalgamClass> DataClass<C> {
     /// inner structure embedded into the product schema.
     fn with_data(&self, inner_struct: &Structure, classes: &[usize]) -> Structure {
         let mut s = project_structure(inner_struct, &self.internal);
+        self.add_data_facts(&mut s, classes, 0);
+        s
+    }
+
+    /// Adds the data facts of a class/rank assignment that involve an
+    /// element with index `>= from` (with `from = 0`, all of them).
+    fn add_data_facts(&self, s: &mut Structure, classes: &[usize], from: usize) {
         for (i, ci) in classes.iter().enumerate() {
             for (j, cj) in classes.iter().enumerate() {
                 let keep = match self.spec.kind {
                     DataKind::Equality => ci == cj,
                     DataKind::Order => ci < cj,
                 };
-                if keep {
+                if keep && i.max(j) >= from {
                     s.add_fact(
                         self.data_sym,
                         &[Element::from_index(i), Element::from_index(j)],
                     )
-                    .unwrap();
+                    .expect("assignment elements are in range");
                 }
             }
         }
-        s
     }
 
     /// All data assignments for `m` fresh-standing elements (no old part).
@@ -336,7 +344,12 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         out
     }
 
-    fn amalgams(&self, base: &Pointed, hints: &GuardHints) -> Vec<Pointed> {
+    fn for_each_amalgam(
+        &self,
+        base: &Pointed,
+        hints: &GuardHints,
+        f: &mut AmalgamVisitor<'_>,
+    ) -> ControlFlow<()> {
         // Split work: inner class handles the σ part, we extend the data
         // part. Hints for the inner class are those over its symbols (shared
         // prefix of the internal schema); the forced (dis)equalities are
@@ -358,23 +371,38 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         );
         let old_classes = self.data_classes(&base.structure);
         let m_old = base.structure.size();
-        let mut out = Vec::new();
-        for cand in self.inner.amalgams(&base_inner, &inner_hints) {
-            let extra = cand.structure.size() - m_old;
-            for classes in self.extensions(&old_classes, extra) {
-                out.push(Pointed::new(
-                    self.with_data(&cand.structure, &classes),
-                    cand.points.clone(),
-                ));
-            }
-        }
-        out
+        // The base is a member and both coordinates freeze the old elements,
+        // so `with_data(inner, classes)` is the base plus the inner and data
+        // facts that involve a fresh element. `lifted` holds the base plus
+        // the inner candidate's fresh facts; `cand` adds the data facts.
+        let mut lifted = base.structure.clone();
+        let mut cand = base.structure.clone();
+        self.inner
+            .for_each_amalgam(&base_inner, &inner_hints, &mut |inner, points| {
+                let extra = inner.size() - m_old;
+                reset_extended(&mut lifted, &base.structure, extra);
+                for r in inner.schema().relations() {
+                    for t in inner
+                        .rel_tuples(r)
+                        .filter(|t| t.iter().any(|e| e.index() >= m_old))
+                    {
+                        lifted.add_fact(r, t).expect("inner symbols are a prefix");
+                    }
+                }
+                for classes in self.extensions(&old_classes, extra) {
+                    cand.clone_from(&lifted);
+                    self.add_data_facts(&mut cand, &classes, m_old);
+                    f(&cand, points)?;
+                }
+                ControlFlow::Continue(())
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amalgam::collect_amalgams;
     use crate::class::SymbolicClass;
     use crate::free::FreeRelationalClass;
 
@@ -447,15 +475,22 @@ mod tests {
 
     #[test]
     fn data_amalgams_freeze_old_values() {
-        let class = DataClass::new(base(), DataSpec::nat_eq());
-        for base_cfg in class.initial_configs(2) {
-            for cand in class.amalgams(&base_cfg.pointed, &GuardHints::default()) {
-                let old = class.data_classes(&base_cfg.pointed.structure);
-                let new = class.data_classes(&cand.structure);
-                // Old elements keep their equalities.
-                for i in 0..old.len() {
-                    for j in 0..old.len() {
-                        assert_eq!(old[i] == old[j], new[i] == new[j]);
+        for spec in [DataSpec::nat_eq(), DataSpec::rational_order()] {
+            let class = DataClass::new(base(), spec);
+            for base_cfg in class.initial_configs(2) {
+                let pointed = &base_cfg.pointed;
+                for cand in collect_amalgams(&class, pointed, &GuardHints::default()) {
+                    let old = class.data_classes(&pointed.structure);
+                    let new = class.data_classes(&cand.structure);
+                    // The in-place extension builds exactly the product
+                    // structure.
+                    let inner = project_structure(&cand.structure, class.inner().internal_schema());
+                    assert_eq!(cand.structure, class.with_data(&inner, &new));
+                    // Old elements keep their equalities and order.
+                    for i in 0..old.len() {
+                        for j in 0..old.len() {
+                            assert_eq!(old[i].cmp(&old[j]), new[i].cmp(&new[j]));
+                        }
                     }
                 }
             }

@@ -325,8 +325,8 @@ impl LayerWidths {
 /// All fields except the `*_ns` wall-clock timings, the scheduling
 /// counters ([`EngineStats::tasks_stolen`], [`EngineStats::layers_inline`],
 /// [`EngineStats::layers_parallel`], [`EngineStats::shard_contention`]) and
-/// the allocator diagnostics ([`EngineStats::scratch_allocs`],
-/// [`EngineStats::scratch_reuses`]) are **deterministic**: they depend only
+/// the retired scratch-pool fields ([`EngineStats::scratch_allocs`],
+/// [`EngineStats::scratch_reuses`], always zero) are **deterministic**: they depend only
 /// on the class, the system, `max_configs` and `transition_cache`, never on
 /// `threads`, `chunk_size`, `shards` or the [`ParallelMode`]
 /// (`transition_cache_hits` is identically zero with the memo disabled).
@@ -355,13 +355,14 @@ pub struct EngineStats {
     /// stealing). Identically zero at `threads = 1`; otherwise a scheduling
     /// measurement, **not** deterministic.
     pub tasks_stolen: u64,
-    /// Configuration scratch buffers newly allocated by the amalgamation
-    /// machinery (a diagnostic for the arena-backed hot path, **not**
-    /// deterministic across runs in one process).
+    /// Always 0. It counted allocations of the thread-local structure pool,
+    /// which is gone: amalgams now stream through one buffer per
+    /// expansion. The field stays only because the benchmark's traced run
+    /// reads it by name; splitting these stats into counters and
+    /// measurements (ROADMAP item 2) removes it together with that reader.
     pub scratch_allocs: u64,
-    /// Configuration scratch buffers served from the reuse pool instead of
-    /// a fresh allocation (same caveats as
-    /// [`EngineStats::scratch_allocs`]).
+    /// Always 0, like [`EngineStats::scratch_allocs`] (it counted pool
+    /// reuses) and removed with it.
     pub scratch_reuses: u64,
     /// Wall time in successor computation, summed across workers.
     pub expand_ns: u64,
@@ -443,7 +444,7 @@ impl EngineStats {
 
 impl PartialEq for EngineStats {
     /// Compares the deterministic search counters only — the `*_ns`
-    /// timings, steal counts and scratch-pool diagnostics are measurements,
+    /// timings and steal counts are measurements,
     /// not search results.
     fn eq(&self, other: &Self) -> bool {
         self.initial_configs == other.initial_configs
@@ -880,7 +881,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             "run_multi supports at most 64 target sets"
         );
         let t0 = Instant::now();
-        let (allocs0, reuses0) = crate::amalgam::scratch_counters();
         let threads = self.options.resolved_threads();
         let mut out = if threads <= 1 {
             self.search(targets, None)
@@ -888,12 +888,7 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             self.search_with_pool(targets, threads)
         };
         let total = t0.elapsed().as_nanos() as u64;
-        let (allocs1, reuses1) = crate::amalgam::scratch_counters();
         out.stats.search_ns = total.saturating_sub(out.stats.certify_ns);
-        // Process-wide deltas: exact for a single run, blurred (but still
-        // indicative) when runs overlap in one process.
-        out.stats.scratch_allocs = allocs1.saturating_sub(allocs0);
-        out.stats.scratch_reuses = reuses1.saturating_sub(reuses0);
         out
     }
 

@@ -6,11 +6,12 @@
 //! implemented here.
 
 use crate::amalgam::{
-    combined_valuation, placement_contexts, point_patterns, release_structure, AmalgamClass,
-    GuardHints,
+    combined_valuation, placement_contexts, point_patterns, reset_extended, AmalgamClass,
+    AmalgamVisitor, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// All finite equivalence relations, over the schema with one binary
@@ -42,15 +43,21 @@ impl EquivalenceClass {
     /// by construction.
     pub fn from_blocks(&self, blocks: &[usize]) -> Structure {
         let mut s = Structure::new(self.schema.clone(), blocks.len());
+        self.add_block_facts(&mut s, blocks, 0);
+        s
+    }
+
+    /// Adds the `~`-facts of the block assignment that involve an element
+    /// with index `>= from` (with `from = 0`, all of them).
+    fn add_block_facts(&self, s: &mut Structure, blocks: &[usize], from: usize) {
         for (i, bi) in blocks.iter().enumerate() {
             for (j, bj) in blocks.iter().enumerate() {
-                if bi == bj {
+                if bi == bj && i.max(j) >= from {
                     s.add_fact(self.sim, &[Element::from_index(i), Element::from_index(j)])
-                        .unwrap();
+                        .expect("elements of the block assignment are in range");
                 }
             }
         }
-        s
     }
 
     /// Reads the block assignment back from a member structure.
@@ -165,29 +172,37 @@ impl AmalgamClass for EquivalenceClass {
         out
     }
 
-    fn amalgams(&self, base: &Pointed, hints: &GuardHints) -> Vec<Pointed> {
+    fn for_each_amalgam(
+        &self,
+        base: &Pointed,
+        hints: &GuardHints,
+        f: &mut AmalgamVisitor<'_>,
+    ) -> ControlFlow<()> {
         let k = base.points.len();
+        let m_old = base.structure.size();
         let old_blocks = self.blocks_of(&base.structure);
-        let mut out = Vec::new();
-        for ctx in placement_contexts(&base.structure, k) {
+        let mut cand = base.structure.clone();
+        for ctx in placement_contexts(m_old, k).iter() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
-            if hints.placement_allows(&combined) {
-                for blocks in block_extensions(&old_blocks, ctx.fresh.len()) {
-                    out.push(Pointed::new(
-                        self.from_blocks(&blocks),
-                        ctx.new_points.clone(),
-                    ));
-                }
+            if !hints.placement_allows(&combined) {
+                continue;
             }
-            release_structure(ctx.ext);
+            // The base is a member, so `from_blocks(&blocks)` is the base
+            // plus the facts that involve a fresh element.
+            for blocks in block_extensions(&old_blocks, ctx.fresh.len()) {
+                reset_extended(&mut cand, &base.structure, ctx.fresh.len());
+                self.add_block_facts(&mut cand, &blocks, m_old);
+                f(&cand, &ctx.new_points)?;
+            }
         }
-        out
+        ControlFlow::Continue(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amalgam::collect_amalgams;
     use crate::class::SymbolicClass;
 
     #[test]
@@ -237,8 +252,13 @@ mod tests {
     fn amalgams_stay_equivalences() {
         let class = EquivalenceClass::new();
         for base in class.initial_pointed(2) {
-            for cand in class.amalgams(&base, &GuardHints::default()) {
+            for cand in collect_amalgams(&class, &base, &GuardHints::default()) {
                 assert!(class.is_member(&cand.structure));
+                // The in-place extension builds exactly the block structure.
+                assert_eq!(
+                    cand.structure,
+                    class.from_blocks(&class.blocks_of(&cand.structure))
+                );
             }
         }
     }

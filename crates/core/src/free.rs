@@ -16,12 +16,13 @@
 
 use crate::amalgam::{
     combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, release_structure, AmalgamClass, GuardHints,
+    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::enumerate::StructureIter;
 use dds_structure::{Element, Schema};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// All finite databases over a purely relational schema.
@@ -64,42 +65,40 @@ impl AmalgamClass for FreeRelationalClass {
         out
     }
 
-    fn amalgams(&self, base: &Pointed, hints: &GuardHints) -> Vec<Pointed> {
+    fn for_each_amalgam(
+        &self,
+        base: &Pointed,
+        hints: &GuardHints,
+        f: &mut AmalgamVisitor<'_>,
+    ) -> ControlFlow<()> {
         let k = base.points.len();
-        let mut out = Vec::new();
-        for ctx in placement_contexts(&base.structure, k) {
+        let mut cand = base.structure.clone();
+        for ctx in placement_contexts(base.structure.size(), k).iter() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
-            if hints.placement_allows(&combined) {
-                // Universe of elements that survive into the next
-                // configuration.
-                let mut np_universe: Vec<Element> = ctx.new_points.clone();
-                np_universe.sort_unstable();
-                np_universe.dedup();
-                let mut optional: BTreeSet<(dds_structure::SymbolId, Vec<Element>)> =
-                    internal_new_tuples(&self.schema, &np_universe, &ctx.fresh)
-                        .into_iter()
-                        .collect();
-                for t in hint_tuples(&hints.atoms, &combined, &ctx.fresh) {
-                    optional.insert(t);
-                }
-                let optional: Vec<_> = optional.into_iter().collect();
-                let mut structs = Vec::new();
-                enumerate_fact_subsets(&ctx.ext, &optional, |_| true, &mut structs);
-                out.extend(
-                    structs
-                        .into_iter()
-                        .map(|s| Pointed::new(s, ctx.new_points.clone())),
-                );
+            if !hints.placement_allows(&combined) {
+                continue;
             }
-            release_structure(ctx.ext);
+            // Universe of elements that survive into the next configuration.
+            let mut np_universe: Vec<Element> = ctx.new_points.clone();
+            np_universe.sort_unstable();
+            np_universe.dedup();
+            let mut optional: BTreeSet<(dds_structure::SymbolId, Vec<Element>)> =
+                internal_new_tuples(&self.schema, &np_universe, &ctx.fresh)
+                    .into_iter()
+                    .collect();
+            optional.extend(hint_tuples(&hints.atoms, &combined, &ctx.fresh));
+            let optional: Vec<_> = optional.into_iter().collect();
+            reset_extended(&mut cand, &base.structure, ctx.fresh.len());
+            enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
         }
-        out
+        ControlFlow::Continue(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amalgam::collect_amalgams;
     use crate::class::{RelConfig, SymbolicClass};
     use dds_logic::{Formula, Var};
     use dds_system::{new_var, old_var};
@@ -166,9 +165,7 @@ mod tests {
     fn amalgams_extend_base_in_place() {
         let class = graph_class();
         let start = class.initial_configs(1).into_iter().next().unwrap();
-        let guard = Formula::True;
-        let hints = GuardHints::default();
-        for cand in class.amalgams(&start.pointed, &hints) {
+        for cand in collect_amalgams(&class, &start.pointed, &GuardHints::default()) {
             assert!(cand.structure.size() >= start.pointed.structure.size());
             // Frozen base: restriction to old elements equals the base.
             let (sub, _) = cand
@@ -177,6 +174,5 @@ mod tests {
                 .unwrap();
             assert_eq!(sub, start.pointed.structure);
         }
-        let _ = guard;
     }
 }

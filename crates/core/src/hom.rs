@@ -18,11 +18,12 @@
 
 use crate::amalgam::{
     combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, release_structure, scratch_structure, AmalgamClass, GuardHints,
+    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// The colored lift of `HOM(H)` for a relational template `H`.
@@ -203,29 +204,34 @@ impl AmalgamClass for HomClass {
                         }
                     }
                 }
-                let mut structs = Vec::new();
-                enumerate_fact_subsets(&base, &optional, |_| true, &mut structs);
-                out.extend(structs.into_iter().map(|s| Pointed::new(s, points.clone())));
+                let _ = enumerate_fact_subsets(&mut base, &optional, |s| {
+                    out.push(Pointed::new(s.clone(), points.clone()));
+                    ControlFlow::Continue(())
+                });
             }
         }
         out
     }
 
-    fn amalgams(&self, base: &Pointed, hints: &GuardHints) -> Vec<Pointed> {
+    fn for_each_amalgam(
+        &self,
+        base: &Pointed,
+        hints: &GuardHints,
+        f: &mut AmalgamVisitor<'_>,
+    ) -> ControlFlow<()> {
         let k = base.points.len();
         let nh = self.template.size();
         let sigma: BTreeSet<SymbolId> = self.sigma_rels().into_iter().collect();
-        let mut out = Vec::new();
         // Colors of base elements (base is a member by induction).
         let base_colors: Vec<usize> = base
             .structure
             .elements()
             .map(|e| self.color_of(&base.structure, e).expect("base is a member"))
             .collect();
-        for ctx in placement_contexts(&base.structure, k) {
+        let mut cand = base.structure.clone();
+        for ctx in placement_contexts(base.structure.size(), k).iter() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
-                release_structure(ctx.ext);
                 continue;
             }
             let mut np_universe: Vec<Element> = ctx.new_points.clone();
@@ -234,36 +240,27 @@ impl AmalgamClass for HomClass {
             for fresh_colors in color_vectors(ctx.fresh.len(), nh) {
                 let mut colors = base_colors.clone();
                 colors.extend(fresh_colors.iter().copied());
-                let mut colored = scratch_structure(&ctx.ext);
-                for (f, &h) in ctx.fresh.iter().zip(&fresh_colors) {
-                    colored.add_fact(self.color_syms[h], &[*f]).unwrap();
-                }
                 // Optional facts: only color-compatible σ-tuples (others can
                 // never appear in a member).
                 let mut optional: BTreeSet<(SymbolId, Vec<Element>)> = BTreeSet::new();
-                for (r, t) in internal_new_tuples(&self.internal, &np_universe, &ctx.fresh) {
-                    if sigma.contains(&r) && self.tuple_compatible(r, &t, &colors) {
-                        optional.insert((r, t));
-                    }
-                }
-                for (r, t) in hint_tuples(&hints.atoms, &combined, &ctx.fresh) {
+                for (r, t) in internal_new_tuples(&self.internal, &np_universe, &ctx.fresh)
+                    .into_iter()
+                    .chain(hint_tuples(&hints.atoms, &combined, &ctx.fresh))
+                {
                     if sigma.contains(&r) && self.tuple_compatible(r, &t, &colors) {
                         optional.insert((r, t));
                     }
                 }
                 let optional: Vec<_> = optional.into_iter().collect();
-                let mut structs = Vec::new();
-                enumerate_fact_subsets(&colored, &optional, |_| true, &mut structs);
-                release_structure(colored);
-                out.extend(
-                    structs
-                        .into_iter()
-                        .map(|s| Pointed::new(s, ctx.new_points.clone())),
-                );
+                reset_extended(&mut cand, &base.structure, ctx.fresh.len());
+                for (fr, &h) in ctx.fresh.iter().zip(&fresh_colors) {
+                    cand.add_fact(self.color_syms[h], &[*fr])
+                        .expect("fresh elements are in range");
+                }
+                enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
             }
-            release_structure(ctx.ext);
         }
-        out
+        ControlFlow::Continue(())
     }
 }
 
@@ -291,6 +288,7 @@ fn color_vectors(m: usize, nh: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amalgam::collect_amalgams;
     use dds_structure::morphism::find_homomorphism;
 
     /// The paper's Example 2 template: enough to kill odd red cycles.
@@ -349,7 +347,7 @@ mod tests {
     fn amalgams_never_leave_the_class() {
         let class = HomClass::new(two_clique());
         for start in class.initial_pointed(1) {
-            for cand in class.amalgams(&start, &GuardHints::default()) {
+            for cand in collect_amalgams(&class, &start, &GuardHints::default()) {
                 assert!(class.is_member(&cand.structure));
             }
         }

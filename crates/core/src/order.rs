@@ -10,11 +10,12 @@
 //! polynomial per placement.
 
 use crate::amalgam::{
-    combined_valuation, placement_contexts, release_structure, surjections, AmalgamClass,
-    GuardHints,
+    combined_valuation, placement_contexts, reset_extended, surjections, AmalgamClass,
+    AmalgamVisitor, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// All finite strict linear orders, over the schema with one binary relation
@@ -44,12 +45,21 @@ impl LinearOrderClass {
     /// Builds the chain structure for elements listed in ascending order.
     fn chain(&self, order: &[Element], size: usize) -> Structure {
         let mut s = Structure::new(self.schema.clone(), size);
+        self.add_chain_facts(&mut s, order, 0);
+        s
+    }
+
+    /// Adds the `<`-facts of the chain `order` (ascending) that involve an
+    /// element with index `>= from` (with `from = 0`, all of them).
+    fn add_chain_facts(&self, s: &mut Structure, order: &[Element], from: usize) {
         for i in 0..order.len() {
             for j in i + 1..order.len() {
-                s.add_fact(self.lt, &[order[i], order[j]]).unwrap();
+                if order[i].index().max(order[j].index()) >= from {
+                    s.add_fact(self.lt, &[order[i], order[j]])
+                        .expect("chain elements are in range");
+                }
             }
         }
-        s
     }
 
     /// Extracts the ascending element order of a member chain.
@@ -135,23 +145,31 @@ impl AmalgamClass for LinearOrderClass {
         out
     }
 
-    fn amalgams(&self, base: &Pointed, hints: &GuardHints) -> Vec<Pointed> {
+    fn for_each_amalgam(
+        &self,
+        base: &Pointed,
+        hints: &GuardHints,
+        f: &mut AmalgamVisitor<'_>,
+    ) -> ControlFlow<()> {
         let k = base.points.len();
+        let m_old = base.structure.size();
         let old_order = self.order_of(&base.structure);
-        let mut out = Vec::new();
-        for ctx in placement_contexts(&base.structure, k) {
+        let mut cand = base.structure.clone();
+        for ctx in placement_contexts(m_old, k).iter() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
-            if hints.placement_allows(&combined) {
-                // Interleave the fresh elements into the old chain in every
-                // way.
-                for order in interleavings(&old_order, &ctx.fresh) {
-                    let s = self.chain(&order, ctx.ext.size());
-                    out.push(Pointed::new(s, ctx.new_points.clone()));
-                }
+            if !hints.placement_allows(&combined) {
+                continue;
             }
-            release_structure(ctx.ext);
+            // Interleave the fresh elements into the old chain in every way;
+            // the base is a member, so each chain is the base plus the facts
+            // that involve a fresh element.
+            for order in interleavings(&old_order, &ctx.fresh) {
+                reset_extended(&mut cand, &base.structure, ctx.fresh.len());
+                self.add_chain_facts(&mut cand, &order, m_old);
+                f(&cand, &ctx.new_points)?;
+            }
         }
-        out
+        ControlFlow::Continue(())
     }
 }
 
@@ -179,6 +197,7 @@ fn interleavings(old: &[Element], fresh: &[Element]) -> Vec<Vec<Element>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amalgam::collect_amalgams;
     use crate::class::SymbolicClass;
     use dds_logic::Formula;
     use dds_system::{new_var, old_var};
@@ -212,8 +231,11 @@ mod tests {
             .into_iter()
             .find(|p| p.structure.size() == 2)
             .unwrap();
-        for cand in class.amalgams(&base, &GuardHints::default()) {
+        for cand in collect_amalgams(&class, &base, &GuardHints::default()) {
             assert!(class.is_member(&cand.structure), "{:?}", cand.structure);
+            // The in-place extension builds exactly the chain structure.
+            let order = class.order_of(&cand.structure);
+            assert_eq!(cand.structure, class.chain(&order, order.len()));
             // Old pair keeps its orientation.
             assert!(cand.structure.holds(class.lt(), &[Element(0), Element(1)]));
         }

@@ -167,6 +167,67 @@ pub fn canonicalize_pointed(
     (renamed, new_points, key)
 }
 
+/// One-pass [`canonicalize_pointed`] of the substructure a relational
+/// structure's `points` generate. Without function symbols that substructure
+/// is induced on the points, and its canonical numbering is their
+/// first-occurrence order, so this numbers the points, then copies the
+/// tuples lying inside them, renumbered — no intermediate substructure is
+/// built. The output (structure, points and key words) is identical to
+/// `canonicalize_pointed` on [`Structure::generated`] with the points
+/// remapped.
+///
+/// # Panics
+/// Panics when the schema has function symbols.
+pub fn canonicalize_generated_relational(
+    s: &Structure,
+    points: &[Element],
+) -> (Structure, Vec<Element>, CanonicalKey) {
+    const UNNUMBERED: u32 = u32::MAX;
+    assert!(
+        s.schema().is_relational(),
+        "canonicalize_generated_relational: schema has function symbols"
+    );
+    let mut number: Vec<u32> = vec![UNNUMBERED; s.size()];
+    let mut size = 0u32;
+    let new_points: Vec<Element> = points
+        .iter()
+        .map(|p| {
+            let slot = &mut number[p.index()];
+            if *slot == UNNUMBERED {
+                *slot = size;
+                size += 1;
+            }
+            Element(*slot)
+        })
+        .collect();
+    let mut out = Structure::new(s.schema().clone(), size as usize);
+    let mut row: Vec<Element> = Vec::new();
+    for r in s.schema().relations() {
+        for t in s.rel_tuples(r) {
+            row.clear();
+            row.extend(t.iter().map(|e| Element(number[e.index()])));
+            if row.iter().all(|e| e.0 != UNNUMBERED) {
+                out.add_fact(r, &row).expect("renumbered tuple is in range");
+            }
+        }
+    }
+    // `out` keeps its rows sorted, so its tuples are already in the order
+    // `encode` sorts them into under the identity numbering.
+    let mut words = Vec::with_capacity(16 + out.fact_count() * 3);
+    words.push(size as u64);
+    words.push(points.len() as u64);
+    words.extend(new_points.iter().map(|p| p.0 as u64));
+    words.push(SEP);
+    for r in s.schema().relations() {
+        for t in out.rel_tuples(r) {
+            words.extend(t.iter().map(|e| e.0 as u64));
+            words.push(SEP);
+        }
+        words.push(SEP);
+    }
+    (out, new_points, CanonicalKey::new(words))
+}
+
 /// The canonical numbering used by [`canonical_key_pointed`] (see its docs).
 fn pointed_numbering(s: &Structure, points: &[Element]) -> Vec<u32> {
     const UNNUMBERED: u32 = u32::MAX;

@@ -36,7 +36,10 @@ pub mod morphism;
 pub mod schema;
 pub mod structure;
 
-pub use canon::{canonical_key_general, canonical_key_pointed, canonicalize_pointed, CanonicalKey};
+pub use canon::{
+    canonical_key_general, canonical_key_pointed, canonicalize_generated_relational,
+    canonicalize_pointed, CanonicalKey,
+};
 pub use element::Element;
 pub use error::StructureError;
 pub use schema::{Schema, SymbolId, SymbolKind};

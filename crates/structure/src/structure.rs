@@ -10,11 +10,11 @@ use std::sync::Arc;
 /// One relation's tuple set, stored flat: rows of `arity` elements
 /// concatenated in lexicographic order inside a single `Vec`.
 ///
-/// The engine's amalgamation hot path clones small structures once per
-/// candidate fact subset; with per-tuple `BTreeSet<Vec<Element>>` nodes
-/// every clone was a fresh allocation per tuple. Flat rows make a clone one
-/// `memcpy` per relation and let [`Rows::clone_from`] reuse the existing
-/// buffer, which is what the engine's scratch pool builds on. Membership is
+/// The engine's amalgamation hot path resets a small candidate structure
+/// once per placement and edits it once per fact subset; with per-tuple
+/// `BTreeSet<Vec<Element>>` nodes every copy was a fresh allocation per
+/// tuple. Flat rows make a copy one `memcpy` per relation and let
+/// [`Rows::clone_from`] reuse the existing buffer. Membership is
 /// a binary search over row indices; iteration is `chunks_exact` — both in
 /// the same lexicographic order the `BTreeSet` produced, so canonical keys
 /// and every rendered artifact are unchanged.
@@ -157,8 +157,8 @@ impl Clone for Structure {
         }
     }
 
-    /// Reuses `self`'s relation buffers — the reason the engine's scratch
-    /// pool can produce candidate structures without allocating.
+    /// Reuses `self`'s relation buffers — the reason the amalgam enumeration
+    /// can reset its candidate buffer without allocating.
     fn clone_from(&mut self, src: &Structure) {
         self.schema = src.schema.clone();
         self.size = src.size;
@@ -532,7 +532,7 @@ impl Structure {
     }
 
     /// In-place variant of [`Structure::extend_domain`], for callers reusing
-    /// a buffer (e.g. the amalgamation scratch pool) instead of cloning.
+    /// a buffer (e.g. the amalgam candidate buffer) instead of cloning.
     pub fn extend_domain_in_place(&mut self, extra: usize) {
         self.size += extra;
     }

@@ -1,10 +1,30 @@
 //! Property tests for the Fraïssé-class invariants the engine's correctness
 //! rests on (§4.1): amalgams stay in the class, extend the base in place,
-//! and sub-transition successors are themselves valid configurations.
+//! and sub-transition successors are themselves valid configurations. Two
+//! oracles pin the streaming successor path to the plain definition: the
+//! one-pass canonicalization against `generated()` + `RelConfig::canonical`,
+//! and `transitions` against a reference built from those over the spec
+//! corpora.
 
-use dds::core::{AmalgamClass, Pointed};
+use dds::core::amalgam::{combined_valuation, translate_formula, GuardHints};
+use dds::core::{AmalgamClass, Pointed, RelConfig};
 use dds::prelude::*;
+use dds_cli::load_spec;
+use dds_cli::lower::{AnyClass, Task};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
+
+/// Every candidate amalgam, cloned out of the visitor's buffer.
+fn amalgams<C: AmalgamClass>(class: &C, base: &Pointed) -> Vec<Pointed> {
+    let mut out = Vec::new();
+    let _ = class.for_each_amalgam(base, &GuardHints::default(), &mut |s, points| {
+        out.push(Pointed::new(s.clone(), points.to_vec()));
+        ControlFlow::Continue(())
+    });
+    out
+}
 
 /// Builds an arbitrary equivalence-class configuration from a block string.
 fn equiv_pointed(class: &EquivalenceClass, blocks: &[usize], points: &[usize]) -> Pointed {
@@ -33,7 +53,7 @@ proptest! {
         }).collect();
         let point = point % blocks.len();
         let base = equiv_pointed(&class, &blocks, &[point]);
-        for cand in class.amalgams(&base, &Default::default()) {
+        for cand in amalgams(&class, &base) {
             prop_assert!(class.is_member(&cand.structure));
             // Base frozen: old blocks unchanged.
             let old = class.blocks_of(&base.structure);
@@ -56,7 +76,7 @@ proptest! {
             .find(|p| p.structure.size() == m.min(1))
             .unwrap();
         let _ = point;
-        for cand in class.amalgams(&base, &Default::default()) {
+        for cand in amalgams(&class, &base) {
             prop_assert!(class.is_member(&cand.structure));
         }
     }
@@ -75,7 +95,7 @@ proptest! {
         if bits & 8 != 0 { g.add_fact(e, &[Element(1), Element(1)]).unwrap(); }
         let class = FreeRelationalClass::new(schema);
         let base = Pointed::new(g, vec![Element(0), Element(1)]);
-        for cand in class.amalgams(&base, &Default::default()).into_iter().take(64) {
+        for cand in amalgams(&class, &base).into_iter().take(64) {
             let small = cand.generated();
             // Every element of the generated part is a point value.
             for el in small.structure.elements() {
@@ -83,6 +103,143 @@ proptest! {
             }
         }
     }
+
+    /// The one-pass canonicalization equals `generated()` followed by
+    /// `RelConfig::canonical` — key words, representative and points — over
+    /// random relational structures with relations of arity 0–3, up to 6
+    /// elements, and repeated, permuted points.
+    #[test]
+    fn one_pass_canonicalization_matches_generated(
+        size in 1usize..7,
+        arities in proptest::collection::vec(0usize..4, 1..4),
+        facts in proptest::collection::vec((0usize..3, 0usize..6, 0usize..6, 0usize..6), 0..24),
+        raw_points in proptest::collection::vec(0usize..6, 0..6),
+    ) {
+        let mut sc = Schema::new();
+        let rels: Vec<SymbolId> = arities
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| sc.add_relation(&format!("R{i}"), a).unwrap())
+            .collect();
+        let mut s = Structure::new(sc.finish(), size);
+        for &(r, a, b, c) in &facts {
+            let r = r % rels.len();
+            let tuple: Vec<Element> = [a, b, c][..arities[r]]
+                .iter()
+                .map(|&e| Element::from_index(e % size))
+                .collect();
+            s.add_fact(rels[r], &tuple).unwrap();
+        }
+        let points: Vec<Element> =
+            raw_points.iter().map(|&p| Element::from_index(p % size)).collect();
+        let fast = RelConfig::generated_by(&s, &points);
+        let reference = RelConfig::canonical(&Pointed::new(s, points).generated());
+        prop_assert_eq!(fast.key().as_words(), reference.key().as_words());
+        prop_assert_eq!(&fast.pointed, &reference.pointed);
+    }
+}
+
+/// The plain definition of a sub-transition: visit the candidates, keep
+/// those satisfying the guard, restrict each to the substructure its new
+/// points generate, canonicalize, and deduplicate in order.
+fn reference_transitions<C: AmalgamClass>(
+    class: &C,
+    cfg: &RelConfig,
+    guard: &Formula,
+) -> Vec<RelConfig> {
+    let guard = translate_formula(guard, class.public_schema(), class.internal_schema());
+    let mut seen = HashSet::new();
+    let mut out = Vec::new();
+    let _ = class.for_each_amalgam(&cfg.pointed, &GuardHints::of(&guard), &mut |s, points| {
+        let combined = combined_valuation(&cfg.pointed.points, points);
+        if dds::logic::eval::eval(&guard, s, &combined).unwrap_or(false) {
+            let next = RelConfig::canonical(&Pointed::new(s.clone(), points.to_vec()).generated());
+            if seen.insert(next.key().clone()) {
+                out.push(next);
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// `transitions` against [`reference_transitions`] for every initial
+/// configuration × compiled rule guard of one reach system; returns the
+/// number of pairs checked.
+fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -> usize {
+    let engine = Engine::new(class, system);
+    let compiled = engine.compiled_system();
+    let mut pairs = 0;
+    for cfg in class.initial_configs(compiled.num_registers()) {
+        for rule in compiled.rules() {
+            let fast = class.transitions(&cfg, &rule.guard);
+            let reference = reference_transitions(class, &cfg, &rule.guard);
+            let keys = |v: &[RelConfig]| {
+                v.iter()
+                    .map(|c| (c.key().as_words().to_vec(), c.pointed.clone()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                keys(&fast),
+                keys(&reference),
+                "{label}: successors of {cfg:?} under {:?} differ",
+                rule.guard
+            );
+            pairs += 1;
+        }
+    }
+    pairs
+}
+
+fn spec_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "dds"))
+        .collect();
+    out.sort();
+    out
+}
+
+/// Corpus oracle: over every relational-class spec in `specs/` and
+/// `specs/fuzz/`, `transitions` returns exactly the reference successor
+/// list, in the same order.
+#[test]
+fn corpus_transitions_match_the_reference() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut specs = 0;
+    let mut pairs = 0;
+    for dir in [root.join("specs"), root.join("specs/fuzz")] {
+        for path in spec_files(&dir) {
+            let label = path.display().to_string();
+            let lowered = load_spec(&std::fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|e| panic!("{}", e.with_path(&label)));
+            let mut relational = false;
+            for p in &lowered.properties {
+                let Task::Reach(system) = &p.task else {
+                    continue;
+                };
+                pairs += match &lowered.class {
+                    AnyClass::Free(c) => check_transitions(c, system, &label),
+                    AnyClass::Hom(c) => check_transitions(c, system, &label),
+                    AnyClass::Order(c) => check_transitions(c, system, &label),
+                    AnyClass::Equiv(c) => check_transitions(c, system, &label),
+                    AnyClass::DataFree(c) => check_transitions(c, system, &label),
+                    AnyClass::DataHom(c) => check_transitions(c, system, &label),
+                    AnyClass::DataOrder(c) => check_transitions(c, system, &label),
+                    AnyClass::DataEquiv(c) => check_transitions(c, system, &label),
+                    AnyClass::Words(_) | AnyClass::Trees(_) | AnyClass::Counter(_) => continue,
+                };
+                relational = true;
+            }
+            specs += usize::from(relational);
+        }
+    }
+    assert!(
+        specs >= 15,
+        "only {specs} relational specs found — corpus shrank?"
+    );
+    assert!(pairs >= 500, "only {pairs} (config, guard) pairs checked");
 }
 
 /// Word class: every transition successor is a valid configuration, and the
