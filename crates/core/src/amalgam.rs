@@ -30,9 +30,20 @@
 //! membership, the guard's atoms, or the generated new configuration, so the
 //! enumeration stays complete while avoiding the `2^(2k)^arity` blow-up of
 //! enumerating every cross tuple.
+//!
+//! The hints also carry the guard's *forced literals* (conjuncts that hold
+//! in every model, [`forced_literals`]). Forced (dis)equalities rule out
+//! placements. Forced relation literals fix facts: under a placement each
+//! is a concrete tuple, decided by the base when it has no fresh element,
+//! and otherwise added to the candidate up front (or left out) instead of
+//! being enumerated. Every skipped candidate breaks a forced literal and the
+//! rest keep their relative order, so the guard-passing candidates — and
+//! hence successor lists, traces and witnesses — are exactly those of the
+//! unpruned enumeration.
 
 use crate::class::{Pointed, RelConfig, SymbolicClass, Trace};
 use dds_logic::eval::eval;
+use dds_logic::transform::{forced_literals, Literal};
 use dds_logic::{Formula, Term, Var};
 use dds_structure::{Element, Schema, Structure, SymbolId};
 use dds_system::{Run, System};
@@ -59,6 +70,9 @@ pub type AmalgamVisitor<'a> = dyn FnMut(&Structure, &[Element]) -> ControlFlow<(
 /// A relation atom of a guard, as a variable tuple (relational schemas have
 /// no function symbols, so guard terms are plain variables).
 pub type Hint = (SymbolId, Vec<Var>);
+
+/// A concrete fact: a relation and an element tuple.
+pub type Fact = (SymbolId, Vec<Element>);
 
 /// What a relational class must provide. See the module docs.
 ///
@@ -167,11 +181,15 @@ pub fn translate_formula(f: &Formula, from: &Schema, to: &Schema) -> Formula {
 }
 
 /// Guard information steering the amalgam enumeration: the relation atoms
-/// (tuple hints for the optional cross facts) plus the variable
-/// (dis)equalities the guard *forces* — literals on every conjunction path,
-/// whose truth depends only on the point placement. Placements violating a
-/// forced (dis)equality cannot satisfy the guard under any choice of facts,
-/// so classes skip them before their exponential fact/coloring enumerations.
+/// (tuple hints for the optional cross facts) plus the literals the guard
+/// *forces* — the conjuncts of [`forced_literals`], which hold in every
+/// model of the guard. Forced (dis)equalities depend only on the point
+/// placement, so placements violating one are skipped before the
+/// exponential fact/coloring enumerations. Forced relation literals fix
+/// facts: under a placement each becomes a concrete tuple that every
+/// guard-satisfying candidate contains (or lacks), so classes closed under
+/// removing tuples decide it once instead of enumerating it
+/// ([`GuardHints::forced_facts`]).
 #[derive(Clone, Debug, Default)]
 pub struct GuardHints {
     /// All relation atoms of the guard, as variable tuples.
@@ -179,17 +197,25 @@ pub struct GuardHints {
     /// Forced variable (dis)equalities: `(a, b, true)` means every model of
     /// the guard has `a = b`; `(a, b, false)` means `a != b`.
     pub eqs: Vec<(Var, Var, bool)>,
+    /// Forced relation literals: `((r, vars), true)` means every model of
+    /// the guard has `r(vars)`; `false` means it has `!r(vars)`.
+    pub rels: Vec<(Hint, bool)>,
 }
 
 impl GuardHints {
     /// Extracts the hints of a quantifier-free guard.
     pub fn of(guard: &Formula) -> GuardHints {
-        let mut eqs = Vec::new();
-        collect_forced_eqs(guard, &mut eqs);
-        GuardHints {
+        let mut hints = GuardHints {
             atoms: collect_hints(guard),
-            eqs,
+            ..GuardHints::default()
+        };
+        for lit in forced_literals(guard) {
+            match lit {
+                Literal::Eq(a, b, pol) => hints.eqs.push((a, b, pol)),
+                Literal::Rel(r, vars, pol) => hints.rels.push(((r, vars), pol)),
+            }
         }
+        hints
     }
 
     /// True when the combined old/new valuation satisfies every forced
@@ -204,24 +230,69 @@ impl GuardHints {
             }
         })
     }
+
+    /// Instantiates the forced relation literals under a placement's
+    /// combined valuation over `base` (the old elements are `0..base.size()`,
+    /// the rest are fresh). A tuple over old elements only is frozen, so a
+    /// literal the base disagrees with rules the placement out, as does a
+    /// tuple forced both ways; both give `None`. Literals with out-of-range
+    /// variables are ignored.
+    pub fn forced_facts(&self, combined: &[Element], base: &Structure) -> Option<ForcedFacts> {
+        let mut forced = ForcedFacts::default();
+        for ((rel, vars), pol) in &self.rels {
+            let Some(tuple) = vars
+                .iter()
+                .map(|v| combined.get(v.index()).copied())
+                .collect::<Option<Vec<Element>>>()
+            else {
+                continue;
+            };
+            if tuple.iter().all(|e| e.index() < base.size()) {
+                if base.holds(*rel, &tuple) != *pol {
+                    return None;
+                }
+            } else if *pol {
+                forced.on.push((*rel, tuple));
+            } else {
+                forced.off.push((*rel, tuple));
+            }
+        }
+        forced.on.sort_unstable();
+        forced.on.dedup();
+        if forced.on.iter().any(|fact| forced.off.contains(fact)) {
+            return None;
+        }
+        Some(forced)
+    }
 }
 
-/// Pushes the variable (dis)equality literals found on every conjunction
-/// path of `f` (the literals that must hold in each model of `f`).
-fn collect_forced_eqs(f: &Formula, eqs: &mut Vec<(Var, Var, bool)>) {
-    match f {
-        Formula::And(fs) => {
-            for g in fs {
-                collect_forced_eqs(g, eqs);
-            }
+/// The forced relation literals of a guard under one placement, as concrete
+/// facts on fresh elements (see [`GuardHints::forced_facts`]).
+#[derive(Clone, Debug, Default)]
+pub struct ForcedFacts {
+    on: Vec<Fact>,
+    off: Vec<Fact>,
+}
+
+impl ForcedFacts {
+    /// Fixes the forced facts before a subset enumeration: removes every
+    /// forced fact from `optional` and adds the forced-on ones to `cand`.
+    /// Returns `false`, leaving `cand` untouched, when a forced-on fact is
+    /// not optional — no candidate can contain it, so none satisfies the
+    /// guard.
+    ///
+    /// The subsets of the remaining optional facts, in mask order, are
+    /// exactly the old subsets that agree with the forced facts, in the old
+    /// order; the others all falsify the guard.
+    pub fn apply(&self, optional: &mut Vec<Fact>, cand: &mut Structure) -> bool {
+        if !self.on.iter().all(|fact| optional.contains(fact)) {
+            return false;
         }
-        Formula::Eq(Term::Var(a), Term::Var(b)) => eqs.push((*a, *b, true)),
-        Formula::Not(inner) => {
-            if let Formula::Eq(Term::Var(a), Term::Var(b)) = &**inner {
-                eqs.push((*a, *b, false));
-            }
+        optional.retain(|fact| !self.on.contains(fact) && !self.off.contains(fact));
+        for (rel, t) in &self.on {
+            cand.add_fact(*rel, t).expect("optional facts are valid");
         }
-        _ => {}
+        true
     }
 }
 
@@ -357,12 +428,8 @@ pub(crate) fn reset_extended(buf: &mut Structure, base: &Structure, extra: usize
 /// Concrete tuples a guard's hint atoms refer to under a combined valuation
 /// (deduplicated). Only tuples involving at least one element of `involving`
 /// are returned — the others are frozen parts of the base.
-pub fn hint_tuples(
-    hints: &[Hint],
-    combined: &[Element],
-    involving: &[Element],
-) -> Vec<(SymbolId, Vec<Element>)> {
-    let mut out: BTreeSet<(SymbolId, Vec<Element>)> = BTreeSet::new();
+pub fn hint_tuples(hints: &[Hint], combined: &[Element], involving: &[Element]) -> Vec<Fact> {
+    let mut out: BTreeSet<Fact> = BTreeSet::new();
     for (rel, vars) in hints {
         let tuple: Option<Vec<Element>> = vars
             .iter()
@@ -385,7 +452,7 @@ pub fn internal_new_tuples(
     schema: &Schema,
     universe: &[Element],
     involving: &[Element],
-) -> Vec<(SymbolId, Vec<Element>)> {
+) -> Vec<Fact> {
     let mut out = Vec::new();
     for r in schema.relations() {
         for t in dds_structure::structure::tuples_over(universe, schema.arity(r)) {
@@ -407,7 +474,7 @@ pub fn internal_new_tuples(
 /// plus some of the optional facts; callers reset it before reuse.
 pub fn enumerate_fact_subsets(
     cand: &mut Structure,
-    optional: &[(SymbolId, Vec<Element>)],
+    optional: &[Fact],
     mut f: impl FnMut(&Structure) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     assert!(

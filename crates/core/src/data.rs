@@ -351,8 +351,9 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         f: &mut AmalgamVisitor<'_>,
     ) -> ControlFlow<()> {
         // Split work: inner class handles the σ part, we extend the data
-        // part. Hints for the inner class are those over its symbols (shared
-        // prefix of the internal schema); the forced (dis)equalities are
+        // part. Hints and forced relation literals for the inner class are
+        // those over its symbols (shared prefix of the internal schema); the
+        // data part never changes them. The forced (dis)equalities are
         // schema-independent, so the inner class prunes placements with
         // them directly.
         let inner_syms = self.inner.internal_schema().len();
@@ -364,6 +365,12 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
                 .cloned()
                 .collect(),
             eqs: hints.eqs.clone(),
+            rels: hints
+                .rels
+                .iter()
+                .filter(|((r, _), _)| r.index() < inner_syms)
+                .cloned()
+                .collect(),
         };
         let base_inner = Pointed::new(
             project_structure(&base.structure, self.inner.internal_schema()),

@@ -12,11 +12,13 @@
 //! * cross tuples restricted to those some guard atom mentions — the class
 //!   is closed under removing tuples, so any amalgam can be thinned to such
 //!   a candidate without changing the guard atoms or the generated new
-//!   configuration (see the module docs of [`crate::amalgam`]).
+//!   configuration (see the module docs of [`crate::amalgam`]);
+//! * cross and new tuples the guard forces or forbids fixed before the
+//!   enumeration ([`GuardHints::forced_facts`]).
 
 use crate::amalgam::{
     combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, GuardHints,
+    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, Fact, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::enumerate::StructureIter;
@@ -78,18 +80,23 @@ impl AmalgamClass for FreeRelationalClass {
             if !hints.placement_allows(&combined) {
                 continue;
             }
+            let Some(forced) = hints.forced_facts(&combined, &base.structure) else {
+                continue;
+            };
             // Universe of elements that survive into the next configuration.
             let mut np_universe: Vec<Element> = ctx.new_points.clone();
             np_universe.sort_unstable();
             np_universe.dedup();
-            let mut optional: BTreeSet<(dds_structure::SymbolId, Vec<Element>)> =
+            let mut optional: BTreeSet<Fact> =
                 internal_new_tuples(&self.schema, &np_universe, &ctx.fresh)
                     .into_iter()
                     .collect();
             optional.extend(hint_tuples(&hints.atoms, &combined, &ctx.fresh));
-            let optional: Vec<_> = optional.into_iter().collect();
+            let mut optional: Vec<_> = optional.into_iter().collect();
             reset_extended(&mut cand, &base.structure, ctx.fresh.len());
-            enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
+            if forced.apply(&mut optional, &mut cand) {
+                enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
+            }
         }
         ControlFlow::Continue(())
     }
@@ -159,6 +166,36 @@ mod tests {
         ]);
         assert!(class.transitions(&start, &guard2).is_empty());
         let _ = Var(0);
+    }
+
+    #[test]
+    fn forced_literals_fix_facts_before_enumeration() {
+        let class = graph_class();
+        let e = class.schema().lookup("E").unwrap();
+        // Every conjunct is forced, so the pruned candidates are exactly the
+        // guard-passing ones of the unpruned enumeration, in order.
+        let guard = Formula::and(vec![
+            Formula::rel_vars(e, &[old_var(0), new_var(0)]),
+            Formula::negate(Formula::rel_vars(e, &[new_var(0), new_var(0)])),
+        ]);
+        let hints = GuardHints::of(&guard);
+        assert_eq!(hints.rels.len(), 2);
+        let unpruned = GuardHints {
+            rels: Vec::new(),
+            ..hints.clone()
+        };
+        for start in class.initial_configs(1) {
+            let base = &start.pointed;
+            let pruned = collect_amalgams(&class, base, &hints);
+            let passing: Vec<_> = collect_amalgams(&class, base, &unpruned)
+                .into_iter()
+                .filter(|c| {
+                    let val = combined_valuation(&base.points, &c.points);
+                    dds_logic::eval::eval(&guard, &c.structure, &val).unwrap()
+                })
+                .collect();
+            assert_eq!(pruned, passing);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::amalgam::{
     combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, GuardHints,
+    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, Fact, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -33,6 +33,8 @@ pub struct HomClass {
     internal: Arc<Schema>,
     template: Structure,
     color_syms: Vec<SymbolId>,
+    /// σ-relation symbols as internal ids (equal to their public ids).
+    sigma: Vec<SymbolId>,
 }
 
 impl HomClass {
@@ -51,11 +53,16 @@ impl HomClass {
         let color_syms = (0..template.size())
             .map(|h| internal.lookup(&format!("__col{h}")).expect("just added"))
             .collect();
+        let sigma = public
+            .relations()
+            .map(|r| internal.lookup(public.name(r)).expect("shared"))
+            .collect();
         HomClass {
             public,
             internal,
             template,
             color_syms,
+            sigma,
         }
     }
 
@@ -82,16 +89,19 @@ impl HomClass {
     /// Whether a σ-tuple is allowed given element colors.
     fn tuple_compatible(&self, rel: SymbolId, tuple: &[Element], colors: &[usize]) -> bool {
         // `rel` must be a σ-symbol; ids of σ-symbols agree between public and
-        // internal schemas (internal = public ∪ colors, appended).
-        let mapped: Vec<Element> = tuple
-            .iter()
-            .map(|e| Element::from_index(colors[e.index()]))
-            .collect();
-        let public_rel = self
-            .public
-            .lookup(self.internal.name(rel))
-            .expect("σ symbol");
-        self.template.holds(public_rel, &mapped)
+        // internal schemas (internal = public ∪ colors, appended), so it
+        // indexes the template directly.
+        let color = |e: &Element| Element::from_index(colors[e.index()]);
+        let mut buf = [Element(0); 8];
+        if tuple.len() <= buf.len() {
+            for (slot, e) in buf.iter_mut().zip(tuple) {
+                *slot = color(e);
+            }
+            self.template.holds(rel, &buf[..tuple.len()])
+        } else {
+            self.template
+                .holds(rel, &tuple.iter().map(color).collect::<Vec<_>>())
+        }
     }
 
     /// Membership in the lift: exactly one color per element, all σ-tuples
@@ -104,15 +114,10 @@ impl HomClass {
                 None => return false,
             }
         }
-        for r in self.public.relations() {
-            let internal_r = self.internal.lookup(self.public.name(r)).expect("shared");
-            for t in s.rel_tuples(internal_r) {
-                if !self.tuple_compatible(internal_r, t, &colors) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.sigma.iter().all(|&r| {
+            s.rel_tuples(r)
+                .all(|t| self.tuple_compatible(r, t, &colors))
+        })
     }
 
     /// Membership over the *public* schema: whether some homomorphism of
@@ -160,14 +165,6 @@ impl HomClass {
             }
         }
     }
-
-    /// σ-relation symbols as internal ids.
-    fn sigma_rels(&self) -> Vec<SymbolId> {
-        self.public
-            .relations()
-            .map(|r| self.internal.lookup(self.public.name(r)).expect("shared"))
-            .collect()
-    }
 }
 
 impl AmalgamClass for HomClass {
@@ -185,7 +182,6 @@ impl AmalgamClass for HomClass {
         if nh == 0 {
             return out; // HOM(∅) contains only the empty database
         }
-        let sigma = self.sigma_rels();
         for pattern in crate::amalgam::point_patterns(k) {
             let m = pattern.iter().copied().max().map_or(0, |x| x + 1);
             let points: Vec<Element> = pattern.iter().map(|&c| Element::from_index(c)).collect();
@@ -197,7 +193,7 @@ impl AmalgamClass for HomClass {
                     base.add_fact(self.color_syms[h], &[*e]).unwrap();
                 }
                 let mut optional = Vec::new();
-                for &r in &sigma {
+                for &r in &self.sigma {
                     for t in dds_structure::structure::tuples_over(&elems, self.internal.arity(r)) {
                         if self.tuple_compatible(r, &t, &colors) {
                             optional.push((r, t));
@@ -221,7 +217,6 @@ impl AmalgamClass for HomClass {
     ) -> ControlFlow<()> {
         let k = base.points.len();
         let nh = self.template.size();
-        let sigma: BTreeSet<SymbolId> = self.sigma_rels().into_iter().collect();
         // Colors of base elements (base is a member by induction).
         let base_colors: Vec<usize> = base
             .structure
@@ -234,6 +229,9 @@ impl AmalgamClass for HomClass {
             if !hints.placement_allows(&combined) {
                 continue;
             }
+            let Some(forced) = hints.forced_facts(&combined, &base.structure) else {
+                continue;
+            };
             let mut np_universe: Vec<Element> = ctx.new_points.clone();
             np_universe.sort_unstable();
             np_universe.dedup();
@@ -242,22 +240,26 @@ impl AmalgamClass for HomClass {
                 colors.extend(fresh_colors.iter().copied());
                 // Optional facts: only color-compatible σ-tuples (others can
                 // never appear in a member).
-                let mut optional: BTreeSet<(SymbolId, Vec<Element>)> = BTreeSet::new();
+                let mut optional: BTreeSet<Fact> = BTreeSet::new();
                 for (r, t) in internal_new_tuples(&self.internal, &np_universe, &ctx.fresh)
                     .into_iter()
                     .chain(hint_tuples(&hints.atoms, &combined, &ctx.fresh))
                 {
-                    if sigma.contains(&r) && self.tuple_compatible(r, &t, &colors) {
+                    if self.sigma.contains(&r) && self.tuple_compatible(r, &t, &colors) {
                         optional.insert((r, t));
                     }
                 }
-                let optional: Vec<_> = optional.into_iter().collect();
+                let mut optional: Vec<_> = optional.into_iter().collect();
                 reset_extended(&mut cand, &base.structure, ctx.fresh.len());
                 for (fr, &h) in ctx.fresh.iter().zip(&fresh_colors) {
                     cand.add_fact(self.color_syms[h], &[*fr])
                         .expect("fresh elements are in range");
                 }
-                enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
+                // A forced-on fact missing from `optional` is
+                // color-incompatible: no member of this coloring has it.
+                if forced.apply(&mut optional, &mut cand) {
+                    enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
+                }
             }
         }
         ControlFlow::Continue(())

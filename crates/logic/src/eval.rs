@@ -8,7 +8,7 @@
 
 use crate::error::LogicError;
 use crate::formula::Formula;
-use crate::term::Term;
+use crate::term::{Term, Var};
 use dds_structure::{Element, Structure};
 
 /// Evaluates a term under a partial environment (indexed by variable).
@@ -30,11 +30,63 @@ pub fn eval_term(t: &Term, s: &Structure, env: &[Option<Element>]) -> Result<Ele
     }
 }
 
+/// Widest relation atom [`eval`] evaluates from a stack buffer.
+const ARGS_INLINE: usize = 8;
+
 /// Evaluates a formula under a total valuation of its free variables.
 ///
 /// The slice `val` assigns `val[i]` to variable `i`; it must cover every
 /// free variable. Bound variables may exceed the slice length.
+///
+/// Connectives and atoms over variables are evaluated straight from `val`
+/// without allocating; a subformula with a quantifier, a function term or a
+/// relation atom of more than `ARGS_INLINE` arguments falls back to the
+/// environment evaluator, which gives the same results and errors.
 pub fn eval(f: &Formula, s: &Structure, val: &[Element]) -> Result<bool, LogicError> {
+    let var = |v: &Var| {
+        val.get(v.index())
+            .copied()
+            .ok_or(LogicError::UnboundVariable(v.0))
+    };
+    match f {
+        Formula::True => return Ok(true),
+        Formula::False => return Ok(false),
+        Formula::Eq(Term::Var(a), Term::Var(b)) => return Ok(var(a)? == var(b)?),
+        Formula::Rel(r, args) if args.len() <= ARGS_INLINE => {
+            let mut buf = [Element(0); ARGS_INLINE];
+            let mut direct = true;
+            for (slot, a) in buf.iter_mut().zip(args) {
+                match a {
+                    Term::Var(v) => *slot = var(v)?,
+                    Term::App(..) => {
+                        direct = false;
+                        break;
+                    }
+                }
+            }
+            if direct {
+                return Ok(s.holds(*r, &buf[..args.len()]));
+            }
+        }
+        Formula::Not(inner) => return Ok(!eval(inner, s, val)?),
+        Formula::And(fs) => {
+            for sub in fs {
+                if !eval(sub, s, val)? {
+                    return Ok(false);
+                }
+            }
+            return Ok(true);
+        }
+        Formula::Or(fs) => {
+            for sub in fs {
+                if eval(sub, s, val)? {
+                    return Ok(true);
+                }
+            }
+            return Ok(false);
+        }
+        _ => {}
+    }
     let mut env: Vec<Option<Element>> = val.iter().map(|&e| Some(e)).collect();
     eval_env(f, s, &mut env)
 }
@@ -110,7 +162,6 @@ fn try_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Var;
     use dds_structure::Schema;
 
     #[test]
@@ -174,6 +225,48 @@ mod tests {
         // Environment restored: free use of v2 afterwards is unbound.
         let and = Formula::and(vec![phi, Formula::var_eq(Var(0), Var(0))]);
         assert!(eval(&and, &g, &[Element(0), Element(1)]).unwrap());
+    }
+
+    #[test]
+    fn direct_path_matches_the_environment_path() {
+        let mut sc = Schema::new();
+        let e = sc.add_relation("E", 2).unwrap();
+        let wide = sc.add_relation("W", 9).unwrap();
+        let f = sc.add_function("f", 1).unwrap();
+        let schema = sc.finish();
+        let mut a = Structure::new(schema, 2);
+        a.add_fact(e, &[Element(0), Element(1)]).unwrap();
+        a.add_fact(wide, &[Element(1); 9]).unwrap();
+        a.set_func(f, &[Element(0)], Element(1)).unwrap();
+        a.set_func(f, &[Element(1)], Element(0)).unwrap();
+        let v = |i| Term::var(Var(i));
+        let fx = Term::app(f, vec![v(0)]);
+        let formulas = [
+            Formula::rel_vars(e, &[Var(0), Var(1)]),
+            Formula::Rel(e, vec![fx.clone(), v(0)]),
+            Formula::Rel(e, vec![v(0), fx.clone()]),
+            // Unbound variable after a function term, and before one.
+            Formula::Rel(e, vec![fx.clone(), v(5)]),
+            Formula::Rel(e, vec![v(5), fx.clone()]),
+            Formula::Eq(fx.clone(), v(1)),
+            Formula::var_eq(Var(0), Var(7)),
+            Formula::rel_vars(wide, &[Var(1); 9]),
+            Formula::rel_vars(wide, &[Var(6); 9]),
+            Formula::negate(Formula::and(vec![
+                Formula::Exists(
+                    vec![Var(4)],
+                    Box::new(Formula::rel_vars(e, &[Var(4), Var(1)])),
+                ),
+                Formula::var_eq(Var(4), Var(0)),
+            ])),
+            Formula::or(vec![Formula::False, Formula::var_eq(Var(1), Var(0))]),
+        ];
+        for phi in &formulas {
+            for val in [[Element(0), Element(1)], [Element(1), Element(1)]] {
+                let mut env: Vec<Option<Element>> = val.iter().map(|&x| Some(x)).collect();
+                assert_eq!(eval(phi, &a, &val), eval_env(phi, &a, &mut env), "{phi:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Formula transformations: negation normal form, atom collection, and the
-//! existential prenexing that feeds Fact 2.
+//! Formula transformations: negation normal form, atom collection, forced
+//! literals, and the existential prenexing that feeds Fact 2.
 
 use crate::error::LogicError;
 use crate::formula::Formula;
-use crate::term::Var;
+use crate::term::{Term, Var};
+use dds_structure::SymbolId;
 
 /// Negation normal form: negations pushed to the atoms. Existential
 /// quantifiers are preserved when they occur positively; `Not(Exists ..)`
@@ -49,6 +50,51 @@ pub fn atoms(f: &Formula) -> Vec<Formula> {
                     go(sub, out);
                 }
             }
+        }
+    }
+    let mut out = Vec::new();
+    go(f, &mut out);
+    out
+}
+
+/// A literal over variables: a (dis)equality or a (negated) relation atom.
+/// The `bool` is the polarity (`true` for the atom, `false` for its
+/// negation).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Literal {
+    /// `a = b` (or `a != b`).
+    Eq(Var, Var, bool),
+    /// `R(v1, .., vn)` (or its negation).
+    Rel(SymbolId, Vec<Var>, bool),
+}
+
+/// The literals that hold in every model of `f`: the variable
+/// (dis)equalities and (negated) relation atoms over variables that occur as
+/// conjuncts of `f`, found by descending `And` only. `Or` and `Exists` are
+/// never entered and atoms with function terms are skipped, so the result
+/// is a sound under-approximation: any valuation breaking one of them
+/// falsifies `f`.
+pub fn forced_literals(f: &Formula) -> Vec<Literal> {
+    fn vars(args: &[Term]) -> Option<Vec<Var>> {
+        args.iter()
+            .map(|t| match t {
+                Term::Var(v) => Some(*v),
+                Term::App(..) => None,
+            })
+            .collect()
+    }
+    fn literal(atom: &Formula, polarity: bool) -> Option<Literal> {
+        match atom {
+            Formula::Eq(Term::Var(a), Term::Var(b)) => Some(Literal::Eq(*a, *b, polarity)),
+            Formula::Rel(r, args) => Some(Literal::Rel(*r, vars(args)?, polarity)),
+            _ => None,
+        }
+    }
+    fn go(f: &Formula, out: &mut Vec<Literal>) {
+        match f {
+            Formula::And(fs) => fs.iter().for_each(|g| go(g, out)),
+            Formula::Not(inner) => out.extend(literal(inner, false)),
+            atom => out.extend(literal(atom, true)),
         }
     }
     let mut out = Vec::new();
@@ -149,6 +195,50 @@ mod tests {
         ]);
         let a = atoms(&f);
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn forced_literals_descend_nested_and_only() {
+        let r = SymbolId(0);
+        // Built without `Formula::and`, so the conjunctions stay nested.
+        let f = Formula::And(vec![
+            atom(0, 1),
+            Formula::And(vec![
+                Formula::negate(atom(1, 2)),
+                Formula::rel_vars(r, &[Var(0), Var(3)]),
+            ]),
+            Formula::Or(vec![atom(4, 5), atom(4, 6)]),
+            Formula::Exists(vec![Var(9)], Box::new(atom(9, 0))),
+        ]);
+        assert_eq!(
+            forced_literals(&f),
+            vec![
+                Literal::Eq(Var(0), Var(1), true),
+                Literal::Eq(Var(1), Var(2), false),
+                Literal::Rel(r, vec![Var(0), Var(3)], true),
+            ]
+        );
+        // A bare `Or` or `Exists` forces nothing.
+        assert!(forced_literals(&Formula::or(vec![atom(0, 1), atom(1, 2)])).is_empty());
+        assert!(forced_literals(&Formula::Exists(vec![Var(9)], Box::new(atom(9, 0)))).is_empty());
+    }
+
+    #[test]
+    fn forced_literals_negate_atoms_and_skip_function_terms() {
+        let (r, f) = (SymbolId(0), SymbolId(1));
+        let fx = Term::app(f, vec![Term::var(Var(0))]);
+        let g = Formula::and(vec![
+            Formula::negate(Formula::rel_vars(r, &[Var(2), Var(2)])),
+            Formula::Rel(r, vec![fx.clone(), Term::var(Var(1))]),
+            Formula::negate(Formula::Rel(r, vec![Term::var(Var(1)), fx.clone()])),
+            Formula::Eq(fx, Term::var(Var(1))),
+            // A double negation is not a literal.
+            Formula::Not(Box::new(Formula::Not(Box::new(atom(0, 1))))),
+        ]);
+        assert_eq!(
+            forced_literals(&g),
+            vec![Literal::Rel(r, vec![Var(2), Var(2)], false)]
+        );
     }
 
     #[test]

@@ -5,11 +5,25 @@
 //! the *reference semantics* of the whole project: the symbolic engine's
 //! witnesses are re-validated here, and the brute-force emptiness baseline
 //! calls this on every enumerated database.
+//!
+//! New valuations are *guard-directed*. Each rule gets a plan from its
+//! guard's forced literals ([`forced_literals`]), and the registers are
+//! enumerated one at a time in index order. A register forced equal to an
+//! already-bound variable takes that one value; otherwise a forced atom
+//! whose other arguments are bound narrows it to a column of `D`; otherwise
+//! it ranges over all elements. Values breaking a forced disequality with a
+//! bound variable are dropped. Every candidate list is sorted, so the
+//! enumerated valuations are an order-preserving subsequence of all `n^k`
+//! tuples, and every skipped one falsifies the guard. The full guard is
+//! still evaluated on each enumerated valuation, so the BFS and the returned
+//! run are exactly those of trying every valuation.
 
 use crate::run::Run;
-use crate::system::{StateId, System};
+use crate::system::{new_var, StateId, System};
 use dds_logic::eval::eval;
-use dds_structure::{Element, Structure};
+use dds_logic::transform::{forced_literals, Literal};
+use dds_logic::{Formula, Var};
+use dds_structure::{Element, Structure, SymbolId};
 use std::collections::HashMap;
 
 /// One explored configuration with a back-pointer for witness extraction.
@@ -26,49 +40,186 @@ pub fn find_accepting_run(system: &System, db: &Structure) -> Option<Run> {
     if db.size() == 0 {
         return None; // no valuation exists
     }
+    // The arena doubles as the BFS queue: nodes are expanded in push order.
     let mut arena: Vec<Node> = Vec::new();
     let mut seen: HashMap<(StateId, Vec<Element>), ()> = HashMap::new();
-    let mut queue: Vec<usize> = Vec::new();
 
-    let all_vals = dds_structure::structure::tuples_over(&db.elements().collect::<Vec<_>>(), k);
+    let elements: Vec<Element> = db.elements().collect();
     for &q in system.initial() {
-        for val in &all_vals {
+        for val in dds_structure::structure::tuples_over(&elements, k) {
             if seen.insert((q, val.clone()), ()).is_none() {
                 arena.push(Node {
                     state: q,
-                    val: val.clone(),
+                    val,
                     parent: None,
                 });
-                queue.push(arena.len() - 1);
             }
         }
     }
 
-    let mut head = 0;
-    while head < queue.len() {
-        let idx = queue[head];
-        head += 1;
-        let (state, val) = (arena[idx].state, arena[idx].val.clone());
+    let plans: Vec<RulePlan> = system
+        .rules()
+        .iter()
+        .map(|r| RulePlan::of(&r.guard, k))
+        .collect();
+    let mut combined = vec![Element(0); 2 * k];
+    let mut candidates = vec![Vec::new(); k];
+    for idx in 0.. {
+        let Some(node) = arena.get(idx) else {
+            break;
+        };
+        let state = node.state;
         if system.is_accepting(state) {
             return Some(extract(&arena, idx));
         }
-        for rule in system.rules_from(state) {
-            for new_val in &all_vals {
-                let combined = system.combined_valuation(&val, new_val);
-                if eval(&rule.guard, db, &combined).unwrap_or(false)
-                    && seen.insert((rule.to, new_val.clone()), ()).is_none()
-                {
-                    arena.push(Node {
-                        state: rule.to,
-                        val: new_val.clone(),
-                        parent: Some(idx),
-                    });
-                    queue.push(arena.len() - 1);
-                }
+        for (i, &e) in node.val.iter().enumerate() {
+            combined[2 * i] = e;
+        }
+        for (rule, plan) in system.rules().iter().zip(&plans) {
+            if rule.from != state {
+                continue;
             }
+            plan.visit(
+                0,
+                db,
+                &elements,
+                &mut combined,
+                &mut candidates,
+                &mut |combined| {
+                    if eval(&rule.guard, db, combined).unwrap_or(false) {
+                        let val: Vec<Element> = (0..k).map(|i| combined[2 * i + 1]).collect();
+                        if seen.insert((rule.to, val.clone()), ()).is_none() {
+                            arena.push(Node {
+                                state: rule.to,
+                                val,
+                                parent: Some(idx),
+                            });
+                        }
+                    }
+                },
+            );
         }
     }
     None
+}
+
+/// Where a register's candidate values come from (see the module docs).
+enum Source {
+    /// The value of a bound variable the register is forced equal to.
+    Equal(Var),
+    /// The register's column of the database tuples matching the forced
+    /// atom `rel(args)` on its other, bound, arguments.
+    Column(SymbolId, Vec<Var>),
+    /// Every element of the database.
+    All,
+}
+
+/// One register's step of a [`RulePlan`].
+struct RegisterPlan {
+    source: Source,
+    /// Bound variables the register is forced to differ from.
+    differ: Vec<Var>,
+}
+
+/// The guard-directed enumeration of one rule's new valuations.
+struct RulePlan {
+    registers: Vec<RegisterPlan>,
+}
+
+impl RulePlan {
+    /// Plans the enumeration from the forced literals of `guard`: a variable
+    /// is bound at register `i` when it is an old value or the new value of
+    /// a register before `i`.
+    fn of(guard: &Formula, k: usize) -> RulePlan {
+        let literals = forced_literals(guard);
+        let registers = (0..k)
+            .map(|i| {
+                let v = new_var(i);
+                let bound = |w: Var| w != v && w.index() < 2 * k && (w.0 % 2 == 0 || w < v);
+                let mut equal = None;
+                let mut column = None;
+                let mut differ = Vec::new();
+                for lit in &literals {
+                    match lit {
+                        Literal::Eq(a, b, pol) => {
+                            let w = match (*a == v, *b == v) {
+                                (true, _) => *b,
+                                (_, true) => *a,
+                                _ => continue,
+                            };
+                            if !bound(w) {
+                                continue;
+                            }
+                            if *pol {
+                                equal.get_or_insert(w);
+                            } else {
+                                differ.push(w);
+                            }
+                        }
+                        Literal::Rel(r, args, true)
+                            if args.contains(&v) && args.iter().all(|&w| w == v || bound(w)) =>
+                        {
+                            column.get_or_insert_with(|| Source::Column(*r, args.clone()));
+                        }
+                        Literal::Rel(..) => {}
+                    }
+                }
+                let source = match equal {
+                    Some(w) => Source::Equal(w),
+                    None => column.unwrap_or(Source::All),
+                };
+                RegisterPlan { source, differ }
+            })
+            .collect();
+        RulePlan { registers }
+    }
+
+    /// Enumerates registers `i..` of `combined` (whose old values and new
+    /// values below `i` are set) in lexicographic order, calling `f` on
+    /// each complete valuation. `candidates[i]` is register `i`'s scratch
+    /// list.
+    fn visit(
+        &self,
+        i: usize,
+        db: &Structure,
+        elements: &[Element],
+        combined: &mut [Element],
+        candidates: &mut [Vec<Element>],
+        f: &mut dyn FnMut(&[Element]),
+    ) {
+        let Some(reg) = self.registers.get(i) else {
+            return f(combined);
+        };
+        let v = new_var(i);
+        let list = &mut candidates[i];
+        list.clear();
+        match &reg.source {
+            Source::Equal(w) => list.push(combined[w.index()]),
+            Source::Column(rel, args) => {
+                'tuples: for t in db.rel_tuples(*rel) {
+                    let mut value = None;
+                    for (&e, &a) in t.iter().zip(args) {
+                        if a != v {
+                            if e != combined[a.index()] {
+                                continue 'tuples;
+                            }
+                        } else if *value.get_or_insert(e) != e {
+                            continue 'tuples;
+                        }
+                    }
+                    list.extend(value);
+                }
+                list.sort_unstable();
+                list.dedup();
+            }
+            Source::All => list.extend_from_slice(elements),
+        }
+        list.retain(|&e| reg.differ.iter().all(|w| combined[w.index()] != e));
+        for c in 0..candidates[i].len() {
+            combined[v.index()] = candidates[i][c];
+            self.visit(i + 1, db, elements, combined, candidates, f);
+        }
+    }
 }
 
 /// Convenience wrapper: does `db` drive any accepting run?

@@ -141,16 +141,22 @@ proptest! {
 
 /// The plain definition of a sub-transition: visit the candidates, keep
 /// those satisfying the guard, restrict each to the substructure its new
-/// points generate, canonicalize, and deduplicate in order.
+/// points generate, canonicalize, and deduplicate in order. The forced
+/// relation literals are cleared, so the visitor enumerates every fact
+/// subset instead of fixing the forced ones first.
 fn reference_transitions<C: AmalgamClass>(
     class: &C,
     cfg: &RelConfig,
     guard: &Formula,
 ) -> Vec<RelConfig> {
     let guard = translate_formula(guard, class.public_schema(), class.internal_schema());
+    let hints = GuardHints {
+        rels: Vec::new(),
+        ..GuardHints::of(&guard)
+    };
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    let _ = class.for_each_amalgam(&cfg.pointed, &GuardHints::of(&guard), &mut |s, points| {
+    let _ = class.for_each_amalgam(&cfg.pointed, &hints, &mut |s, points| {
         let combined = combined_valuation(&cfg.pointed.points, points);
         if dds::logic::eval::eval(&guard, s, &combined).unwrap_or(false) {
             let next = RelConfig::canonical(&Pointed::new(s.clone(), points.to_vec()).generated());
