@@ -33,7 +33,10 @@
 //! reads the pre-`schema_version` flat-array shape, so old baselines keep
 //! gating until refreshed).
 
-use dds_bench::{chain_system, cycle_template, example1, graph_schema, run_engine, run_free};
+use dds_bench::{
+    chain_system, cycle_template, env_or, example1, graph_schema, measure, run_engine, run_free,
+    Gate,
+};
 use dds_core::{DataClass, DataSpec, Engine, FreeRelationalClass, SymbolicClass};
 use dds_reductions::counter::CounterMachine;
 use dds_reductions::lemma1::{lemma1_system, LinearTm};
@@ -43,7 +46,6 @@ use dds_trees::pointers::{blowup_ratio, run_pointers};
 use dds_trees::tree::Tree;
 use dds_trees::{TreeAutomaton, TreeClass};
 use dds_words::{Nfa, WordClass};
-use std::time::Instant;
 
 /// One experiment's recorded result.
 struct Record {
@@ -51,27 +53,6 @@ struct Record {
     wall_ns: u128,
     configs_explored: u64,
     outcome: String,
-}
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Runs `work` `reps` times; returns the minimum wall time and the (stable)
-/// result of the last run.
-fn measure<R>(reps: u32, mut work: impl FnMut() -> R) -> (u128, R) {
-    let mut best = u128::MAX;
-    let mut result = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let r = work();
-        best = best.min(t0.elapsed().as_nanos());
-        result = Some(r);
-    }
-    (best, result.expect("reps >= 1"))
 }
 
 fn outcome_str(nonempty: bool) -> String {
@@ -282,95 +263,17 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
     std::fs::write(path, dds_cli::render::document("bench", &rendered))
 }
 
-/// Extracts `"key":<value>` from one serialized object, where the value is a
-/// quoted string or a bare integer (the only shapes this tool writes).
-fn extract_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        Some(stripped[..stripped.find('"')?].to_owned())
-    } else {
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        (end > 0).then(|| rest[..end].to_owned())
-    }
-}
-
-/// Parses a `[{...}, ...]` file produced by [`write_json`] into
-/// `(id, wall_ns)` pairs.
-fn read_baseline(path: &str) -> Result<Vec<(String, u128)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = Vec::new();
-    for obj in text.split('{').skip(1) {
-        let obj = obj.split('}').next().unwrap_or("");
-        // The document wrapper (`"schema_version": ..., "records": [`) is
-        // not a record; records are exactly the objects carrying an `id`.
-        let Some(id) = extract_field(obj, "id") else {
-            continue;
-        };
-        let wall: u128 = extract_field(obj, "wall_ns")
-            .and_then(|w| w.parse().ok())
-            .ok_or_else(|| format!("{path}: bad wall_ns for {id}"))?;
-        out.push((id, wall));
-    }
-    Ok(out)
-}
-
-fn gate(records: &[Record], baseline_path: &str) -> Result<(), String> {
-    let max_ratio: f64 = env_or("DDS_BENCH_MAX_RATIO", 2.0);
-    let floor_ns: u128 = env_or::<u128>("DDS_BENCH_FLOOR_MS", 5) * 1_000_000;
-    let baseline = read_baseline(baseline_path)?;
-    // Id-set drift disables regression protection silently, so it fails the
-    // gate in both directions: an experiment rename/removal leaves an
-    // orphaned baseline entry, and a new experiment has no reference yet —
-    // either way the fix is the one-line baseline refresh.
-    let mut mismatches: Vec<String> = baseline
-        .iter()
-        .filter(|(id, _)| !records.iter().any(|r| r.id == id))
-        .map(|(id, _)| format!("baseline entry `{id}` matches no experiment"))
-        .collect();
-    let mut failures = Vec::new();
-    for r in records {
-        let Some((_, base)) = baseline.iter().find(|(id, _)| id == r.id) else {
-            mismatches.push(format!("experiment `{}` has no baseline entry", r.id));
-            continue;
-        };
-        let ratio = r.wall_ns as f64 / (*base).max(1) as f64;
-        let over_floor = r.wall_ns > base + floor_ns;
-        let verdict = if ratio > max_ratio && over_floor {
-            failures.push(r.id);
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "gate: {:24} {:>12} ns vs baseline {:>12} ns  ({ratio:.2}x) {verdict}",
-            r.id, r.wall_ns, base
-        );
-    }
-    if failures.is_empty() && mismatches.is_empty() {
-        Ok(())
-    } else {
-        let mut msg = String::new();
-        if !failures.is_empty() {
-            msg.push_str(&format!(
-                "perf regression gate failed (> {max_ratio}x and > {floor_ns} ns absolute): {failures:?}\n"
-            ));
-        }
-        if !mismatches.is_empty() {
-            msg.push_str(&format!(
-                "experiment/baseline id mismatch: {mismatches:?}\n"
-            ));
-        }
-        msg.push_str(
-            "If intentional, refresh the baseline:\n\
-             cargo run --release -p dds_bench --bin experiments_json -- --out bench/baseline.json",
-        );
-        Err(msg)
-    }
-}
+/// The E1–E10 gate: 2x the baseline and 5 ms absolute by default.
+const GATE: Gate = Gate {
+    ratio_env: "DDS_BENCH_MAX_RATIO",
+    default_ratio: 2.0,
+    floor_env: "DDS_BENCH_FLOOR_MS",
+    default_floor_ms: 5,
+    noun: "experiment",
+    failure: "perf regression gate failed",
+    id_width: 24,
+    refresh: "cargo run --release -p dds_bench --bin experiments_json -- --out bench/baseline.json",
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -398,7 +301,8 @@ fn main() {
     write_json(&out_path, &records).expect("write results");
     eprintln!("wrote {} records to {out_path}", records.len());
     if let Some(b) = gate_path {
-        if let Err(msg) = gate(&records, &b) {
+        let walls: Vec<(&str, u128)> = records.iter().map(|r| (r.id, r.wall_ns)).collect();
+        if let Err(msg) = GATE.check(&walls, &b) {
             eprintln!("{msg}");
             std::process::exit(1);
         }

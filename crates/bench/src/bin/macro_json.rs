@@ -40,6 +40,7 @@
 //! cargo run --release -p dds_bench --bin macro_json -- --out bench/macro_baseline.json
 //! ```
 
+use dds_bench::{env_or, measure, Gate};
 use dds_cli::api::VerifyRequest;
 use dds_cli::render;
 use dds_cli::runner::RunOptions;
@@ -57,13 +58,6 @@ struct Record {
     /// Log2-bucketed BFS layer-width histogram (`EngineStats::layer_widths`)
     /// — deterministic, so identical on both legs.
     layer_widths: [u64; 16],
-}
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn fail(msg: &str) -> ! {
@@ -114,20 +108,6 @@ fn mint(dir: &str) {
             t0.elapsed().as_nanos() as f64 / 1e6
         );
     }
-}
-
-/// Runs `work` `reps` times; returns the minimum wall time and the (stable)
-/// result of the last run.
-fn measure<R>(reps: u32, mut work: impl FnMut() -> R) -> (u128, R) {
-    let mut best = u128::MAX;
-    let mut result = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let r = work();
-        best = best.min(t0.elapsed().as_nanos());
-        result = Some(r);
-    }
-    (best, result.expect("reps >= 1"))
 }
 
 /// Runs one spec at `threads` and at 1 thread, cross-checking determinism
@@ -242,88 +222,17 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
     std::fs::write(path, doc)
 }
 
-/// Extracts `"key":<value>` from one serialized object, where the value is
-/// a quoted string or a bare integer (the only shapes this tool writes).
-fn extract_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        Some(stripped[..stripped.find('"')?].to_owned())
-    } else {
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        (end > 0).then(|| rest[..end].to_owned())
-    }
-}
-
-/// Parses a document produced by [`write_json`] into `(id, wall_ns)` pairs.
-fn read_baseline(path: &str) -> Result<Vec<(String, u128)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = Vec::new();
-    for obj in text.split('{').skip(1) {
-        let obj = obj.split('}').next().unwrap_or("");
-        let Some(id) = extract_field(obj, "id") else {
-            continue;
-        };
-        let wall: u128 = extract_field(obj, "wall_ns")
-            .and_then(|w| w.parse().ok())
-            .ok_or_else(|| format!("{path}: bad wall_ns for {id}"))?;
-        out.push((id, wall));
-    }
-    Ok(out)
-}
-
-fn gate(records: &[Record], baseline_path: &str) -> Result<(), String> {
-    let max_ratio: f64 = env_or("DDS_MACRO_MAX_RATIO", 3.0);
-    let floor_ns: u128 = env_or::<u128>("DDS_MACRO_FLOOR_MS", 250) * 1_000_000;
-    let baseline = read_baseline(baseline_path)?;
-    // Id-set drift silently disables regression protection, so it fails the
-    // gate in both directions (see experiments_json).
-    let mut mismatches: Vec<String> = baseline
-        .iter()
-        .filter(|(id, _)| !records.iter().any(|r| r.id == *id))
-        .map(|(id, _)| format!("baseline entry `{id}` matches no scenario"))
-        .collect();
-    let mut failures = Vec::new();
-    for r in records {
-        let Some((_, base)) = baseline.iter().find(|(id, _)| *id == r.id) else {
-            mismatches.push(format!("scenario `{}` has no baseline entry", r.id));
-            continue;
-        };
-        let ratio = r.wall_ns as f64 / (*base).max(1) as f64;
-        let over_floor = r.wall_ns > base + floor_ns;
-        let verdict = if ratio > max_ratio && over_floor {
-            failures.push(r.id.clone());
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "gate: {:28} {:>12} ns vs baseline {:>12} ns  ({ratio:.2}x) {verdict}",
-            r.id, r.wall_ns, base
-        );
-    }
-    if failures.is_empty() && mismatches.is_empty() {
-        Ok(())
-    } else {
-        let mut msg = String::new();
-        if !failures.is_empty() {
-            msg.push_str(&format!(
-                "macro perf gate failed (> {max_ratio}x and > {floor_ns} ns absolute): {failures:?}\n"
-            ));
-        }
-        if !mismatches.is_empty() {
-            msg.push_str(&format!("scenario/baseline id mismatch: {mismatches:?}\n"));
-        }
-        msg.push_str(
-            "If intentional, refresh the baseline:\n\
-             cargo run --release -p dds_bench --bin macro_json -- --out bench/macro_baseline.json",
-        );
-        Err(msg)
-    }
-}
+/// The macro gate: 3x the baseline and 250 ms absolute by default.
+const GATE: Gate = Gate {
+    ratio_env: "DDS_MACRO_MAX_RATIO",
+    default_ratio: 3.0,
+    floor_env: "DDS_MACRO_FLOOR_MS",
+    default_floor_ms: 250,
+    noun: "scenario",
+    failure: "macro perf gate failed",
+    id_width: 28,
+    refresh: "cargo run --release -p dds_bench --bin macro_json -- --out bench/macro_baseline.json",
+};
 
 /// Aggregate parallel speedup over the measurable scenarios: total
 /// sequential wall time divided by total parallel wall time, counting only
@@ -497,7 +406,8 @@ fn main() {
     }
     if let Some(b) = gate_path {
         let mut failed = false;
-        if let Err(msg) = gate(&records, &b) {
+        let walls: Vec<(&str, u128)> = records.iter().map(|r| (r.id.as_str(), r.wall_ns)).collect();
+        if let Err(msg) = GATE.check(&walls, &b) {
             eprintln!("{msg}");
             failed = true;
         }

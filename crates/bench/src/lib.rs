@@ -4,11 +4,16 @@
 //! per theorem and maps each to a bench group in
 //! `benches/experiments.rs`. This library builds the workloads so that
 //! benches and EXPERIMENTS.md tables stay in sync.
+//!
+//! It also holds the timing and baseline-gate helpers both JSON runners
+//! (`experiments_json`, `macro_json`) share: [`env_or`], [`measure`] and the
+//! ratio-and-floor regression [`Gate`].
 
 use dds_core::{Engine, FreeRelationalClass, HomClass, SymbolicClass};
 use dds_structure::{Element, Schema, Structure};
 use dds_system::{System, SystemBuilder};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The graph schema `{E/2, red/1}` used by Examples 1 and 2.
 pub fn graph_schema() -> Arc<Schema> {
@@ -105,4 +110,144 @@ pub fn run_engine<C: SymbolicClass>(class: &C, system: &System) -> (bool, usize)
 pub fn run_free(system: &System) -> (bool, usize) {
     let class = FreeRelationalClass::new(system.schema().clone());
     run_engine(&class, system)
+}
+
+/// Reads env var `name` parsed as `T`, or `default` when it is unset or
+/// does not parse.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Runs `work` `reps` times; returns the minimum wall time and the (stable)
+/// result of the last run.
+pub fn measure<R>(reps: u32, mut work: impl FnMut() -> R) -> (u128, R) {
+    let mut best = u128::MAX;
+    let mut result = None;
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        let r = work();
+        best = best.min(t0.elapsed().as_nanos());
+        result = Some(r);
+    }
+    (best, result.expect("reps >= 1"))
+}
+
+/// Extracts `"key":<value>` from one serialized object, where the value is a
+/// quoted string or a bare integer (the only shapes the runners write).
+fn extract_field(obj: &str, key: &str) -> Option<String> {
+    let pat = format!("\"{key}\":");
+    let start = obj.find(&pat)? + pat.len();
+    let rest = &obj[start..];
+    if let Some(stripped) = rest.strip_prefix('"') {
+        Some(stripped[..stripped.find('"')?].to_owned())
+    } else {
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        (end > 0).then(|| rest[..end].to_owned())
+    }
+}
+
+/// Parses a report document written by one of the runners into
+/// `(id, wall_ns)` pairs. The reader is intentionally minimal: records are
+/// exactly the objects carrying an `id` (the document wrapper and the
+/// `host` object are skipped), and the pre-`schema_version` flat-array
+/// shape still reads, so old baselines keep gating until refreshed.
+fn read_baseline(path: &str) -> Result<Vec<(String, u128)>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut out = Vec::new();
+    for obj in text.split('{').skip(1) {
+        let obj = obj.split('}').next().unwrap_or("");
+        let Some(id) = extract_field(obj, "id") else {
+            continue;
+        };
+        let wall: u128 = extract_field(obj, "wall_ns")
+            .and_then(|w| w.parse().ok())
+            .ok_or_else(|| format!("{path}: bad wall_ns for {id}"))?;
+        out.push((id, wall));
+    }
+    Ok(out)
+}
+
+/// A wall-time regression gate against a committed baseline: a record
+/// fails when it is slower than the baseline by more than the ratio *and*
+/// by more than the absolute floor, so small absolute differences never
+/// fail and microsecond-scale records do not flap.
+#[derive(Debug)]
+pub struct Gate<'a> {
+    /// Env var overriding the allowed slowdown ratio.
+    pub ratio_env: &'a str,
+    /// Ratio used when `ratio_env` is unset.
+    pub default_ratio: f64,
+    /// Env var overriding the absolute noise floor, in milliseconds.
+    pub floor_env: &'a str,
+    /// Floor (ms) used when `floor_env` is unset.
+    pub default_floor_ms: u128,
+    /// What one record is called in messages (`experiment`, `scenario`).
+    pub noun: &'a str,
+    /// Opening words of the regression failure message.
+    pub failure: &'a str,
+    /// Column width of the id in the per-record report lines.
+    pub id_width: usize,
+    /// The command that refreshes the baseline after an intentional change.
+    pub refresh: &'a str,
+}
+
+impl Gate<'_> {
+    /// Compares each `(id, wall_ns)` record against the baseline file,
+    /// printing one report line per record to stderr. `Err` carries the
+    /// failure message, ending with the refresh command.
+    pub fn check(&self, records: &[(&str, u128)], baseline_path: &str) -> Result<(), String> {
+        let max_ratio: f64 = env_or(self.ratio_env, self.default_ratio);
+        let floor_ns: u128 = env_or::<u128>(self.floor_env, self.default_floor_ms) * 1_000_000;
+        let noun = self.noun;
+        let baseline = read_baseline(baseline_path)?;
+        // Id-set drift disables regression protection silently, so it fails
+        // the gate in both directions: a rename/removal leaves an orphaned
+        // baseline entry, and a new record has no reference yet — either way
+        // the fix is the one-line baseline refresh.
+        let mut mismatches: Vec<String> = baseline
+            .iter()
+            .filter(|(id, _)| !records.iter().any(|(r, _)| r == id))
+            .map(|(id, _)| format!("baseline entry `{id}` matches no {noun}"))
+            .collect();
+        let mut failures = Vec::new();
+        for &(id, wall_ns) in records {
+            let Some((_, base)) = baseline.iter().find(|(b, _)| b == id) else {
+                mismatches.push(format!("{noun} `{id}` has no baseline entry"));
+                continue;
+            };
+            let ratio = wall_ns as f64 / (*base).max(1) as f64;
+            let over_floor = wall_ns > base + floor_ns;
+            let verdict = if ratio > max_ratio && over_floor {
+                failures.push(id);
+                "REGRESSED"
+            } else {
+                "ok"
+            };
+            eprintln!(
+                "gate: {id:w$} {wall_ns:>12} ns vs baseline {base:>12} ns  ({ratio:.2}x) {verdict}",
+                w = self.id_width
+            );
+        }
+        if failures.is_empty() && mismatches.is_empty() {
+            return Ok(());
+        }
+        let mut msg = String::new();
+        if !failures.is_empty() {
+            msg.push_str(&format!(
+                "{} (> {max_ratio}x and > {floor_ns} ns absolute): {failures:?}\n",
+                self.failure
+            ));
+        }
+        if !mismatches.is_empty() {
+            msg.push_str(&format!("{noun}/baseline id mismatch: {mismatches:?}\n"));
+        }
+        msg.push_str("If intentional, refresh the baseline:\n");
+        msg.push_str(self.refresh);
+        Err(msg)
+    }
 }

@@ -48,10 +48,13 @@
 //! pool of worker threads (connections beyond the backlog are answered
 //! `503` immediately — the daemon degrades by shedding load, not by
 //! queueing unboundedly). Each verification runs under a per-request
-//! timeout; a timed-out run is abandoned to finish in the background (the
-//! engine's `max_configs` budget bounds it) and its result still fills
-//! the cache. Workers are panic-isolated: a panicking request answers
-//! `500` and the worker lives on.
+//! timeout; a timed-out run is abandoned to finish in the background and
+//! its result still fills the cache. Nothing stops or bounds that run:
+//! the engine checks `max_configs` only between BFS nodes, so a single
+//! expansion, or the enumeration of the initial configurations, can run
+//! (and allocate) without limit — ROADMAP item 1 has an `R/3` spec that
+//! exhausts memory this way. Workers are panic-isolated: a panicking
+//! request answers `500` and the worker lives on.
 //!
 //! ## The content-hash result cache
 //!

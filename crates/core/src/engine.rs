@@ -49,25 +49,22 @@
 //!   counters) and certificates are bit-identical at every worker count —
 //!   workers only *precompute* pure data into per-task slots, and which
 //!   worker computed a slot never matters. At `threads = 1` there is no
-//!   pool and the loop pays for none of it: no task list, no epoch, no
-//!   certification thread.
+//!   pool and the loop pays for none of it: no task list, no epoch.
 //!
 //! The pool moves the expensive per-successor work off the coordinator
 //! while keeping that bit-identity:
 //!
 //! * **Worker-side resolution**: inside their tasks, workers canonicalize
 //!   successors (the class's `transitions` returns canonical forms),
-//!   compute the 64-bit probe hash, and pre-resolve each successor against
-//!   the layer-start snapshot of the sharded [`Interner`] and the visited
-//!   bitmaps — both move into the epoch wholesale, no clone, no lock. The
-//!   coordinator's merge then handles each successor as a `Resolved`
-//!   verdict: a snapshot-visited id is counted without re-probing, a known
-//!   id goes straight to the bitmap, and only genuinely fresh
-//!   configurations are interned (with their precomputed hash). Because
-//!   the merge replays tasks in arena order and ids are assigned at global
-//!   insertion order regardless of the interner's shard count, the id
-//!   sequence — and everything downstream of it — is exactly the
-//!   sequential one.
+//!   compute the 64-bit probe hash, and look each successor up in the
+//!   layer-start [`Interner`], which moves into the epoch wholesale — no
+//!   clone, no lock. A successor comes back as a `Resolved` verdict: a
+//!   known id, or a fresh configuration with its precomputed hash. The
+//!   coordinator's merge interns the fresh ones in list order and probes
+//!   the visited bitmaps with the resulting ids, exactly as it does for
+//!   successors computed inline. Because the merge replays tasks in arena
+//!   order and ids are assigned at insertion, the id sequence — and
+//!   everything downstream of it — is exactly the sequential one.
 //! * **Adaptive layer scheduling** ([`ParallelMode`], the default): the
 //!   per-layer `EpochGate` publish/wake/merge round-trip costs tens of
 //!   microseconds, which the macro suite showed *losing* to sequential on
@@ -76,27 +73,24 @@
 //!   coordinator when its estimated work would not pay for the round-trip
 //!   (or when the OS reports a single hardware thread). The chunk size of
 //!   published layers scales with layer width (`TaskQueues::auto_chunk`).
-//! * **Overlapped certification**: a target hit that leaves other targets
-//!   undecided is final at once, so its witness is concretized and
-//!   certified on a scoped thread while the search goes on. The hit that
-//!   decides the last target ends the search and certifies inline.
 //!
 //! On a non-empty answer the engine extracts the trace and asks the class to
 //! *concretize* it into an actual database and run, then re-validates the
 //! pair against the independent explicit model checker — a machine-checked
-//! soundness certificate for every positive answer.
+//! soundness certificate for every positive answer. Certification runs after
+//! the search, once per distinct hit node; targets that share the node share
+//! its witness.
 //!
 //! Existential guards are accepted and compiled away up front (Fact 2).
 
 use crate::class::{SymbolicClass, Trace, TraceStep};
-use crate::intern::{ConfigId, Interner, DEFAULT_SHARDS};
+use crate::intern::{ConfigId, Interner};
 use crate::pool::{EpochGate, TaskQueues};
 use dds_structure::Structure;
 use dds_system::{eliminate_existentials, Run, StateId, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 /// Estimated layer work (tasks × EMA per-task nanoseconds) below which the
@@ -156,14 +150,6 @@ pub struct EngineOptions {
     /// chunks per worker per layer; small values trade claim traffic for
     /// finer load balance on skewed layers.
     chunk_size: usize,
-    /// Memoize successor sets by `(configuration, guard)`. Disabling trades
-    /// time for memory on searches with little guard reuse; outcomes are
-    /// unaffected either way.
-    transition_cache: bool,
-    /// Interner shard count (`0` = the default,
-    /// [`crate::intern::DEFAULT_SHARDS`]). Never affects id assignment or
-    /// outcomes — only probe locality and growth granularity.
-    shards: usize,
     /// Layer scheduling policy for the parallel path.
     parallel_mode: ParallelMode,
 }
@@ -175,8 +161,6 @@ impl Default for EngineOptions {
             concretize: true,
             threads: 1,
             chunk_size: 0,
-            transition_cache: true,
-            shards: 0,
             parallel_mode: ParallelMode::Adaptive,
         }
     }
@@ -206,16 +190,6 @@ impl EngineOptions {
         self.chunk_size
     }
 
-    /// Reads whether the transition memo is enabled.
-    pub fn get_transition_cache(&self) -> bool {
-        self.transition_cache
-    }
-
-    /// Reads the configured interner shard count (`0` = default).
-    pub fn get_shards(&self) -> usize {
-        self.shards
-    }
-
     /// Reads the parallel layer-scheduling mode.
     pub fn get_parallel_mode(&self) -> ParallelMode {
         self.parallel_mode
@@ -230,14 +204,6 @@ impl EngineOptions {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            n => n,
-        }
-    }
-
-    /// The interner shard count the engine will actually use.
-    pub fn resolved_shards(&self) -> usize {
-        match self.shards {
-            0 => DEFAULT_SHARDS,
             n => n,
         }
     }
@@ -264,20 +230,6 @@ impl EngineOptions {
     /// Sets the parallel frontier chunk size ([`EngineOptions::chunk_size`]).
     pub fn chunk_size(mut self, n: usize) -> Self {
         self.chunk_size = n;
-        self
-    }
-
-    /// Enables or disables the transition memo
-    /// ([`EngineOptions::transition_cache`]).
-    pub fn transition_cache(mut self, yes: bool) -> Self {
-        self.transition_cache = yes;
-        self
-    }
-
-    /// Sets the interner shard count ([`EngineOptions::shards`]; `0` =
-    /// default).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
         self
     }
 
@@ -324,15 +276,13 @@ impl LayerWidths {
 ///
 /// All fields except the `*_ns` wall-clock timings, the scheduling
 /// counters ([`EngineStats::tasks_stolen`], [`EngineStats::layers_inline`],
-/// [`EngineStats::layers_parallel`], [`EngineStats::shard_contention`]) and
-/// the retired scratch-pool fields ([`EngineStats::scratch_allocs`],
-/// [`EngineStats::scratch_reuses`], always zero) are **deterministic**: they depend only
-/// on the class, the system, `max_configs` and `transition_cache`, never on
-/// `threads`, `chunk_size`, `shards` or the [`ParallelMode`]
-/// (`transition_cache_hits` is identically zero with the memo disabled).
-/// Equality (`==`) compares exactly the deterministic fields — including
-/// the per-layer width histogram [`EngineStats::layer_widths`] — so outcome
-/// comparisons across worker counts are meaningful.
+/// [`EngineStats::layers_parallel`]) and the retired
+/// [`EngineStats::scratch_allocs`] (always zero) are **deterministic**: they
+/// depend only on the class, the system and `max_configs`, never on
+/// `threads`, `chunk_size` or the [`ParallelMode`]. Equality (`==`)
+/// compares exactly the deterministic fields — including the per-layer
+/// width histogram [`EngineStats::layer_widths`] — so outcome comparisons
+/// across worker counts are meaningful.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// Distinct initial `(state, config)` pairs.
@@ -361,9 +311,6 @@ pub struct EngineStats {
     /// reads it by name; splitting these stats into counters and
     /// measurements (ROADMAP item 2) removes it together with that reader.
     pub scratch_allocs: u64,
-    /// Always 0, like [`EngineStats::scratch_allocs`] (it counted pool
-    /// reuses) and removed with it.
-    pub scratch_reuses: u64,
     /// Wall time in successor computation, summed across workers.
     pub expand_ns: u64,
     /// Wall time pool workers spent parked between layer epochs.
@@ -373,15 +320,10 @@ pub struct EngineStats {
     /// Inline layers do not accrue here — their cost shows in `expand_ns`.
     /// A measurement, **not** deterministic.
     pub merge_ns: u64,
-    /// Worker wall time hashing canonical successors and pre-resolving them
-    /// against the layer-start interner/visited snapshots (inside tasks, so
-    /// it overlaps across workers). A measurement, **not** deterministic.
+    /// Worker wall time hashing canonical successors and looking them up
+    /// in the layer-start interner (inside tasks, so it overlaps across
+    /// workers). A measurement, **not** deterministic.
     pub canon_ns: u64,
-    /// Collision probe steps in the sharded interner's slot tables
-    /// (worker-side lookups plus merge-side interns). Depends on which
-    /// layers were published and on the shard count, so **not**
-    /// deterministic across engine configurations.
-    pub shard_contention: u64,
     /// Layers the adaptive scheduler expanded inline on the coordinator
     /// (`threads >= 2` only; identically zero on the sequential path). A
     /// scheduling measurement, **not** deterministic.
@@ -396,9 +338,8 @@ pub struct EngineStats {
     pub layer_widths: LayerWidths,
     /// Wall time of the whole search (excluding certification).
     pub search_ns: u64,
-    /// Wall time concretizing and certifying the witness. In the parallel
-    /// engine certification may overlap the search on a scoped thread, so
-    /// `search_ns + certify_ns` can exceed the end-to-end wall time.
+    /// Wall time concretizing and certifying the witnesses (once per
+    /// distinct hit node).
     pub certify_ns: u64,
 }
 
@@ -428,12 +369,10 @@ impl EngineStats {
         self.levels = self.levels.max(other.levels);
         self.tasks_stolen += other.tasks_stolen;
         self.scratch_allocs += other.scratch_allocs;
-        self.scratch_reuses += other.scratch_reuses;
         self.expand_ns += other.expand_ns;
         self.idle_ns += other.idle_ns;
         self.merge_ns += other.merge_ns;
         self.canon_ns += other.canon_ns;
-        self.shard_contention += other.shard_contention;
         self.layers_inline += other.layers_inline;
         self.layers_parallel += other.layers_parallel;
         self.layer_widths.merge(&other.layer_widths);
@@ -605,42 +544,22 @@ pub(crate) struct Node {
     parent: Option<(usize, usize)>,
 }
 
-/// A worker's verdict on one canonical successor, resolved inside the task
-/// against the layer-start snapshots so the coordinator's merge only has to
-/// probe or insert.
+/// A worker's verdict on one canonical successor, looked up inside the task
+/// in the layer-start interner so the coordinator's merge only has to
+/// intern the fresh ones.
 ///
 /// Soundness of each variant at merge time:
-/// * `Visited` — the visited bit was set at layer start and bits are never
-///   cleared, so the merge can count the dedup hit without re-probing.
-///   Emitted only with the transition memo on, where the task's rule is
-///   guaranteed to be the rule of the merge occurrence that consumes the
-///   slot (both sides pick the *first* `(config, guard)` occurrence in
-///   arena order, so the target state matches).
-/// * `Interned` — ids are never reassigned, so the id is still right; the
-///   merge probes the authoritative bitmap (the bit may have been set
-///   since the snapshot).
+/// * `Interned` — ids are never reassigned, so the id is still right.
 /// * `Fresh` — the value was absent at layer start; the merge interns it
 ///   with the precomputed hash. Merge order equals sequential order, so a
 ///   value two tasks both saw as fresh gets its id at the first merge
 ///   occurrence and the second intern finds it — id assignment is exactly
 ///   the sequential one.
-#[derive(Clone)]
 enum Resolved<Cfg> {
-    /// Already visited for the task's target state at layer start.
-    Visited(ConfigId),
-    /// Interned at layer start, visitedness unknown.
+    /// Interned at layer start.
     Interned(ConfigId),
     /// Not interned at layer start; carries the precomputed probe hash.
     Fresh(Cfg, u64),
-}
-
-/// One rule expansion's successors as the merge receives them: raw
-/// canonical configurations (sequential and inline layers) or worker
-/// pre-resolved verdicts (published layers). Both forms merge to identical
-/// ids, probes and pushes — see [`Resolved`].
-enum SuccSet<Cfg> {
-    Raw(Vec<Cfg>),
-    Pre(Vec<Resolved<Cfg>>),
 }
 
 /// One expansion: a configuration and the index of the rule to apply.
@@ -649,10 +568,6 @@ type Task = (ConfigId, usize);
 /// Transition-memo key: `(configuration id, guard class)`.
 type MemoKey = (u32, u32);
 
-/// What an overlapped certification thread hands back: the certified trace,
-/// the witness, and the nanoseconds certification took.
-type CertResult<Cfg> = (Trace<Cfg>, Option<(Structure, Run)>, u64);
-
 /// A published layer's per-task result slots, as recovered from the epoch:
 /// one [`OnceLock`] per `(configuration, rule)` expansion, each written by
 /// exactly one claimant.
@@ -660,29 +575,21 @@ type ResolvedSlots<Cfg> = Vec<OnceLock<Vec<Resolved<Cfg>>>>;
 
 /// One BFS layer's speculative workload, published to the worker pool.
 ///
-/// The layer's whole [`Interner`] and visited bitmaps *move* into the epoch
-/// (and back out when the coordinator recovers sole ownership at the done
-/// barrier), so workers resolve successors by plain shared reads — no clone
-/// of the arena, no lock on the hot path. Resolved successor sets land in
-/// per-task [`OnceLock`] slots; every slot is written by exactly one
-/// claimant.
+/// The layer's whole [`Interner`] *moves* into the epoch (and back out when
+/// the coordinator recovers sole ownership at the done barrier), so workers
+/// resolve successors by plain shared reads — no clone, no lock on the hot
+/// path. Resolved successor sets land in per-task [`OnceLock`] slots; every
+/// slot is written by exactly one claimant.
 struct Epoch<Cfg> {
     interner: Interner<Cfg>,
-    /// Layer-start snapshot of the per-state visited bitmaps.
-    visited: Vec<Vec<u64>>,
     /// The layer's distinct uncached `(configuration, rule)` expansions.
     tasks: Vec<Task>,
     queues: TaskQueues,
-    results: Vec<OnceLock<Vec<Resolved<Cfg>>>>,
-    /// Whether workers may pre-resolve against the visited snapshot (sound
-    /// only with the transition memo on; see [`Resolved::Visited`]).
-    resolve_visited: bool,
+    results: ResolvedSlots<Cfg>,
     /// Nanoseconds participants spent draining (summed), for `expand_ns`.
     busy_ns: AtomicU64,
-    /// Nanoseconds participants spent hashing/pre-resolving (summed).
+    /// Nanoseconds participants spent hashing/looking up (summed).
     canon_ns: AtomicU64,
-    /// Interner probe collision steps observed by participants (summed).
-    contention: AtomicU64,
 }
 
 /// The adaptive scheduler's running estimate of per-task expansion cost,
@@ -727,16 +634,14 @@ impl CostModel {
 }
 
 /// The worker pool of one `threads >= 2` search: the epoch gate its
-/// workers park on, the participant count (coordinator included), the
-/// scope overlapped certifications spawn into, and the adaptive
-/// scheduler's cost model.
-struct Pool<'g, 'scope, 'env, Cfg> {
+/// workers park on, the participant count (coordinator included) and the
+/// adaptive scheduler's cost model.
+struct Pool<'g, Cfg> {
     gate: &'g EpochGate<Epoch<Cfg>>,
     threads: usize,
     /// Hardware threads the OS reports (the adaptive scheduler never
     /// publishes on a single one).
     hw_threads: usize,
-    scope: &'scope Scope<'scope, 'env>,
     cost: CostModel,
 }
 
@@ -775,13 +680,6 @@ fn push_successors(
             stats.dedup_hits += 1;
         }
     }
-}
-
-/// Read-only probe of a visited snapshot: true when `(q, id)` is marked.
-fn is_visited(visited: &[Vec<u64>], q: StateId, id: ConfigId) -> bool {
-    let bits = &visited[q.index()];
-    let word = id.index() / 64;
-    word < bits.len() && bits[word] & (1u64 << (id.index() % 64)) != 0
 }
 
 /// Marks `(q, id)` visited; true when it was not visited before.
@@ -920,7 +818,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                 hw_threads: std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1),
-                scope,
                 cost: CostModel::default(),
             };
             let out = self.search(targets, Some(pool));
@@ -935,7 +832,7 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
     pub(crate) fn init_search(&self) -> Search<C::Config> {
         let k = self.compiled.num_registers();
         let mut s = Search {
-            interner: Interner::with_shards(self.options.resolved_shards()),
+            interner: Interner::new(),
             visited: vec![Vec::new(); self.compiled.num_states()],
             arena: Vec::new(),
             cache: HashMap::new(),
@@ -962,46 +859,25 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         s
     }
 
-    /// The class's canonical successors of `cfg` under rule `rule_idx`,
-    /// computed on the calling thread.
-    fn raw_successors(
-        &self,
-        interner: &Interner<C::Config>,
-        cfg: ConfigId,
-        rule_idx: usize,
-    ) -> SuccSet<C::Config> {
-        SuccSet::Raw(
-            self.class
-                .transitions(interner.get(cfg), &self.compiled.rules()[rule_idx].guard),
-        )
-    }
-
     /// Expands node `idx` entirely on the calling thread — the merge of
     /// [`Engine::search`] with every successor set computed inline.
     pub(crate) fn expand(&self, s: &mut Search<C::Config>, idx: usize) {
-        self.merge_node(s, idx, &mut |interner, cfg, rule_idx| {
-            self.raw_successors(interner, cfg, rule_idx)
-        });
+        self.merge_node(s, idx, &mut |_, _| None);
     }
+
     /// Expands one node deterministically: for each applicable rule, obtain
-    /// the successor ids (memo, else `compute`, interned in order) and merge
-    /// them through the visited set into the arena. Every arena/stats
-    /// mutation of the search goes through this function, inline and
-    /// published layers alike, which is what makes them bit-identical.
-    ///
-    /// `compute` hands back either raw canonical successors
-    /// ([`SuccSet::Raw`] — computed on the coordinator, interned here in
-    /// list order) or worker pre-resolved verdicts ([`SuccSet::Pre`] —
-    /// published layers). The two forms perform the identical sequence of
-    /// id assignments, bitmap probes and arena pushes: interning never
-    /// touches the bitmaps and probing never interns, so resolving each
-    /// successor fully before the next (the `Pre` loop) commutes with the
-    /// `Raw` path's intern-all-then-probe-all order.
+    /// the successor ids (memo, else interned in list order from the
+    /// worker verdicts `pre` hands back, else from the class's
+    /// `transitions` computed inline) and merge them through the visited
+    /// set into the arena. Every arena/stats mutation of the search goes
+    /// through this function, inline and published layers alike, which is
+    /// what makes them bit-identical: interning never touches the bitmaps,
+    /// so both sources yield the same ids and the same probes.
     fn merge_node(
         &self,
         s: &mut Search<C::Config>,
         idx: usize,
-        compute: &mut impl FnMut(&Interner<C::Config>, ConfigId, usize) -> SuccSet<C::Config>,
+        pre: &mut impl FnMut(ConfigId, usize) -> Option<Vec<Resolved<C::Config>>>,
     ) {
         let state = s.arena[idx].state;
         let cfg = s.arena[idx].cfg;
@@ -1010,83 +886,52 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             let to = self.compiled.rules()[rule_idx].to;
             s.stats.transitions_computed += 1;
             let key = (cfg.0, self.guard_class[rule_idx]);
-            if self.options.transition_cache {
-                // Single probe on the hit path (the dominant case the memo
-                // exists for); `ids` borrows `s.cache` while the push below
-                // mutates the disjoint visited/arena/stats fields.
-                if let Some(ids) = s.cache.get(&key) {
-                    s.stats.transition_cache_hits += 1;
-                    push_successors(
-                        &mut s.visited,
-                        &mut s.arena,
-                        &mut s.stats,
-                        ids,
-                        to,
-                        idx,
-                        rule_idx,
-                    );
-                    continue;
-                }
+            // Single probe on the hit path (the dominant case the memo
+            // exists for); `ids` borrows `s.cache` while the push below
+            // mutates the disjoint visited/arena/stats fields.
+            if let Some(ids) = s.cache.get(&key) {
+                s.stats.transition_cache_hits += 1;
+                push_successors(
+                    &mut s.visited,
+                    &mut s.arena,
+                    &mut s.stats,
+                    ids,
+                    to,
+                    idx,
+                    rule_idx,
+                );
+                continue;
             }
-            let t0 = Instant::now();
-            let set = compute(&s.interner, cfg, rule_idx);
-            s.stats.expand_ns += t0.elapsed().as_nanos() as u64;
-            let ids: Box<[ConfigId]> = match set {
-                SuccSet::Raw(raw) => {
-                    let mut v = Vec::with_capacity(raw.len());
-                    for succ in raw {
-                        v.push(s.interner.intern(succ).0);
-                    }
-                    let ids: Box<[ConfigId]> = v.into();
-                    push_successors(
-                        &mut s.visited,
-                        &mut s.arena,
-                        &mut s.stats,
-                        &ids,
-                        to,
-                        idx,
-                        rule_idx,
-                    );
-                    ids
-                }
-                SuccSet::Pre(pre) => {
-                    let mut v = Vec::with_capacity(pre.len());
-                    for entry in pre {
-                        let id = match entry {
-                            Resolved::Visited(id) => {
-                                // Pre-probed against the layer-start
-                                // snapshot; bits are never cleared, so this
-                                // is still a dedup hit.
-                                s.stats.dedup_probes += 1;
-                                s.stats.dedup_hits += 1;
-                                v.push(id);
-                                continue;
-                            }
-                            Resolved::Interned(id) => id,
-                            Resolved::Fresh(succ, hash) => {
-                                s.interner
-                                    .intern_prehashed(succ, hash, &mut s.stats.shard_contention)
-                                    .0
-                            }
-                        };
-                        s.stats.dedup_probes += 1;
-                        if visit(&mut s.visited, to, id) {
-                            s.arena.push(Node {
-                                state: to,
-                                cfg: id,
-                                parent: Some((idx, rule_idx)),
-                            });
-                        } else {
-                            s.stats.dedup_hits += 1;
-                        }
-                        v.push(id);
-                    }
-                    v.into()
+            let ids: Box<[ConfigId]> = match pre(cfg, rule_idx) {
+                Some(entries) => entries
+                    .into_iter()
+                    .map(|entry| match entry {
+                        Resolved::Interned(id) => id,
+                        Resolved::Fresh(succ, hash) => s.interner.intern_prehashed(succ, hash).0,
+                    })
+                    .collect(),
+                None => {
+                    let t0 = Instant::now();
+                    let succs = self
+                        .class
+                        .transitions(s.interner.get(cfg), &self.compiled.rules()[rule_idx].guard);
+                    s.stats.expand_ns += t0.elapsed().as_nanos() as u64;
+                    succs
+                        .into_iter()
+                        .map(|succ| s.interner.intern(succ).0)
+                        .collect()
                 }
             };
-            if self.options.transition_cache {
-                s.cache.insert(key, ids);
-            }
+            push_successors(
+                &mut s.visited,
+                &mut s.arena,
+                &mut s.stats,
+                &ids,
+                to,
+                idx,
+                rule_idx,
+            );
+            s.cache.insert(key, ids);
         }
     }
 
@@ -1098,7 +943,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
     fn drain_epoch(&self, epoch: &Epoch<C::Config>, me: usize) {
         let t0 = Instant::now();
         let mut canon = 0u64;
-        let mut steps = 0u64;
         while let Some(range) = epoch.queues.claim(me) {
             for i in range {
                 let (cfg, rule_idx) = epoch.tasks[i];
@@ -1106,23 +950,20 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                     epoch.interner.get(cfg),
                     &self.compiled.rules()[rule_idx].guard,
                 );
-                // Pre-resolve each canonical successor against the
-                // layer-start snapshots: hash once, classify as
-                // visited/interned/fresh, so the merge only probes/inserts.
+                // Look each canonical successor up in the layer-start
+                // interner: hash once, classify as interned/fresh, so the
+                // merge only interns the fresh ones.
                 let tc = Instant::now();
-                let to = self.compiled.rules()[rule_idx].to;
-                let mut resolved = Vec::with_capacity(succs.len());
-                for succ in succs {
-                    let hash = Interner::hash_value(&succ);
-                    let verdict = match epoch.interner.lookup_prehashed(&succ, hash, &mut steps) {
-                        Some(id) if epoch.resolve_visited && is_visited(&epoch.visited, to, id) => {
-                            Resolved::Visited(id)
+                let resolved: Vec<Resolved<C::Config>> = succs
+                    .into_iter()
+                    .map(|succ| {
+                        let hash = Interner::hash_value(&succ);
+                        match epoch.interner.lookup_prehashed(&succ, hash) {
+                            Some(id) => Resolved::Interned(id),
+                            None => Resolved::Fresh(succ, hash),
                         }
-                        Some(id) => Resolved::Interned(id),
-                        None => Resolved::Fresh(succ, hash),
-                    };
-                    resolved.push(verdict);
-                }
+                    })
+                    .collect();
                 canon += tc.elapsed().as_nanos() as u64;
                 // Each task index is claimed exactly once, so the slot is
                 // always empty here.
@@ -1133,19 +974,17 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             .busy_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         epoch.canon_ns.fetch_add(canon, Ordering::Relaxed);
-        epoch.contention.fetch_add(steps, Ordering::Relaxed);
     }
 
     /// Decides where a layer runs ([`ParallelMode`]) and, when published,
-    /// drives the epoch to completion: the interner and visited bitmaps
-    /// move into the epoch, every participant (coordinator included)
-    /// drains tasks, and the moved state plus per-task resolved slots come
-    /// back out. Returns `None` when the layer stays inline — the merge then
-    /// computes raw successors on the coordinator, exactly as without a
-    /// pool.
+    /// drives the epoch to completion: the interner moves into the epoch,
+    /// every participant (coordinator included) drains tasks, and the
+    /// interner plus per-task resolved slots come back out. Returns `None`
+    /// when the layer stays inline — the merge then computes successors on
+    /// the coordinator, exactly as without a pool.
     fn publish(
         &self,
-        pool: &mut Pool<'_, '_, '_, C::Config>,
+        pool: &mut Pool<'_, C::Config>,
         s: &mut Search<C::Config>,
         tasks: Vec<Task>,
     ) -> Option<ResolvedSlots<C::Config>> {
@@ -1167,16 +1006,13 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         };
         let epoch = Arc::new(Epoch {
             interner: std::mem::take(&mut s.interner),
-            visited: std::mem::take(&mut s.visited),
             queues: TaskQueues::split(n_tasks, pool.threads, chunk),
             results: std::iter::repeat_with(OnceLock::new)
                 .take(n_tasks)
                 .collect(),
             tasks,
-            resolve_visited: self.options.transition_cache,
             busy_ns: AtomicU64::new(0),
             canon_ns: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
         });
         pool.gate.publish(Arc::clone(&epoch), pool.threads - 1);
         self.drain_epoch(&epoch, 0);
@@ -1185,11 +1021,9 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             unreachable!("workers returned their epoch references at the done barrier")
         };
         s.interner = done.interner;
-        s.visited = done.visited;
         let busy = done.busy_ns.load(Ordering::Relaxed);
         s.stats.expand_ns += busy;
         s.stats.canon_ns += done.canon_ns.load(Ordering::Relaxed);
-        s.stats.shard_contention += done.contention.load(Ordering::Relaxed);
         s.stats.tasks_stolen += done.queues.stolen();
         pool.cost.observe(n_tasks, busy);
         Some(done.results)
@@ -1216,7 +1050,7 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             }
             for &rule_idx in &self.rules_by_state[node.state.index()] {
                 let key = (node.cfg.0, self.guard_class[rule_idx as usize]);
-                if self.options.transition_cache && s.cache.contains_key(&key) {
+                if s.cache.contains_key(&key) {
                     continue;
                 }
                 if let std::collections::hash_map::Entry::Vacant(e) = task_of.entry(key) {
@@ -1236,17 +1070,13 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
     /// With one, each layer's uncached expansions are first either
     /// published to the workers as an epoch or left inline
     /// ([`Engine::publish`]); the merge then replays the layer in arena
-    /// order with the identical probe/push/count sequence, consuming
+    /// order with the identical intern/probe/push/count sequence, consuming
     /// pre-resolved slots where there are any — so every outcome, trace
     /// and deterministic statistic is bit-identical at any worker count.
-    /// A hit that leaves targets undecided is final at once, so with a pool
-    /// its witness certifies on a scoped thread, overlapping the rest of
-    /// the search; the hit that decides the last target ends the search and
-    /// certifies inline.
-    fn search<'env, 'scope>(
-        &'env self,
+    fn search(
+        &self,
         targets: &[Vec<StateId>],
-        mut pool: Option<Pool<'_, 'scope, 'env, C::Config>>,
+        mut pool: Option<Pool<'_, C::Config>>,
     ) -> MultiOutcome<C::Config> {
         // `masks[q]` has bit `t` set iff state `q` belongs to target set `t`.
         let mut masks = vec![0u64; self.compiled.num_states()];
@@ -1258,8 +1088,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         // The low `targets.len()` bits.
         let mut undecided = u64::MAX.checked_shr(64 - targets.len() as u32).unwrap_or(0);
         let mut first_hit: Vec<Option<usize>> = vec![None; targets.len()];
-        let mut cert_handles: Vec<(usize, ScopedJoinHandle<'scope, CertResult<C::Config>>)> =
-            Vec::new();
         let mut s = self.init_search();
         let mut level_start = 0usize;
         let mut limited = false;
@@ -1284,23 +1112,12 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             let t_merge = published.is_some().then(Instant::now);
 
             // Deterministic merge: the same order with or without a pool.
-            let cache_on = self.options.transition_cache;
-            let mut compute = |interner: &Interner<C::Config>, cfg: ConfigId, rule_idx: usize| {
-                let pre = published.as_mut().and_then(|(task_of, results)| {
-                    match task_of.get(&(cfg.0, self.guard_class[rule_idx])) {
-                        // With the memo on, each task is consumed exactly
-                        // once (later occurrences hit the memo); without
-                        // it, clone so repeated occurrences in this layer
-                        // stay served.
-                        Some(&t) if cache_on => results[t].take(),
-                        Some(&t) => results[t].get().cloned(),
-                        None => None,
-                    }
-                });
-                match pre {
-                    Some(entries) => SuccSet::Pre(entries),
-                    None => self.raw_successors(interner, cfg, rule_idx),
-                }
+            // Each task is consumed exactly once: later occurrences of its
+            // memo key in this layer hit the memo.
+            let mut pre = |cfg: ConfigId, rule_idx: usize| {
+                let (task_of, results) = published.as_mut()?;
+                let &t = task_of.get(&(cfg.0, self.guard_class[rule_idx]))?;
+                results[t].take()
             };
             let expand_before = s.stats.expand_ns;
             for idx in level_start..level_end {
@@ -1316,20 +1133,12 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                     if undecided == 0 {
                         break 'search;
                     }
-                    if let Some(pool) = pool.as_ref().filter(|_| self.options.concretize) {
-                        let trace = self.trace_to(idx, &s);
-                        let handle = pool.scope.spawn(move || {
-                            let (witness, certify_ns) = self.certify_witness(&trace);
-                            (trace, witness, certify_ns)
-                        });
-                        cert_handles.push((idx, handle));
-                    }
                 }
                 if s.arena.len() > self.options.max_configs {
                     limited = true;
                     break 'search;
                 }
-                self.merge_node(&mut s, idx, &mut compute);
+                self.merge_node(&mut s, idx, &mut pre);
             }
             if let Some(t_merge) = t_merge {
                 s.stats.merge_ns += t_merge.elapsed().as_nanos() as u64;
@@ -1339,18 +1148,7 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
             }
             level_start = level_end;
         }
-        let certified = cert_handles
-            .into_iter()
-            .map(|(idx, handle)| {
-                (
-                    idx,
-                    handle
-                        .join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-                )
-            })
-            .collect();
-        self.finish_multi(&first_hit, limited, &s, certified)
+        self.finish_multi(&first_hit, limited, &s)
     }
 
     /// Rebuilds the root-to-`idx` trace from the arena's parent chain.
@@ -1403,43 +1201,34 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
 
     /// Converts recorded hits into per-target statuses: hit targets get a
     /// trace (and certified witness) to their first-hit node; unhit targets
-    /// are `Unreachable` on exhaustion, `Undecided` on a budget stop.
-    /// `certified` carries overlapped certifications already joined, keyed
-    /// by hit node; targets whose node is absent (no pool, the hit that
-    /// ended the search, or concretization off) certify here.
+    /// are `Unreachable` on exhaustion, `Undecided` on a budget stop. Each
+    /// distinct hit node certifies once; targets that share the node reuse
+    /// its status.
     fn finish_multi(
         &self,
         first_hit: &[Option<usize>],
         limited: bool,
         s: &Search<C::Config>,
-        certified: HashMap<usize, CertResult<C::Config>>,
     ) -> MultiOutcome<C::Config> {
         let mut stats = s.stats;
         stats.unique_configs = s.interner.len();
+        let mut reached: HashMap<usize, TargetStatus<C::Config>> = HashMap::new();
         let mut statuses = Vec::with_capacity(first_hit.len());
-        // Overlapped certification ran once per hit node; count it once,
-        // however many targets share the node.
-        let mut certify_total: u64 = certified.values().map(|(_, _, ns)| *ns).sum();
         for hit in first_hit {
-            statuses.push(match hit {
-                Some(idx) => {
-                    if let Some((trace, witness, _)) = certified.get(idx) {
-                        TargetStatus::Reached {
-                            trace: trace.clone(),
-                            witness: witness.clone(),
-                        }
-                    } else {
-                        let trace = self.trace_to(*idx, s);
+            statuses.push(match *hit {
+                Some(idx) => reached
+                    .entry(idx)
+                    .or_insert_with(|| {
+                        let trace = self.trace_to(idx, s);
                         let (witness, certify_ns) = self.certify_witness(&trace);
-                        certify_total += certify_ns;
+                        stats.certify_ns += certify_ns;
                         TargetStatus::Reached { trace, witness }
-                    }
-                }
+                    })
+                    .clone(),
                 None if limited => TargetStatus::Undecided,
                 None => TargetStatus::Unreachable,
             });
         }
-        stats.certify_ns = certify_total;
         MultiOutcome {
             targets: statuses,
             stats,
@@ -1465,6 +1254,11 @@ mod tests {
 
     /// The paper's Example 1 system.
     fn example1(schema: Arc<Schema>) -> dds_system::System {
+        example1_builder(schema).finish().unwrap()
+    }
+
+    /// Example 1's states and rules, left open for additions.
+    fn example1_builder(schema: Arc<Schema>) -> SystemBuilder {
         let mut b = SystemBuilder::new(schema, &["x", "y"]);
         b.state("start").initial();
         b.state("q0");
@@ -1482,7 +1276,7 @@ mod tests {
             .unwrap();
         b.rule("q1", "end", "x_old = x_new & x_new = y_old & y_old = y_new")
             .unwrap();
-        b.finish().unwrap()
+        b
     }
 
     #[test]
@@ -1631,6 +1425,7 @@ mod tests {
         let system = example1(schema.clone());
         let class = FreeRelationalClass::new(schema);
         let seq = Engine::new(&class, &system).run();
+        assert!(seq.stats().transition_cache_hits > 0);
         for threads in [2usize, 4] {
             let par = Engine::new(&class, &system)
                 .with_options(EngineOptions::default().threads(threads))
@@ -1639,31 +1434,44 @@ mod tests {
         }
     }
 
+    /// Two target sets whose first hit is the same node certify that node
+    /// once and report the same trace and witness for both, at every
+    /// worker count.
     #[test]
-    fn transition_cache_does_not_change_outcomes() {
+    fn run_multi_targets_sharing_a_state_share_the_hit() {
         let schema = graph_schema();
-        let system = example1(schema.clone());
+        let mut b = example1_builder(schema.clone());
+        let dead = b.state("dead").id();
+        let system = b.finish().unwrap();
+        let end = system.accepting()[0];
         let class = FreeRelationalClass::new(schema);
-        let cached = Engine::new(&class, &system).run();
-        let uncached = Engine::new(&class, &system)
-            .with_options(EngineOptions::default().transition_cache(false))
-            .run();
-        // Cache hits legitimately differ; everything else must match.
-        assert_eq!(
-            cached.stats().configs_explored,
-            uncached.stats().configs_explored
-        );
-        assert_eq!(
-            cached.stats().unique_configs,
-            uncached.stats().unique_configs
-        );
-        assert!(cached.stats().transition_cache_hits > 0);
-        assert_eq!(uncached.stats().transition_cache_hits, 0);
-        match (&cached, &uncached) {
-            (Outcome::NonEmpty { trace: a, .. }, Outcome::NonEmpty { trace: b, .. }) => {
-                assert_eq!(a, b)
-            }
-            _ => panic!("both must be non-empty"),
+        let targets = [vec![end], vec![dead, end]];
+        let run = |threads| {
+            Engine::new(&class, &system)
+                .with_options(
+                    EngineOptions::default()
+                        .threads(threads)
+                        .parallel_mode(ParallelMode::Eager),
+                )
+                .run_multi(&targets)
+        };
+        let seq = run(1);
+        let [TargetStatus::Reached {
+            trace: a,
+            witness: wa,
+        }, TargetStatus::Reached {
+            trace: b,
+            witness: wb,
+        }] = &seq.targets[..]
+        else {
+            panic!("both targets must be reached: {:?}", seq.targets);
+        };
+        assert_eq!(a, b);
+        for (db, run) in [wa, wb].map(|w| w.as_ref().expect("free class concretizes")) {
+            system.check_run(db, run, true).unwrap();
+        }
+        for threads in [2usize, 4] {
+            assert_eq!(seq, run(threads), "threads = {threads}");
         }
     }
 

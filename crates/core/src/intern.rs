@@ -1,5 +1,4 @@
-//! Hash-consing arena for canonical configurations — sharded, but with one
-//! global id space.
+//! Hash-consing arena for canonical configurations.
 //!
 //! The engine's visited set used to be a `HashSet<(StateId, Config)>`: every
 //! dedup probe cloned the configuration and re-hashed its full canonical key.
@@ -15,32 +14,17 @@
 //! * the dense id space makes the per-state visited set a bitmap and lets
 //!   successor sets be cached as plain id slices.
 //!
-//! ## Sharding
-//!
-//! The slot table is split into `S` independent open-addressed shards
-//! selected by `hash % S` (the slot *within* a shard comes from the hash's
-//! upper bits, so shard selection does not skew probe sequences). Sharding
-//! exists for the parallel engine: smaller tables grow independently (a
-//! growth re-buckets one shard, not the world) and probe chains for
-//! hash-adjacent configurations no longer interleave in one huge table.
-//!
-//! Crucially, **ids do not depend on the shard count**. `values` and
-//! `hashes` are global and an id is assigned at insertion, so the id
-//! sequence is exactly the insertion sequence — an interner with 1 shard
-//! and one with 16 assign identical ids to identical value streams (the
-//! property `crates/core/tests/intern_roundtrip.rs` proves by proptest).
-//! That is what lets the engine's deterministic merge keep `threads = 4`
-//! bit-identical to `threads = 1` while resolving against sharded tables.
+//! Ids are assigned in insertion order, so the same stream of values always
+//! yields the same ids, whichever entry points interned them.
 //!
 //! Hashes are computed once per configuration with the standard library's
 //! [`DefaultHasher`], which is deterministic for a fixed Rust release (and
 //! [`crate::RelConfig`] feeds it a single precomputed word from
 //! [`dds_structure::CanonicalKey::hash64`], so the per-probe cost is flat).
 //! The `*_prehashed` entry points let the parallel engine's workers compute
-//! that hash inside their tasks and hand the coordinator a ready-to-probe
-//! `(value, hash)` pair. Every probing entry point also counts collision
-//! steps into a caller-supplied counter, which the engine surfaces as
-//! `EngineStats::shard_contention`.
+//! that hash inside their tasks and look it up in the layer-start interner
+//! (`&self`, so many threads may probe at once), handing the coordinator a
+//! ready-to-intern `(value, hash)` pair for configurations it has not seen.
 //!
 //! [`DefaultHasher`]: std::collections::hash_map::DefaultHasher
 
@@ -60,40 +44,16 @@ impl ConfigId {
 
 const EMPTY: u32 = u32::MAX;
 
-/// Default shard count ([`Interner::new`]); chosen so shard growth stays
-/// local without making near-empty interners carry dozens of tables.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// Initial slot count per shard (power of two).
-const INITIAL_SHARD_SLOTS: usize = 16;
-
-/// One open-addressed slot table holding the ids whose hash selects it.
-#[derive(Clone, Debug)]
-struct Shard {
-    /// Open-addressed table of ids; length is a power of two.
-    slots: Vec<u32>,
-    /// Resident count, for the per-shard load-factor growth trigger.
-    len: u32,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            slots: vec![EMPTY; INITIAL_SHARD_SLOTS],
-            len: 0,
-        }
-    }
-}
+/// Initial slot count of the id table (power of two).
+const INITIAL_SLOTS: usize = 16;
 
 /// A hash-consing arena: owns each distinct value once, hands out dense ids.
 #[derive(Clone, Debug)]
 pub struct Interner<T> {
     values: Vec<T>,
     hashes: Vec<u64>,
-    /// Slot tables; `shards.len()` is a power of two and the shard of a
-    /// value is `hash & (shards.len() - 1)`.
-    shards: Vec<Shard>,
-    shard_mask: u64,
+    /// Open-addressed table of ids; length is a power of two.
+    slots: Vec<u32>,
 }
 
 impl<T: Eq + Hash> Default for Interner<T> {
@@ -103,27 +63,13 @@ impl<T: Eq + Hash> Default for Interner<T> {
 }
 
 impl<T: Eq + Hash> Interner<T> {
-    /// An empty interner with [`DEFAULT_SHARDS`] shards.
+    /// An empty interner.
     pub fn new() -> Interner<T> {
-        Interner::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty interner with `shards` slot tables (rounded up to a power
-    /// of two and clamped to `1..=256`). The shard count never affects id
-    /// assignment — only probe locality and growth granularity.
-    pub fn with_shards(shards: usize) -> Interner<T> {
-        let shards = shards.clamp(1, 256).next_power_of_two();
         Interner {
             values: Vec::new(),
             hashes: Vec::new(),
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            shard_mask: shards as u64 - 1,
+            slots: vec![EMPTY; INITIAL_SLOTS],
         }
-    }
-
-    /// Number of slot tables.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of distinct interned values.
@@ -153,40 +99,34 @@ impl<T: Eq + Hash> Interner<T> {
         h.finish()
     }
 
-    /// The slot index a hash starts probing at, within a shard of
-    /// `slot_count` slots. The low bits picked the shard, so the probe
-    /// start comes from the upper half of the hash.
+    /// The slot index a hash starts probing at in a table of `slot_count`
+    /// slots.
     fn probe_start(hash: u64, slot_count: usize) -> usize {
-        ((hash >> 32) as usize) & (slot_count - 1)
+        (hash as usize) & (slot_count - 1)
     }
 
     /// Interns a value, returning its id and whether it was newly inserted.
     /// The value is moved, never cloned; a duplicate is dropped.
     pub fn intern(&mut self, value: T) -> (ConfigId, bool) {
         let hash = Self::hash_value(&value);
-        let mut steps = 0u64;
-        self.intern_prehashed(value, hash, &mut steps)
+        self.intern_prehashed(value, hash)
     }
 
     /// [`Interner::intern`] with the hash supplied by the caller (it must be
-    /// [`Interner::hash_value`] of `value`). Collision probe steps accrue to
-    /// `steps`.
-    pub fn intern_prehashed(&mut self, value: T, hash: u64, steps: &mut u64) -> (ConfigId, bool) {
-        let si = (hash & self.shard_mask) as usize;
-        let mask = self.shards[si].slots.len() - 1;
+    /// [`Interner::hash_value`] of `value`).
+    pub fn intern_prehashed(&mut self, value: T, hash: u64) -> (ConfigId, bool) {
+        let mask = self.slots.len() - 1;
         let mut i = Self::probe_start(hash, mask + 1);
         loop {
-            let slot = self.shards[si].slots[i];
+            let slot = self.slots[i];
             if slot == EMPTY {
                 let id = self.values.len() as u32;
                 assert!(id != EMPTY, "interner capacity exhausted");
                 self.values.push(value);
                 self.hashes.push(hash);
-                let shard = &mut self.shards[si];
-                shard.slots[i] = id;
-                shard.len += 1;
-                if (shard.len as usize) * 8 >= shard.slots.len() * 7 {
-                    self.grow_shard(si);
+                self.slots[i] = id;
+                if self.values.len() * 8 >= self.slots.len() * 7 {
+                    self.grow();
                 }
                 return (ConfigId(id), true);
             }
@@ -194,26 +134,23 @@ impl<T: Eq + Hash> Interner<T> {
             if self.hashes[sid] == hash && self.values[sid] == value {
                 return (ConfigId(slot), false);
             }
-            *steps += 1;
             i = (i + 1) & mask;
         }
     }
 
     /// Looks a value up without inserting.
     pub fn lookup(&self, value: &T) -> Option<ConfigId> {
-        let mut steps = 0u64;
-        self.lookup_prehashed(value, Self::hash_value(value), &mut steps)
+        self.lookup_prehashed(value, Self::hash_value(value))
     }
 
-    /// [`Interner::lookup`] with a caller-supplied hash; collision probe
-    /// steps accrue to `steps`. Safe to call from many threads at once —
-    /// it takes `&self` and touches no interior mutability.
-    pub fn lookup_prehashed(&self, value: &T, hash: u64, steps: &mut u64) -> Option<ConfigId> {
-        let shard = &self.shards[(hash & self.shard_mask) as usize];
-        let mask = shard.slots.len() - 1;
+    /// [`Interner::lookup`] with a caller-supplied hash. Safe to call from
+    /// many threads at once — it takes `&self` and touches no interior
+    /// mutability.
+    pub fn lookup_prehashed(&self, value: &T, hash: u64) -> Option<ConfigId> {
+        let mask = self.slots.len() - 1;
         let mut i = Self::probe_start(hash, mask + 1);
         loop {
-            let slot = shard.slots[i];
+            let slot = self.slots[i];
             if slot == EMPTY {
                 return None;
             }
@@ -221,30 +158,24 @@ impl<T: Eq + Hash> Interner<T> {
             if self.hashes[sid] == hash && &self.values[sid] == value {
                 return Some(ConfigId(slot));
             }
-            *steps += 1;
             i = (i + 1) & mask;
         }
     }
 
-    /// Doubles one shard's table, re-bucketing its residents from stored
-    /// hashes (values untouched, other shards untouched).
-    fn grow_shard(&mut self, si: usize) {
-        let hashes = &self.hashes;
-        let shard = &mut self.shards[si];
-        let new_len = shard.slots.len() * 2;
+    /// Doubles the table, re-bucketing every id from its stored hash
+    /// (values untouched).
+    fn grow(&mut self) {
+        let new_len = self.slots.len() * 2;
         let mask = new_len - 1;
         let mut slots = vec![EMPTY; new_len];
-        for &slot in &shard.slots {
-            if slot == EMPTY {
-                continue;
-            }
-            let mut i = Self::probe_start(hashes[slot as usize], new_len);
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut i = Self::probe_start(hash, new_len);
             while slots[i] != EMPTY {
                 i = (i + 1) & mask;
             }
-            slots[i] = slot;
+            slots[i] = id as u32;
         }
-        shard.slots = slots;
+        self.slots = slots;
     }
 
     /// Iterates over `(id, value)` pairs in insertion (= id) order.
@@ -290,44 +221,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_a_power_of_two_and_clamped() {
-        assert_eq!(Interner::<u64>::with_shards(0).shard_count(), 1);
-        assert_eq!(Interner::<u64>::with_shards(1).shard_count(), 1);
-        assert_eq!(Interner::<u64>::with_shards(3).shard_count(), 4);
-        assert_eq!(Interner::<u64>::with_shards(16).shard_count(), 16);
-        assert_eq!(Interner::<u64>::with_shards(10_000).shard_count(), 256);
-    }
-
-    #[test]
-    fn id_assignment_is_independent_of_shard_count() {
-        // Strings stress full-value equality after hash agreement too.
-        let stream: Vec<String> = (0..600).map(|i| format!("v{}", i % 211)).collect();
-        let mut reference: Interner<String> = Interner::with_shards(1);
-        let ref_ids: Vec<(ConfigId, bool)> =
-            stream.iter().map(|v| reference.intern(v.clone())).collect();
-        for shards in [2usize, 4, 16, 64] {
-            let mut it: Interner<String> = Interner::with_shards(shards);
-            for (v, expected) in stream.iter().zip(&ref_ids) {
-                assert_eq!(it.intern(v.clone()), *expected, "shards = {shards}");
-            }
-            assert_eq!(it.len(), reference.len());
-            for (id, v) in reference.iter() {
-                assert_eq!(it.get(id), v);
-                assert_eq!(it.lookup(v), Some(id));
-            }
-        }
-    }
-
-    #[test]
     fn prehashed_paths_agree_with_plain_ones() {
-        let mut it: Interner<u64> = Interner::with_shards(4);
-        let mut steps = 0u64;
+        let mut it: Interner<u64> = Interner::new();
         for v in 0..500u64 {
             let hash = Interner::hash_value(&v);
-            assert_eq!(it.lookup_prehashed(&v, hash, &mut steps), None);
-            let (id, fresh) = it.intern_prehashed(v, hash, &mut steps);
+            assert_eq!(it.lookup_prehashed(&v, hash), None);
+            let (id, fresh) = it.intern_prehashed(v, hash);
             assert!(fresh);
-            assert_eq!(it.lookup_prehashed(&v, hash, &mut steps), Some(id));
+            assert_eq!(it.lookup_prehashed(&v, hash), Some(id));
             assert_eq!(it.lookup(&v), Some(id));
             assert_eq!(it.intern(v), (id, false));
         }

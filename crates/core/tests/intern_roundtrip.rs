@@ -76,13 +76,13 @@ proptest! {
         prop_assert_eq!(interner.lookup(&b), Some(idb));
     }
 
-    /// The parallel engine's determinism contract leans on this: ids are
-    /// global insertion order, so sharding the slot tables must not change
-    /// a single id — the same stream of canonical configurations interned
-    /// in the same order yields bit-identical assignments at every shard
-    /// count, and every prehashed lookup agrees across the variants.
+    /// The parallel engine's determinism contract leans on this: workers
+    /// look successors up with a precomputed hash and the merge interns the
+    /// fresh ones with it, so the prehashed entry points must assign exactly
+    /// the ids plain `intern` assigns to the same stream, and a prehashed
+    /// lookup must find a value exactly when it was interned before.
     #[test]
-    fn sharded_id_assignment_matches_sequential(
+    fn prehashed_id_assignment_matches_intern(
         stream in proptest::collection::vec(
             (proptest::collection::vec((0u32..4, 0u32..4), 0..10),
              proptest::collection::vec(0u32..4, 1..4)),
@@ -90,29 +90,17 @@ proptest! {
         ),
     ) {
         let schema = graph_schema();
-        let configs: Vec<RelConfig> = stream
-            .iter()
-            .map(|(edges, points)| config_of(&schema, edges, points))
-            .collect();
-        let mut single: Interner<RelConfig> = Interner::with_shards(1);
-        let single_ids: Vec<_> = configs
-            .iter()
-            .map(|c| single.intern(c.clone()))
-            .collect();
-        for shards in [2usize, 4, 16, 64] {
-            let mut sharded: Interner<RelConfig> = Interner::with_shards(shards);
-            for (cfg, &(id, fresh)) in configs.iter().zip(&single_ids) {
-                let hash = Interner::hash_value(cfg);
-                let mut steps = 0u64;
-                let (sid, sfresh) = sharded.intern_prehashed(cfg.clone(), hash, &mut steps);
-                prop_assert_eq!((sid, sfresh), (id, fresh), "shards = {}", shards);
-                prop_assert_eq!(
-                    sharded.lookup_prehashed(cfg, hash, &mut steps),
-                    Some(id),
-                    "shards = {}", shards
-                );
-            }
-            prop_assert_eq!(sharded.len(), single.len());
+        let mut plain: Interner<RelConfig> = Interner::new();
+        let mut prehashed: Interner<RelConfig> = Interner::new();
+        for (edges, points) in &stream {
+            let cfg = config_of(&schema, edges, points);
+            let (id, fresh) = plain.intern(cfg.clone());
+            let hash = Interner::hash_value(&cfg);
+            let before = prehashed.lookup_prehashed(&cfg, hash);
+            prop_assert_eq!(before, (!fresh).then_some(id));
+            prop_assert_eq!(prehashed.intern_prehashed(cfg.clone(), hash), (id, fresh));
+            prop_assert_eq!(prehashed.lookup_prehashed(&cfg, hash), Some(id));
         }
+        prop_assert_eq!(prehashed.len(), plain.len());
     }
 }

@@ -31,10 +31,9 @@ fn projected<C: SymbolicClass>(engine: &Engine<'_, C>) -> Outcome<C::Config> {
     }
 }
 
-/// Runs the engine at 1, 2, 4 and 8 workers crossed with 1, 4 and 16
-/// interner shards (plus a tiny-chunk variant) and asserts every
-/// configuration produces the identical outcome, and that at every point
-/// `run` equals the one-target projection of `run_multi`. The matrix runs
+/// Runs the engine at 1, 2, 4 and 8 workers (plus a tiny-chunk variant)
+/// and asserts every configuration produces the identical outcome, and
+/// that at every point `run` equals the one-target projection of `run_multi`. The matrix runs
 /// in [`ParallelMode::Eager`] so the epoch path is genuinely exercised even
 /// on a single-core host, where the default adaptive scheduler would
 /// inline every layer; the adaptive default is pinned separately at the
@@ -56,16 +55,10 @@ where
     let sequential = run(EngineOptions::default());
     assert_eq!(sequential.is_nonempty(), expect_nonempty);
     for threads in [1usize, 2, 4, 8] {
-        for shards in [1usize, 4, 16] {
-            let parallel = run(EngineOptions::default()
-                .threads(threads)
-                .shards(shards)
-                .parallel_mode(ParallelMode::Eager));
-            assert_eq!(
-                sequential, parallel,
-                "threads = {threads}, shards = {shards}"
-            );
-        }
+        let parallel = run(EngineOptions::default()
+            .threads(threads)
+            .parallel_mode(ParallelMode::Eager));
+        assert_eq!(sequential, parallel, "threads = {threads}");
     }
     // Tiny chunks maximize scheduling interleavings; the merge must not care.
     let chunky = run(EngineOptions::default()
