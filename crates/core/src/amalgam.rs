@@ -9,7 +9,8 @@
 //! providing:
 //!
 //! * sub-transition successors (amalgams filtered by the guard, restricted to
-//!   the substructure generated by the new points, canonicalized);
+//!   the substructure generated by the new points, canonicalized), resolved
+//!   against the search's interner ([`SymbolicClass::successors`]);
 //! * witness concretization by replaying the trace against ever-growing full
 //!   databases — the executable form of the paper's soundness induction
 //!   ("by closure under amalgamation we get a database A′ ...", §4.1).
@@ -17,11 +18,19 @@
 //! Amalgams are *streamed*: [`AmalgamClass::for_each_amalgam`] builds each
 //! candidate in one buffer reused for the whole call and lends it to a
 //! visitor, which may stop the enumeration with [`ControlFlow::Break`].
-//! Successor computation evaluates the guard on the borrowed candidate and
-//! canonicalizes only the ones that pass, in one pass
-//! ([`RelConfig::generated_by`]: the schemas here are relational, so the
-//! generated substructure is induced on the new points). Replay stops at the
-//! first candidate matching the trace step and clones only that one.
+//! Successor computation evaluates the guard on the borrowed candidate and,
+//! for the ones that pass, writes only the canonical key words of the
+//! substructure the new points generate
+//! ([`encode_generated_relational`]: the schemas here are relational, so
+//! that substructure is induced on the new points). The words are probed
+//! against the search's interner and then against the successors this call
+//! already built; only a key absent from both becomes a configuration
+//! ([`RelConfig::generated_by`]). The engine interns every initial
+//! configuration — every `k`-generated member — before it expands
+//! anything, so its calls build no configuration at all; `transitions`,
+//! against an empty interner, builds each distinct successor once. Replay
+//! compares key words the same way, stops at the first candidate matching
+//! the trace step and clones only that one.
 //!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
@@ -42,10 +51,13 @@
 //! unpruned enumeration.
 
 use crate::class::{Pointed, RelConfig, SymbolicClass, Trace};
+use crate::intern::{probe_hash, ConfigId, Interner, Resolved};
 use dds_logic::eval::eval;
 use dds_logic::transform::{forced_literals, Literal};
 use dds_logic::{Formula, Term, Var};
-use dds_structure::{Element, Schema, Structure, SymbolId};
+use dds_structure::{
+    encode_generated_relational, Element, KeyScratch, Schema, Structure, SymbolId,
+};
 use dds_system::{Run, System};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -569,6 +581,7 @@ pub fn replay_trace<T: AmalgamClass>(
     let mut states = vec![first.state];
     let mut vals = vec![points.clone()];
     let mut combined = Vec::new();
+    let mut key = KeyScratch::default();
 
     for step in &trace.steps[1..] {
         let rule = &system.rules()[step.rule?];
@@ -579,7 +592,8 @@ pub fn replay_trace<T: AmalgamClass>(
         let _ = class.for_each_amalgam(&base, &hints, &mut |s, new_points| {
             fill_combined(&mut combined, &base.points, new_points);
             if eval(&guard, s, &combined).unwrap_or(false)
-                && RelConfig::generated_by(s, new_points) == step.config
+                && encode_generated_relational(s, new_points, &mut key) == step.config.key_hash()
+                && key.words() == step.config.key().as_words()
             {
                 found = Some((s.clone(), new_points.to_vec()));
                 return ControlFlow::Break(());
@@ -613,18 +627,63 @@ impl<T: AmalgamClass> SymbolicClass for T {
     }
 
     fn transitions(&self, cfg: &RelConfig, guard: &Formula) -> Vec<RelConfig> {
+        self.successors(cfg, guard, &Interner::new())
+            .into_iter()
+            .map(|entry| match entry {
+                Resolved::Fresh(next, _) => *next,
+                Resolved::Interned(_) => unreachable!("an empty interner holds no id"),
+            })
+            .collect()
+    }
+
+    /// Resolves each guard-passing candidate by its canonical key words
+    /// ([`encode_generated_relational`]) against `known`, then against the
+    /// fresh successors this call already built; only a key absent from
+    /// both becomes a [`RelConfig`]. Entries keep first-occurrence order.
+    fn successors(
+        &self,
+        cfg: &RelConfig,
+        guard: &Formula,
+        known: &Interner<RelConfig>,
+    ) -> Vec<Resolved<RelConfig>> {
         let guard = translate_formula(guard, self.public_schema(), self.internal_schema());
         let hints = GuardHints::of(&guard);
-        let mut seen = HashSet::new();
+        let mut key = KeyScratch::default();
+        let mut seen_ids: HashSet<ConfigId> = HashSet::new();
+        // Probe hash → position in `out` of the first fresh entry under it.
+        let mut fresh_at: HashMap<u64, usize> = HashMap::new();
         let mut out = Vec::new();
         let mut combined = Vec::new();
         let _ = self.for_each_amalgam(&cfg.pointed, &hints, &mut |s, new_points| {
             fill_combined(&mut combined, &cfg.pointed.points, new_points);
-            if eval(&guard, s, &combined).unwrap_or(false) {
-                let next = RelConfig::generated_by(s, new_points);
-                if seen.insert(next.key().clone()) {
-                    out.push(next);
+            if !eval(&guard, s, &combined).unwrap_or(false) {
+                return ControlFlow::Continue(());
+            }
+            // `RelConfig` hashes as its key hash (see its `Hash` impl).
+            let hash = probe_hash(&encode_generated_relational(s, new_points, &mut key));
+            let words = key.words();
+            let same_key = |c: &RelConfig| c.key().as_words() == words;
+            if let Some(id) = known.lookup_with(hash, same_key) {
+                if seen_ids.insert(id) {
+                    out.push(Resolved::Interned(id));
                 }
+                return ControlFlow::Continue(());
+            }
+            let is_fresh_dup = |entry: &Resolved<RelConfig>| {
+                matches!(entry, Resolved::Fresh(c, h) if *h == hash && same_key(c))
+            };
+            let dup = match fresh_at.get(&hash) {
+                None => false,
+                // A different key under the same hash is a collision: fall
+                // back to scanning every fresh entry.
+                Some(&at) => is_fresh_dup(&out[at]) || out.iter().any(is_fresh_dup),
+            };
+            if !dup {
+                fresh_at.entry(hash).or_insert(out.len());
+                out.push(Resolved::Fresh(
+                    Box::new(RelConfig::generated_by(s, new_points)),
+                    hash,
+                ));
             }
             ControlFlow::Continue(())
         });

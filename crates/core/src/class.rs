@@ -1,5 +1,6 @@
 //! The interface between the Theorem 5 engine and a (semi-)Fraïssé class.
 
+use crate::intern::{Interner, Resolved};
 use dds_structure::{
     canonicalize_generated_relational, canonicalize_pointed, CanonicalKey, Element, Schema,
     Structure,
@@ -117,8 +118,11 @@ impl PartialEq for RelConfig {
 }
 impl Eq for RelConfig {}
 impl Hash for RelConfig {
+    /// Feeds the key hash as a single `u64`, so the interner's probe hash
+    /// of a configuration equals that of its [`RelConfig::key_hash`] —
+    /// which is how successors are probed before they are built.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key.hash(state);
+        self.key_hash().hash(state);
     }
 }
 impl fmt::Debug for RelConfig {
@@ -182,9 +186,9 @@ impl<C> Trace<C> {
 /// class across [`std::thread::scope`] workers and move successor
 /// configurations back to the merge thread. Classes are plain immutable data
 /// (structures, schemas, automata), so every implementation satisfies the
-/// bounds automatically; `transitions` must stay a pure function of its
-/// arguments — the parallel engine may call it speculatively and in any
-/// order.
+/// bounds automatically; `transitions` and `successors` must stay pure
+/// functions of their arguments — the parallel engine may call them
+/// speculatively and in any order.
 pub trait SymbolicClass: Sync {
     /// Canonical small configuration.
     type Config: Clone + Eq + Hash + fmt::Debug + Send + Sync;
@@ -198,6 +202,36 @@ pub trait SymbolicClass: Sync {
 
     /// Sub-transition successors of `cfg` under `guard` (quantifier-free).
     fn transitions(&self, cfg: &Self::Config, guard: &dds_logic::Formula) -> Vec<Self::Config>;
+
+    /// [`SymbolicClass::transitions`], resolved against the search's
+    /// interner: the same successors in the same order, each as the id
+    /// `known` holds it under or, when `known` lacks it, as a fresh value
+    /// with its probe hash. This is the one call the engine makes, inline
+    /// and on pool workers alike.
+    ///
+    /// The result depends on `known` only through that Interned/Fresh
+    /// split, so interning the fresh entries in list order yields the ids
+    /// interning `transitions` would. The default is exactly that:
+    /// `transitions`, then one lookup per successor. Overrides (the
+    /// relational classes) resolve each candidate by its canonical key and
+    /// build only the configurations `known` lacks.
+    fn successors(
+        &self,
+        cfg: &Self::Config,
+        guard: &dds_logic::Formula,
+        known: &Interner<Self::Config>,
+    ) -> Vec<Resolved<Self::Config>> {
+        self.transitions(cfg, guard)
+            .into_iter()
+            .map(|succ| {
+                let hash = Interner::hash_value(&succ);
+                match known.lookup_prehashed(&succ, hash) {
+                    Some(id) => Resolved::Interned(id),
+                    None => Resolved::Fresh(Box::new(succ), hash),
+                }
+            })
+            .collect()
+    }
 
     /// A concrete pointed structure over the public schema representing the
     /// configuration (for display and debugging).
@@ -235,6 +269,21 @@ mod tests {
         assert_eq!(small.points, vec![Element(1), Element(0)]);
         assert!(small.structure.holds(e, &[Element(0), Element(1)]));
         assert_eq!(small.structure.fact_count(), 1);
+    }
+
+    #[test]
+    fn rel_config_probe_hash_is_that_of_its_key_hash() {
+        let mut s = Schema::new();
+        let e = s.add_relation("E", 2).unwrap();
+        let mut g = Structure::new(s.finish(), 2);
+        g.add_fact(e, &[Element(1), Element(0)]).unwrap();
+        let cfg = RelConfig::generated_by(&g, &[Element(1), Element(0)]);
+        assert_eq!(
+            Interner::hash_value(&cfg),
+            crate::intern::probe_hash(&cfg.key_hash())
+        );
+        // Boxing `Fresh` keeps resolved successor lists compact.
+        assert_eq!(std::mem::size_of::<Resolved<RelConfig>>(), 16);
     }
 
     #[test]

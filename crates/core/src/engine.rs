@@ -54,17 +54,18 @@
 //! The pool moves the expensive per-successor work off the coordinator
 //! while keeping that bit-identity:
 //!
-//! * **Worker-side resolution**: inside their tasks, workers canonicalize
-//!   successors (the class's `transitions` returns canonical forms),
-//!   compute the 64-bit probe hash, and look each successor up in the
-//!   layer-start [`Interner`], which moves into the epoch wholesale — no
-//!   clone, no lock. A successor comes back as a `Resolved` verdict: a
-//!   known id, or a fresh configuration with its precomputed hash. The
-//!   coordinator's merge interns the fresh ones in list order and probes
-//!   the visited bitmaps with the resulting ids, exactly as it does for
-//!   successors computed inline. Because the merge replays tasks in arena
-//!   order and ids are assigned at insertion, the id sequence — and
-//!   everything downstream of it — is exactly the sequential one.
+//! * **Worker-side resolution**: inside their tasks, workers call the
+//!   class's [`SymbolicClass::successors`] against the layer-start
+//!   [`Interner`], which moves into the epoch wholesale — no clone, no
+//!   lock. It is the same call the inline path makes against the live
+//!   interner: each successor comes back as a [`Resolved`] entry, a known
+//!   id or a fresh configuration with its precomputed hash, and the
+//!   relational classes build a configuration only for a key the interner
+//!   lacks. The coordinator's merge interns the fresh ones in list order
+//!   and probes the visited bitmaps with the resulting ids, exactly as it
+//!   does inline. Because the merge replays tasks in arena order and ids
+//!   are assigned at insertion, the id sequence — and everything
+//!   downstream of it — is exactly the sequential one.
 //! * **Adaptive layer scheduling** ([`ParallelMode`], the default): the
 //!   per-layer `EpochGate` publish/wake/merge round-trip costs tens of
 //!   microseconds, which the macro suite showed *losing* to sequential on
@@ -84,7 +85,7 @@
 //! Existential guards are accepted and compiled away up front (Fact 2).
 
 use crate::class::{SymbolicClass, Trace, TraceStep};
-use crate::intern::{ConfigId, Interner};
+use crate::intern::{ConfigId, Interner, Resolved};
 use crate::pool::{EpochGate, TaskQueues};
 use dds_structure::Structure;
 use dds_system::{eliminate_existentials, Run, StateId, System};
@@ -277,12 +278,13 @@ impl LayerWidths {
 /// All fields except the `*_ns` wall-clock timings, the scheduling
 /// counters ([`EngineStats::tasks_stolen`], [`EngineStats::layers_inline`],
 /// [`EngineStats::layers_parallel`]) and the retired
-/// [`EngineStats::scratch_allocs`] (always zero) are **deterministic**: they
-/// depend only on the class, the system and `max_configs`, never on
-/// `threads`, `chunk_size` or the [`ParallelMode`]. Equality (`==`)
-/// compares exactly the deterministic fields — including the per-layer
-/// width histogram [`EngineStats::layer_widths`] — so outcome comparisons
-/// across worker counts are meaningful.
+/// [`EngineStats::scratch_allocs`] and [`EngineStats::canon_ns`] (always
+/// zero) are **deterministic**: they depend only on the class, the system
+/// and `max_configs`, never on `threads`, `chunk_size` or the
+/// [`ParallelMode`]. Equality (`==`) compares exactly the deterministic
+/// fields — including the per-layer width histogram
+/// [`EngineStats::layer_widths`] — so outcome comparisons across worker
+/// counts are meaningful.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// Distinct initial `(state, config)` pairs.
@@ -311,18 +313,22 @@ pub struct EngineStats {
     /// reads it by name; splitting these stats into counters and
     /// measurements (ROADMAP item 2) removes it together with that reader.
     pub scratch_allocs: u64,
-    /// Wall time in successor computation, summed across workers.
+    /// Wall time in successor computation (the class's `successors`,
+    /// including resolving each successor against the interner), summed
+    /// across workers.
     pub expand_ns: u64,
     /// Wall time pool workers spent parked between layer epochs.
     pub idle_ns: u64,
     /// Coordinator wall time replaying published layers' deterministic
-    /// merges (the serial section the worker-side resolution shrinks).
+    /// merges (the serial section worker-side resolution shrinks).
     /// Inline layers do not accrue here — their cost shows in `expand_ns`.
     /// A measurement, **not** deterministic.
     pub merge_ns: u64,
-    /// Worker wall time hashing canonical successors and looking them up
-    /// in the layer-start interner (inside tasks, so it overlaps across
-    /// workers). A measurement, **not** deterministic.
+    /// Always 0. It timed a separate worker phase that hashed canonical
+    /// successors and looked them up in the layer-start interner; that
+    /// lookup now happens inside `successors`, per candidate, and is part
+    /// of `expand_ns`. The field stays only because the benchmark's traced
+    /// run reads it by name, like [`EngineStats::scratch_allocs`].
     pub canon_ns: u64,
     /// Layers the adaptive scheduler expanded inline on the coordinator
     /// (`threads >= 2` only; identically zero on the sequential path). A
@@ -544,24 +550,6 @@ pub(crate) struct Node {
     parent: Option<(usize, usize)>,
 }
 
-/// A worker's verdict on one canonical successor, looked up inside the task
-/// in the layer-start interner so the coordinator's merge only has to
-/// intern the fresh ones.
-///
-/// Soundness of each variant at merge time:
-/// * `Interned` — ids are never reassigned, so the id is still right.
-/// * `Fresh` — the value was absent at layer start; the merge interns it
-///   with the precomputed hash. Merge order equals sequential order, so a
-///   value two tasks both saw as fresh gets its id at the first merge
-///   occurrence and the second intern finds it — id assignment is exactly
-///   the sequential one.
-enum Resolved<Cfg> {
-    /// Interned at layer start.
-    Interned(ConfigId),
-    /// Not interned at layer start; carries the precomputed probe hash.
-    Fresh(Cfg, u64),
-}
-
 /// One expansion: a configuration and the index of the rule to apply.
 type Task = (ConfigId, usize);
 
@@ -571,6 +559,13 @@ type MemoKey = (u32, u32);
 /// A published layer's per-task result slots, as recovered from the epoch:
 /// one [`OnceLock`] per `(configuration, rule)` expansion, each written by
 /// exactly one claimant.
+///
+/// The entries were resolved against the layer-start interner and stay
+/// sound at merge time: ids are never reassigned, so an `Interned` id is
+/// still right; a `Fresh` value is interned with its precomputed hash, and
+/// since the merge follows sequential order, a value several tasks saw as
+/// fresh gets its id at its first merge occurrence and later interns find
+/// it — exactly the sequential id assignment.
 type ResolvedSlots<Cfg> = Vec<OnceLock<Vec<Resolved<Cfg>>>>;
 
 /// One BFS layer's speculative workload, published to the worker pool.
@@ -588,8 +583,6 @@ struct Epoch<Cfg> {
     results: ResolvedSlots<Cfg>,
     /// Nanoseconds participants spent draining (summed), for `expand_ns`.
     busy_ns: AtomicU64,
-    /// Nanoseconds participants spent hashing/looking up (summed).
-    canon_ns: AtomicU64,
 }
 
 /// The adaptive scheduler's running estimate of per-task expansion cost,
@@ -867,12 +860,12 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
 
     /// Expands one node deterministically: for each applicable rule, obtain
     /// the successor ids (memo, else interned in list order from the
-    /// worker verdicts `pre` hands back, else from the class's
-    /// `transitions` computed inline) and merge them through the visited
-    /// set into the arena. Every arena/stats mutation of the search goes
-    /// through this function, inline and published layers alike, which is
-    /// what makes them bit-identical: interning never touches the bitmaps,
-    /// so both sources yield the same ids and the same probes.
+    /// resolved entries `pre` hands back from a worker, else from the
+    /// class's `successors` computed inline) and merge them through the
+    /// visited set into the arena. Every arena/stats mutation of the search
+    /// goes through this function, inline and published layers alike, which
+    /// is what makes them bit-identical: interning never touches the
+    /// bitmaps, so both sources yield the same ids and the same probes.
     fn merge_node(
         &self,
         s: &mut Search<C::Config>,
@@ -902,26 +895,23 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                 );
                 continue;
             }
-            let ids: Box<[ConfigId]> = match pre(cfg, rule_idx) {
-                Some(entries) => entries
-                    .into_iter()
-                    .map(|entry| match entry {
-                        Resolved::Interned(id) => id,
-                        Resolved::Fresh(succ, hash) => s.interner.intern_prehashed(succ, hash).0,
-                    })
-                    .collect(),
-                None => {
-                    let t0 = Instant::now();
-                    let succs = self
-                        .class
-                        .transitions(s.interner.get(cfg), &self.compiled.rules()[rule_idx].guard);
-                    s.stats.expand_ns += t0.elapsed().as_nanos() as u64;
-                    succs
-                        .into_iter()
-                        .map(|succ| s.interner.intern(succ).0)
-                        .collect()
-                }
-            };
+            let entries = pre(cfg, rule_idx).unwrap_or_else(|| {
+                let t0 = Instant::now();
+                let entries = self.class.successors(
+                    s.interner.get(cfg),
+                    &self.compiled.rules()[rule_idx].guard,
+                    &s.interner,
+                );
+                s.stats.expand_ns += t0.elapsed().as_nanos() as u64;
+                entries
+            });
+            let ids: Box<[ConfigId]> = entries
+                .into_iter()
+                .map(|entry| match entry {
+                    Resolved::Interned(id) => id,
+                    Resolved::Fresh(succ, hash) => s.interner.intern_prehashed(*succ, hash).0,
+                })
+                .collect();
             push_successors(
                 &mut s.visited,
                 &mut s.arena,
@@ -937,43 +927,27 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
 
     /// Drains one epoch as participant `me`: claims chunks from its own
     /// queue, then steals from the others ([`TaskQueues::claim`]). Pure
-    /// speculation — per-task [`Resolved`] verdicts land in [`OnceLock`]
+    /// speculation — per-task [`Resolved`] lists land in [`OnceLock`]
     /// slots and nothing else is touched, so racy claim order cannot leak
     /// into the deterministic merge.
     fn drain_epoch(&self, epoch: &Epoch<C::Config>, me: usize) {
         let t0 = Instant::now();
-        let mut canon = 0u64;
         while let Some(range) = epoch.queues.claim(me) {
             for i in range {
                 let (cfg, rule_idx) = epoch.tasks[i];
-                let succs = self.class.transitions(
+                let entries = self.class.successors(
                     epoch.interner.get(cfg),
                     &self.compiled.rules()[rule_idx].guard,
+                    &epoch.interner,
                 );
-                // Look each canonical successor up in the layer-start
-                // interner: hash once, classify as interned/fresh, so the
-                // merge only interns the fresh ones.
-                let tc = Instant::now();
-                let resolved: Vec<Resolved<C::Config>> = succs
-                    .into_iter()
-                    .map(|succ| {
-                        let hash = Interner::hash_value(&succ);
-                        match epoch.interner.lookup_prehashed(&succ, hash) {
-                            Some(id) => Resolved::Interned(id),
-                            None => Resolved::Fresh(succ, hash),
-                        }
-                    })
-                    .collect();
-                canon += tc.elapsed().as_nanos() as u64;
                 // Each task index is claimed exactly once, so the slot is
                 // always empty here.
-                let _ = epoch.results[i].set(resolved);
+                let _ = epoch.results[i].set(entries);
             }
         }
         epoch
             .busy_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        epoch.canon_ns.fetch_add(canon, Ordering::Relaxed);
     }
 
     /// Decides where a layer runs ([`ParallelMode`]) and, when published,
@@ -1012,7 +986,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                 .collect(),
             tasks,
             busy_ns: AtomicU64::new(0),
-            canon_ns: AtomicU64::new(0),
         });
         pool.gate.publish(Arc::clone(&epoch), pool.threads - 1);
         self.drain_epoch(&epoch, 0);
@@ -1023,7 +996,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
         s.interner = done.interner;
         let busy = done.busy_ns.load(Ordering::Relaxed);
         s.stats.expand_ns += busy;
-        s.stats.canon_ns += done.canon_ns.load(Ordering::Relaxed);
         s.stats.tasks_stolen += done.queues.stolen();
         pool.cost.observe(n_tasks, busy);
         Some(done.results)

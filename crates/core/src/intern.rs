@@ -18,13 +18,14 @@
 //! yields the same ids, whichever entry points interned them.
 //!
 //! Hashes are computed once per configuration with the standard library's
-//! [`DefaultHasher`], which is deterministic for a fixed Rust release (and
-//! [`crate::RelConfig`] feeds it a single precomputed word from
-//! [`dds_structure::CanonicalKey::hash64`], so the per-probe cost is flat).
-//! The `*_prehashed` entry points let the parallel engine's workers compute
-//! that hash inside their tasks and look it up in the layer-start interner
-//! (`&self`, so many threads may probe at once), handing the coordinator a
-//! ready-to-intern `(value, hash)` pair for configurations it has not seen.
+//! [`DefaultHasher`] (`probe_hash`), which is deterministic for a fixed
+//! Rust release (and [`crate::RelConfig`] feeds it a single precomputed word
+//! from [`dds_structure::CanonicalKey::hash64`], so the per-probe cost is
+//! flat). [`Interner::lookup_with`] probes by hash and predicate, so a class
+//! can ask whether a successor is interned before it builds the value; the
+//! answer comes back as a [`Resolved`] entry, and the `*_prehashed` entry
+//! points intern the fresh ones without re-hashing. Lookups take `&self`,
+//! so many threads may probe the same interner at once.
 //!
 //! [`DefaultHasher`]: std::collections::hash_map::DefaultHasher
 
@@ -40,6 +41,31 @@ impl ConfigId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// One sub-transition successor, resolved against an [`Interner`]: the id
+/// of a value it already holds, or a value it does not hold yet, with the
+/// probe hash the interner will file it under.
+///
+/// `Fresh` is boxed so that a successor list costs 16 bytes per entry
+/// whatever the configuration's size.
+#[derive(Debug)]
+pub enum Resolved<Cfg> {
+    /// Already interned under this id.
+    Interned(ConfigId),
+    /// Not interned; carries [`Interner::hash_value`] of the value.
+    Fresh(Box<Cfg>, u64),
+}
+
+/// The deterministic 64-bit hash the interner files a value under: the
+/// standard library's [`DefaultHasher`] over the value's [`Hash`] input.
+/// A value that hashes as a single `u64` (such as [`crate::RelConfig`],
+/// which feeds its key hash) gets the hash of that word, so callers holding
+/// only the word can compute the probe hash without the value.
+pub(crate) fn probe_hash<V: Hash + ?Sized>(value: &V) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -94,9 +120,7 @@ impl<T: Eq + Hash> Interner<T> {
 
     /// The deterministic 64-bit hash used for table probes.
     pub fn hash_value(value: &T) -> u64 {
-        let mut h = DefaultHasher::new();
-        value.hash(&mut h);
-        h.finish()
+        probe_hash(value)
     }
 
     /// The slot index a hash starts probing at in a table of `slot_count`
@@ -147,6 +171,15 @@ impl<T: Eq + Hash> Interner<T> {
     /// many threads at once — it takes `&self` and touches no interior
     /// mutability.
     pub fn lookup_prehashed(&self, value: &T, hash: u64) -> Option<ConfigId> {
+        self.lookup_with(hash, |v| v == value)
+    }
+
+    /// Looks up the value filed under `hash` that satisfies `eq`, without
+    /// needing an owned value to compare against. `eq` must hold exactly
+    /// for the value being looked for, and `hash` must be its
+    /// [`Interner::hash_value`]. Like every lookup, safe to call from many
+    /// threads at once.
+    pub fn lookup_with(&self, hash: u64, mut eq: impl FnMut(&T) -> bool) -> Option<ConfigId> {
         let mask = self.slots.len() - 1;
         let mut i = Self::probe_start(hash, mask + 1);
         loop {
@@ -155,7 +188,7 @@ impl<T: Eq + Hash> Interner<T> {
                 return None;
             }
             let sid = slot as usize;
-            if self.hashes[sid] == hash && &self.values[sid] == value {
+            if self.hashes[sid] == hash && eq(&self.values[sid]) {
                 return Some(ConfigId(slot));
             }
             i = (i + 1) & mask;
@@ -218,6 +251,18 @@ mod tests {
         }
         assert_eq!(it.len(), 1000);
         assert_eq!(it.iter().count(), 1000);
+    }
+
+    #[test]
+    fn lookup_with_finds_by_hash_and_predicate() {
+        let mut it: Interner<String> = Interner::new();
+        let (id, _) = it.intern("alpha".to_owned());
+        let hash = probe_hash("alpha");
+        assert_eq!(hash, Interner::hash_value(&"alpha".to_owned()));
+        assert_eq!(it.lookup_with(hash, |v| v == "alpha"), Some(id));
+        // The predicate decides, not the hash alone.
+        assert_eq!(it.lookup_with(hash, |v| v == "beta"), None);
+        assert_eq!(it.lookup_with(probe_hash("beta"), |_| true), None);
     }
 
     #[test]

@@ -37,13 +37,8 @@ pub struct CanonicalKey {
 
 impl CanonicalKey {
     fn new(words: Vec<u64>) -> CanonicalKey {
-        // FNV-1a over the words: deterministic across runs and platforms.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &w in &words {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        CanonicalKey { words, hash64: h }
+        let hash64 = fnv1a(&words);
+        CanonicalKey { words, hash64 }
     }
 
     /// Raw words of the key (stable within a process run; not a serialization
@@ -89,6 +84,18 @@ impl Ord for CanonicalKey {
 
 const SEP: u64 = u64::MAX;
 
+/// The one word a nullary row (the empty tuple) is written as. Without it
+/// the row would be a lone [`SEP`], and a present nullary fact in one
+/// relation would read the same as one in the next relation.
+const NULLARY_ROW: u64 = 0;
+
+/// FNV-1a over key words: deterministic across runs and platforms.
+fn fnv1a(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Encodes a structure under a given renaming `number[old.index()] = new
 /// index` (which must be a bijection). Tuples are emitted in sorted order of
 /// their renamed form so the encoding is renaming-canonical.
@@ -107,6 +114,9 @@ fn encode(s: &Structure, points: &[Element], number: &[u32]) -> Vec<u64> {
             .collect();
         tuples.sort_unstable();
         for t in tuples {
+            if t.is_empty() {
+                out.push(NULLARY_ROW);
+            }
             for x in t {
                 out.push(x as u64);
             }
@@ -167,14 +177,112 @@ pub fn canonicalize_pointed(
     (renamed, new_points, key)
 }
 
-/// One-pass [`canonicalize_pointed`] of the substructure a relational
-/// structure's `points` generate. Without function symbols that substructure
-/// is induced on the points, and its canonical numbering is their
-/// first-occurrence order, so this numbers the points, then copies the
-/// tuples lying inside them, renumbered — no intermediate substructure is
-/// built. The output (structure, points and key words) is identical to
+/// Caller-owned buffers of [`encode_generated_relational`]: the point
+/// numbering, the row scratch and the key words it writes. Reusing one
+/// across calls makes an encoding allocation-free once the buffers have
+/// grown.
+#[derive(Debug, Default)]
+pub struct KeyScratch {
+    number: Vec<u32>,
+    rows: Vec<u64>,
+    words: Vec<u64>,
+}
+
+impl KeyScratch {
+    /// The key words of the last encoding — exactly
+    /// [`CanonicalKey::as_words`] of the key it describes.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// Writes the canonical key words of the substructure a relational
+/// structure's `points` generate into `buf`, without building that
+/// substructure, and returns the hash [`CanonicalKey::hash64`] computes for
+/// them. Without function symbols the generated substructure is induced on
+/// the points, and its canonical numbering is their first-occurrence order:
+/// this numbers the points, then emits, per relation, the renumbered tuples
+/// lying inside them in sorted order. The words equal those of
 /// `canonicalize_pointed` on [`Structure::generated`] with the points
 /// remapped.
+///
+/// Rows are sorted as packed `u64`s when `arity` renumbered elements fit in
+/// 64 bits, and as slices otherwise, so every arity and size is handled.
+///
+/// # Panics
+/// Panics when the schema has function symbols or a point is out of range.
+pub fn encode_generated_relational(s: &Structure, points: &[Element], buf: &mut KeyScratch) -> u64 {
+    const UNNUMBERED: u32 = u32::MAX;
+    assert!(
+        s.schema().is_relational(),
+        "encode_generated_relational: schema has function symbols"
+    );
+    let KeyScratch {
+        number,
+        rows,
+        words,
+    } = buf;
+    number.clear();
+    number.resize(s.size(), UNNUMBERED);
+    words.clear();
+    // The size word is patched once the points are numbered.
+    words.push(0);
+    words.push(points.len() as u64);
+    let mut size = 0u32;
+    for p in points {
+        let slot = &mut number[p.index()];
+        if *slot == UNNUMBERED {
+            *slot = size;
+            size += 1;
+        }
+        words.push(*slot as u64);
+    }
+    words[0] = size as u64;
+    words.push(SEP);
+    // Bits per renumbered element: enough for `size - 1`, at least one.
+    let bits = (u32::BITS - size.saturating_sub(1).leading_zeros()).max(1) as usize;
+    let mask = (1u64 << bits) - 1;
+    let inside = |t: &[Element]| t.iter().all(|e| number[e.index()] != UNNUMBERED);
+    for r in s.schema().relations() {
+        let arity = s.schema().arity(r);
+        if arity <= 64 / bits {
+            // Big-endian packing: numeric order is lexicographic row order.
+            rows.clear();
+            rows.extend(s.rel_tuples(r).filter(|t| inside(t)).map(|t| {
+                t.iter()
+                    .fold(0u64, |acc, e| acc << bits | number[e.index()] as u64)
+            }));
+            rows.sort_unstable();
+            for &row in rows.iter() {
+                if arity == 0 {
+                    words.push(NULLARY_ROW);
+                }
+                words.extend((0..arity).rev().map(|i| row >> (i * bits) & mask));
+                words.push(SEP);
+            }
+        } else {
+            // One word per element, rows sorted as slices.
+            rows.clear();
+            for t in s.rel_tuples(r).filter(|t| inside(t)) {
+                rows.extend(t.iter().map(|e| number[e.index()] as u64));
+            }
+            let mut sorted: Vec<&[u64]> = rows.chunks_exact(arity).collect();
+            sorted.sort_unstable();
+            for row in sorted {
+                words.extend_from_slice(row);
+                words.push(SEP);
+            }
+        }
+        words.push(SEP);
+    }
+    fnv1a(words)
+}
+
+/// One-pass [`canonicalize_pointed`] of the substructure a relational
+/// structure's `points` generate: [`encode_generated_relational`], then the
+/// canonical representative rebuilt from the key words. The output
+/// (structure, points and key words) is identical to `canonicalize_pointed`
+/// on [`Structure::generated`] with the points remapped.
 ///
 /// # Panics
 /// Panics when the schema has function symbols.
@@ -182,50 +290,30 @@ pub fn canonicalize_generated_relational(
     s: &Structure,
     points: &[Element],
 ) -> (Structure, Vec<Element>, CanonicalKey) {
-    const UNNUMBERED: u32 = u32::MAX;
-    assert!(
-        s.schema().is_relational(),
-        "canonicalize_generated_relational: schema has function symbols"
-    );
-    let mut number: Vec<u32> = vec![UNNUMBERED; s.size()];
-    let mut size = 0u32;
-    let new_points: Vec<Element> = points
-        .iter()
-        .map(|p| {
-            let slot = &mut number[p.index()];
-            if *slot == UNNUMBERED {
-                *slot = size;
-                size += 1;
-            }
-            Element(*slot)
-        })
-        .collect();
-    let mut out = Structure::new(s.schema().clone(), size as usize);
+    let mut buf = KeyScratch::default();
+    let hash64 = encode_generated_relational(s, points, &mut buf);
+    let words = buf.words;
+    let element = |w: u64| Element(w as u32);
+    let k = words[1] as usize;
+    let new_points: Vec<Element> = words[2..2 + k].iter().map(|&w| element(w)).collect();
+    let mut out = Structure::new(s.schema().clone(), words[0] as usize);
+    // Past the points and their separator.
+    let mut at = 3 + k;
     let mut row: Vec<Element> = Vec::new();
     for r in s.schema().relations() {
-        for t in s.rel_tuples(r) {
+        let arity = s.schema().arity(r);
+        // Each row is its elements (or the nullary word) and a separator;
+        // a separator in row position ends the section.
+        while words[at] != SEP {
             row.clear();
-            row.extend(t.iter().map(|e| Element(number[e.index()])));
-            if row.iter().all(|e| e.0 != UNNUMBERED) {
-                out.add_fact(r, &row).expect("renumbered tuple is in range");
-            }
+            row.extend(words[at..at + arity].iter().map(|&w| element(w)));
+            out.add_fact(r, &row).expect("key rows are in range");
+            at += arity.max(1) + 1;
         }
+        at += 1;
     }
-    // `out` keeps its rows sorted, so its tuples are already in the order
-    // `encode` sorts them into under the identity numbering.
-    let mut words = Vec::with_capacity(16 + out.fact_count() * 3);
-    words.push(size as u64);
-    words.push(points.len() as u64);
-    words.extend(new_points.iter().map(|p| p.0 as u64));
-    words.push(SEP);
-    for r in s.schema().relations() {
-        for t in out.rel_tuples(r) {
-            words.extend(t.iter().map(|e| e.0 as u64));
-            words.push(SEP);
-        }
-        words.push(SEP);
-    }
-    (out, new_points, CanonicalKey::new(words))
+    debug_assert_eq!(at, words.len());
+    (out, new_points, CanonicalKey { words, hash64 })
 }
 
 /// The canonical numbering used by [`canonical_key_pointed`] (see its docs).
@@ -393,6 +481,70 @@ mod tests {
         assert_eq!(ra, rc);
         assert_eq!(rpa, rpc);
         assert_eq!(ka, kc);
+    }
+
+    /// `encode_generated_relational` against `canonicalize_pointed` on the
+    /// generated substructure, reusing one scratch across calls.
+    fn assert_encoder_matches(s: &Structure, points: &[Element], buf: &mut KeyScratch) {
+        let (sub, names) = s.generated(points);
+        let sub_points: Vec<Element> = points
+            .iter()
+            .map(|p| Element(names.iter().position(|n| n == p).unwrap() as u32))
+            .collect();
+        let (ref_structure, ref_points, reference) = canonicalize_pointed(&sub, &sub_points);
+        let hash = encode_generated_relational(s, points, buf);
+        assert_eq!(buf.words(), reference.as_words());
+        assert_eq!(hash, reference.hash64());
+        let (rebuilt, rebuilt_points, key) = canonicalize_generated_relational(s, points);
+        assert_eq!(key, reference);
+        assert_eq!((rebuilt, rebuilt_points), (ref_structure, ref_points));
+    }
+
+    #[test]
+    fn nullary_facts_in_different_relations_get_different_keys() {
+        let mut sc = Schema::new();
+        let p = sc.add_relation("P", 0).unwrap();
+        sc.add_relation("E", 2).unwrap();
+        let q = sc.add_relation("Q", 0).unwrap();
+        let schema = sc.finish();
+        let mut only_p = Structure::new(schema.clone(), 1);
+        only_p.add_fact(p, &[]).unwrap();
+        let mut only_q = Structure::new(schema, 1);
+        only_q.add_fact(q, &[]).unwrap();
+        let points = [Element(0)];
+        assert_ne!(
+            canonical_key_pointed(&only_p, &points),
+            canonical_key_pointed(&only_q, &points)
+        );
+        let mut buf = KeyScratch::default();
+        assert_encoder_matches(&only_p, &points, &mut buf);
+        assert_encoder_matches(&only_q, &points, &mut buf);
+    }
+
+    #[test]
+    fn encoder_sorts_rows_too_wide_to_pack() {
+        // Seven distinct points take 3 bits each: arity 21 is the widest
+        // packed row, arity 22 needs 66 bits and is sorted as slices. Both
+        // must agree with the reference.
+        let mut buf = KeyScratch::default();
+        for arity in [1, 21, 22, 40] {
+            let mut sc = Schema::new();
+            let r = sc.add_relation("R", arity).unwrap();
+            let nullary = sc.add_relation("P", 0).unwrap();
+            let schema = sc.finish();
+            let mut s = Structure::new(schema, 9);
+            for seed in 0..12u32 {
+                let row: Vec<Element> = (0..arity as u32)
+                    .map(|i| Element((seed * 7 + i * (seed + 3)) % 9))
+                    .collect();
+                s.add_fact(r, &row).unwrap();
+            }
+            s.add_fact(nullary, &[]).unwrap();
+            let points: Vec<Element> = [8, 3, 0, 3, 5, 1, 7, 2].map(Element).to_vec();
+            assert_encoder_matches(&s, &points, &mut buf);
+            assert_encoder_matches(&s, &points[..3], &mut buf);
+            assert_encoder_matches(&s, &[], &mut buf);
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod structure;
 
 pub use canon::{
     canonical_key_general, canonical_key_pointed, canonicalize_generated_relational,
-    canonicalize_pointed, CanonicalKey,
+    canonicalize_pointed, encode_generated_relational, CanonicalKey, KeyScratch,
 };
 pub use element::Element;
 pub use error::StructureError;

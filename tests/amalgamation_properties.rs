@@ -2,13 +2,16 @@
 //! rests on (§4.1): amalgams stay in the class, extend the base in place,
 //! and sub-transition successors are themselves valid configurations. Two
 //! oracles pin the streaming successor path to the plain definition: the
-//! one-pass canonicalization against `generated()` + `RelConfig::canonical`,
-//! and `transitions` against a reference built from those over the spec
-//! corpora.
+//! one-pass canonicalization and the words-only key encoder against
+//! `generated()` + `RelConfig::canonical`, and `transitions` and the
+//! interner-resolving `successors` against a reference built from those
+//! over the spec corpora.
 
 use dds::core::amalgam::{combined_valuation, translate_formula, GuardHints};
-use dds::core::{AmalgamClass, Pointed, RelConfig};
+use dds::core::intern::Resolved;
+use dds::core::{AmalgamClass, Interner, Pointed, RelConfig};
 use dds::prelude::*;
+use dds::structure::{encode_generated_relational, KeyScratch};
 use dds_cli::load_spec;
 use dds_cli::lower::{AnyClass, Task};
 use proptest::prelude::*;
@@ -105,15 +108,21 @@ proptest! {
     }
 
     /// The one-pass canonicalization equals `generated()` followed by
-    /// `RelConfig::canonical` — key words, representative and points — over
-    /// random relational structures with relations of arity 0–3, up to 6
-    /// elements, and repeated, permuted points.
+    /// `RelConfig::canonical` — key words, representative and points — and
+    /// the words-only encoder writes the same words and returns the same
+    /// hash, over random relational structures with relations of arity
+    /// 0–6, up to 8 elements, and repeated, permuted points. The encoder's
+    /// scratch first encodes an unrelated pointing, so stale buffer contents
+    /// would show.
     #[test]
     fn one_pass_canonicalization_matches_generated(
-        size in 1usize..7,
-        arities in proptest::collection::vec(0usize..4, 1..4),
-        facts in proptest::collection::vec((0usize..3, 0usize..6, 0usize..6, 0usize..6), 0..24),
-        raw_points in proptest::collection::vec(0usize..6, 0..6),
+        size in 1usize..9,
+        arities in proptest::collection::vec(0usize..7, 1..4),
+        facts in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(0usize..8, 6..7)),
+            0..24,
+        ),
+        raw_points in proptest::collection::vec(0usize..8, 0..8),
     ) {
         let mut sc = Schema::new();
         let rels: Vec<SymbolId> = arities
@@ -122,9 +131,9 @@ proptest! {
             .map(|(i, &a)| sc.add_relation(&format!("R{i}"), a).unwrap())
             .collect();
         let mut s = Structure::new(sc.finish(), size);
-        for &(r, a, b, c) in &facts {
+        for (r, coords) in &facts {
             let r = r % rels.len();
-            let tuple: Vec<Element> = [a, b, c][..arities[r]]
+            let tuple: Vec<Element> = coords[..arities[r]]
                 .iter()
                 .map(|&e| Element::from_index(e % size))
                 .collect();
@@ -133,9 +142,15 @@ proptest! {
         let points: Vec<Element> =
             raw_points.iter().map(|&p| Element::from_index(p % size)).collect();
         let fast = RelConfig::generated_by(&s, &points);
+        let mut scratch = KeyScratch::default();
+        let reversed: Vec<Element> = points.iter().rev().copied().collect();
+        encode_generated_relational(&s, &reversed, &mut scratch);
+        let hash = encode_generated_relational(&s, &points, &mut scratch);
         let reference = RelConfig::canonical(&Pointed::new(s, points).generated());
         prop_assert_eq!(fast.key().as_words(), reference.key().as_words());
         prop_assert_eq!(&fast.pointed, &reference.pointed);
+        prop_assert_eq!(scratch.words(), reference.key().as_words());
+        prop_assert_eq!(hash, reference.key().hash64());
     }
 }
 
@@ -169,28 +184,69 @@ fn reference_transitions<C: AmalgamClass>(
     out
 }
 
-/// `transitions` against [`reference_transitions`] for every initial
-/// configuration × compiled rule guard of one reach system; returns the
-/// number of pairs checked.
+/// Maps a resolved successor list back to configurations, asserting that
+/// each `Interned` id is held by `known` and each `Fresh` value is absent
+/// from it and carries its probe hash.
+fn unresolve(entries: Vec<Resolved<RelConfig>>, known: &Interner<RelConfig>) -> Vec<RelConfig> {
+    entries
+        .into_iter()
+        .map(|entry| match entry {
+            Resolved::Interned(id) => known.get(id).clone(),
+            Resolved::Fresh(cfg, hash) => {
+                assert_eq!(hash, Interner::hash_value(&cfg), "{cfg:?}");
+                assert_eq!(known.lookup(&cfg), None, "{cfg:?} is interned");
+                *cfg
+            }
+        })
+        .collect()
+}
+
+/// For every initial configuration × compiled rule guard of one reach
+/// system, checks against [`reference_transitions`]: `transitions`, and
+/// `successors` resolved against an empty interner and against one seeded
+/// with the initial configurations that are not successors plus every
+/// other reference successor (in reverse, so ids and list positions
+/// disagree), which mixes `Interned` and `Fresh` entries. Lists must match
+/// in order. Returns the number of pairs checked.
 fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -> usize {
     let engine = Engine::new(class, system);
     let compiled = engine.compiled_system();
+    let initial = class.initial_configs(compiled.num_registers());
     let mut pairs = 0;
-    for cfg in class.initial_configs(compiled.num_registers()) {
+    for cfg in &initial {
         for rule in compiled.rules() {
-            let fast = class.transitions(&cfg, &rule.guard);
-            let reference = reference_transitions(class, &cfg, &rule.guard);
+            let reference = reference_transitions(class, cfg, &rule.guard);
             let keys = |v: &[RelConfig]| {
                 v.iter()
                     .map(|c| (c.key().as_words().to_vec(), c.pointed.clone()))
                     .collect::<Vec<_>>()
             };
-            assert_eq!(
-                keys(&fast),
-                keys(&reference),
-                "{label}: successors of {cfg:?} under {:?} differ",
-                rule.guard
-            );
+            let empty = Interner::new();
+            let mut seeded = Interner::new();
+            for unrelated in initial.iter().rev().filter(|c| !reference.contains(c)) {
+                seeded.intern(unrelated.clone());
+            }
+            for succ in reference.iter().skip(1).step_by(2).rev() {
+                seeded.intern(succ.clone());
+            }
+            for (how, got) in [
+                ("transitions", class.transitions(cfg, &rule.guard)),
+                (
+                    "successors (empty interner)",
+                    unresolve(class.successors(cfg, &rule.guard, &empty), &empty),
+                ),
+                (
+                    "successors (seeded interner)",
+                    unresolve(class.successors(cfg, &rule.guard, &seeded), &seeded),
+                ),
+            ] {
+                assert_eq!(
+                    keys(&got),
+                    keys(&reference),
+                    "{label}: {how} of {cfg:?} under {:?} differ",
+                    rule.guard
+                );
+            }
             pairs += 1;
         }
     }
@@ -208,8 +264,9 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Corpus oracle: over every relational-class spec in `specs/` and
-/// `specs/fuzz/`, `transitions` returns exactly the reference successor
-/// list, in the same order.
+/// `specs/fuzz/`, `transitions` and `successors` (against an empty and a
+/// seeded interner) return exactly the reference successor list, in the
+/// same order.
 #[test]
 fn corpus_transitions_match_the_reference() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -246,6 +303,88 @@ fn corpus_transitions_match_the_reference() {
         "only {specs} relational specs found — corpus shrank?"
     );
     assert!(pairs >= 500, "only {pairs} (config, guard) pairs checked");
+}
+
+/// Relations of arity 5 and 6 go through the successor oracle and verify
+/// end to end, with a certified witness. The class is `HOM` so that the
+/// initial configurations stay few: the free class would enumerate every
+/// `R/6` structure on two elements.
+#[test]
+fn high_arity_relations_verify() {
+    let spec = "
+system wide_arity
+schema {
+  relation R/6
+  relation Q/5
+}
+class hom {
+  element a b c
+  fact R(a, b, c, a, b, c)
+  fact R(a, b, c, c, b, a)
+  fact Q(a, a, b, c, c)
+  fact Q(c, b, a, a, b)
+}
+registers x y
+states {
+  s init
+  t
+  u
+}
+rule s -> t: R(x_old, y_old, y_new, x_old, y_old, y_new) & x_old = x_new
+rule t -> u: Q(x_old, x_old, y_new, y_old, y_old) & !(R(x_new, y_new, y_new, y_new, y_new, x_new))
+property reach {
+  accept u
+  expect nonempty
+}
+";
+    let lowered = load_spec(spec).unwrap();
+    let AnyClass::Hom(class) = &lowered.class else {
+        panic!("HOM class expected");
+    };
+    let Task::Reach(system) = &lowered.properties[0].task else {
+        panic!("reach property expected");
+    };
+    assert!(check_transitions(class, system, "wide_arity") > 0);
+    let outcome = Engine::new(class, system).run();
+    assert!(outcome.is_nonempty(), "{outcome:?}");
+    assert!(outcome.witness().is_some(), "witness not certified");
+}
+
+/// Two nullary relations: a database with `Q` but not `P` must be told
+/// apart from one with `P` but not `Q`, or the search merges them and
+/// misses the run below.
+#[test]
+fn nullary_relations_are_told_apart() {
+    let spec = "
+system nullary
+schema {
+  relation P/0
+  relation Q/0
+}
+class free
+registers x
+states {
+  s init
+  t
+}
+rule s -> t: Q() & !(P()) & x_old = x_new
+property reach {
+  accept t
+  expect nonempty
+}
+";
+    let lowered = load_spec(spec).unwrap();
+    let AnyClass::Free(class) = &lowered.class else {
+        panic!("free class expected");
+    };
+    let Task::Reach(system) = &lowered.properties[0].task else {
+        panic!("reach property expected");
+    };
+    assert_eq!(class.initial_configs(1).len(), 4);
+    assert!(check_transitions(class, system, "nullary") > 0);
+    let outcome = Engine::new(class, system).run();
+    assert!(outcome.is_nonempty(), "{outcome:?}");
+    assert!(outcome.witness().is_some(), "witness not certified");
 }
 
 /// Word class: every transition successor is a valid configuration, and the

@@ -313,6 +313,26 @@ fn skewed_layers_bit_identical() {
     assert_deterministic(&class, &system, false);
 }
 
+/// A wide relational spec from the macro suite: 180 layers, most with 16
+/// to 31 nodes, each resolving its successors by key against the
+/// layer-start interner on the epoch path — far more published layers
+/// than the toy systems above.
+#[test]
+fn wide_macro_spec_bit_identical() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/bench/macro/chain_free_exhaust.dds"
+    );
+    let lowered = dds_cli::load_spec(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let dds_cli::lower::AnyClass::Free(class) = &lowered.class else {
+        panic!("{path}: free class expected");
+    };
+    let dds_cli::lower::Task::Reach(system) = &lowered.properties[0].task else {
+        panic!("{path}: reach property expected");
+    };
+    assert_deterministic(class, system, false);
+}
+
 /// Scheduler counter sanity. The counters are diagnostics excluded from
 /// `EngineStats` equality, but they must still tell the truth: a sequential
 /// run never steals and never waits on the epoch gate.
