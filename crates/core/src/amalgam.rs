@@ -32,6 +32,22 @@
 //! compares key words the same way, stops at the first candidate matching
 //! the trace step and clones only that one.
 //!
+//! The engine expands a configuration once per guard class, and the
+//! successor an amalgam generates does not depend on the guard. So every
+//! candidate carries a *tag*: a `u64` naming it within its base,
+//! independently of the hints — the placement index, then the class's
+//! extension choice (the free class: a mask of the facts among the new
+//! points; `HOM`: the fresh coloring and that mask; orders: the
+//! interleaving; equivalences: the block extension; data products: the
+//! data extension over the inner tag). Equal tags within one base name the
+//! same new points and generate equal key words. Each interned configuration keeps a successor memo
+//! from tag to id ([`Interner::memo`]); `successors` looks a guard-passing
+//! candidate's tag up there first, and only on a miss encodes the key and
+//! probes, recording the id it finds. A candidate whose tag would not fit
+//! in 64 bits has none and is always resolved by key, and a base the
+//! interner lacks (`transitions`) has no memo. Debug builds re-encode
+//! every hit and assert that the probe gives the memo's id.
+//!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
 //! (free, `HOM`) only ever add cross tuples that some guard atom mentions —
@@ -51,7 +67,7 @@
 //! unpruned enumeration.
 
 use crate::class::{Pointed, RelConfig, SymbolicClass, Trace};
-use crate::intern::{probe_hash, ConfigId, Interner, Resolved};
+use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved};
 use dds_logic::eval::eval;
 use dds_logic::transform::{forced_literals, Literal};
 use dds_logic::{Formula, Term, Var};
@@ -60,7 +76,7 @@ use dds_structure::{
 };
 use dds_system::{Run, System};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -75,9 +91,11 @@ thread_local! {
 }
 
 /// The visitor [`AmalgamClass::for_each_amalgam`] lends each candidate to:
-/// the candidate structure and its new points. Returning
-/// [`ControlFlow::Break`] stops the enumeration.
-pub type AmalgamVisitor<'a> = dyn FnMut(&Structure, &[Element]) -> ControlFlow<()> + 'a;
+/// the candidate structure, its new points and its *tag* (see
+/// [`AmalgamClass::for_each_amalgam`]; `None` when the candidate has none).
+/// Returning [`ControlFlow::Break`] stops the enumeration.
+pub type AmalgamVisitor<'a> =
+    dyn FnMut(&Structure, &[Element], Option<u64>) -> ControlFlow<()> + 'a;
 
 /// A relation atom of a guard, as a variable tuple (relational schemas have
 /// no function symbols, so guard terms are plain variables).
@@ -118,6 +136,14 @@ pub trait AmalgamClass: Sync {
     /// [`placements`] order, then the class's own extension order). Returns
     /// `Break` as soon as `f` does, `Continue` once every candidate has been
     /// visited.
+    ///
+    /// Each candidate comes with a *tag*, a name for it that does not depend
+    /// on the hints: within one `base`, two candidates with equal tags have
+    /// the same new points and generate configurations with equal key
+    /// words, whatever the guards their hints came from. The classes here
+    /// pack the placement index and their own extension choices into
+    /// fixed-width fields ([`field_bits`], [`tag_field`]). A candidate
+    /// whose tag would not fit in 64 bits gets `None`.
     fn for_each_amalgam(
         &self,
         base: &Pointed,
@@ -287,6 +313,11 @@ pub struct ForcedFacts {
 }
 
 impl ForcedFacts {
+    /// The facts every guard-satisfying candidate contains.
+    pub fn on(&self) -> &[Fact] {
+        &self.on
+    }
+
     /// Fixes the forced facts before a subset enumeration: removes every
     /// forced fact from `optional` and adds the forced-on ones to `cand`.
     /// Returns `false`, leaving `cand` untouched, when a forced-on fact is
@@ -484,10 +515,16 @@ pub fn internal_new_tuples(
 /// added fact and the removal of the facts below it, so each step edits
 /// `cand` in place instead of rebuilding it. On return `cand` holds the base
 /// plus some of the optional facts; callers reset it before reuse.
+///
+/// `tags`, when given, is the tag of the empty subset and one tag bit per
+/// optional fact ([`FactMask::tags`]); each subset is visited with the
+/// empty subset's tag XOR the bits of its facts, kept up to date in the
+/// same step that edits `cand`.
 pub fn enumerate_fact_subsets(
     cand: &mut Structure,
     optional: &[Fact],
-    mut f: impl FnMut(&Structure) -> ControlFlow<()>,
+    tags: Option<(u64, &[u64])>,
+    mut f: impl FnMut(&Structure, Option<u64>) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     assert!(
         optional.len() <= 24,
@@ -495,7 +532,9 @@ pub fn enumerate_fact_subsets(
         optional.len()
     );
     debug_assert!(optional.iter().all(|(rel, t)| !cand.holds(*rel, t)));
-    f(cand)?;
+    debug_assert!(tags.map_or(true, |(_, bits)| bits.len() == optional.len()));
+    let mut tag = tags.map(|(empty, _)| empty);
+    f(cand, tag)?;
     for mask in 1u64..(1u64 << optional.len()) {
         // From `mask - 1` to `mask`: the lowest set bit of `mask` turns on
         // and every bit below it turns off.
@@ -505,9 +544,99 @@ pub fn enumerate_fact_subsets(
         }
         let (rel, t) = &optional[low];
         cand.add_fact(*rel, t).expect("valid fact");
-        f(cand)?;
+        if let (Some(tag), Some((_, bits))) = (&mut tag, tags) {
+            *tag ^= bits[..=low].iter().fold(0, |acc, b| acc ^ b);
+        }
+        f(cand, tag)?;
     }
     ControlFlow::Continue(())
+}
+
+/// Bits that hold any value below `count` (0 when `count <= 1`): the width
+/// of a tag field with `count` possible values.
+pub fn field_bits(count: usize) -> u32 {
+    usize::BITS - count.saturating_sub(1).leading_zeros()
+}
+
+/// The tag `low | high << shift`: field `high` stored above the `shift` bits
+/// of `low` (which must fit in them), or `None` when `high` does not fit in
+/// the bits left.
+pub fn tag_field(low: u64, shift: u32, high: u64) -> Option<u64> {
+    if high == 0 {
+        Some(low)
+    } else if shift < 64 && high.leading_zeros() >= shift {
+        Some(low | high << shift)
+    } else {
+        None
+    }
+}
+
+/// The fact-mask field of the free and `HOM` tags: one bit per tuple over a
+/// placement's new points, set when the candidate has the fact. Facts with
+/// an element outside the new points do not survive into the successor and
+/// get no bit. Buffers are reused across placements.
+#[derive(Debug, Default)]
+pub struct FactMask {
+    /// Per relation (by symbol index), the rank of its first tuple;
+    /// `u64::MAX` for a relation outside the mask.
+    offsets: Vec<u64>,
+    bits: Vec<u64>,
+}
+
+impl FactMask {
+    /// Prepares one placement's mask over `ranked` (relations of `schema`)
+    /// and returns the input [`enumerate_fact_subsets`] takes: the tag of
+    /// the empty subset — `head` plus the bits of the `forced_on` facts —
+    /// and the tag bit of each `optional` fact. `head` must fit in `shift`
+    /// bits, above which the mask goes. `universe` is the sorted,
+    /// deduplicated new points. `None` when the mask does not fit in the
+    /// bits left.
+    ///
+    /// A tuple's rank is arithmetic over `universe`: the relation's offset
+    /// plus the tuple's positions read as a base-`|universe|` number, so no
+    /// tuple list is built or searched.
+    pub fn tags(
+        &mut self,
+        schema: &Schema,
+        ranked: impl IntoIterator<Item = SymbolId>,
+        universe: &[Element],
+        (head, shift): (u64, u32),
+        forced_on: &[Fact],
+        optional: &[Fact],
+    ) -> Option<(u64, &[u64])> {
+        let u = universe.len() as u64;
+        self.offsets.clear();
+        self.offsets.resize(schema.len(), u64::MAX);
+        let mut width = 0u64;
+        for r in ranked {
+            self.offsets[r.index()] = width;
+            width = u
+                .checked_pow(schema.arity(r) as u32)
+                .and_then(|n| width.checked_add(n))?;
+        }
+        if width > u64::from(64 - shift.min(64)) {
+            return None;
+        }
+        let offsets = &self.offsets;
+        let bit = |(rel, t): &Fact| {
+            let offset = offsets[rel.index()];
+            if offset == u64::MAX {
+                return 0;
+            }
+            let mut rank = 0;
+            for e in t {
+                match universe.binary_search(e) {
+                    Ok(pos) => rank = rank * u + pos as u64,
+                    Err(_) => return 0,
+                }
+            }
+            1 << (shift as u64 + offset + rank)
+        };
+        let empty = forced_on.iter().fold(head, |tag, fact| tag | bit(fact));
+        self.bits.clear();
+        self.bits.extend(optional.iter().map(bit));
+        Some((empty, &self.bits))
+    }
 }
 
 /// Restricted-growth strings of length `k`: all set partitions of `k` points
@@ -589,7 +718,7 @@ pub fn replay_trace<T: AmalgamClass>(
         let hints = GuardHints::of(&guard);
         let base = Pointed::new(db, points);
         let mut found = None;
-        let _ = class.for_each_amalgam(&base, &hints, &mut |s, new_points| {
+        let _ = class.for_each_amalgam(&base, &hints, &mut |s, new_points, _| {
             fill_combined(&mut combined, &base.points, new_points);
             if eval(&guard, s, &combined).unwrap_or(false)
                 && encode_generated_relational(s, new_points, &mut key) == step.config.key_hash()
@@ -636,8 +765,10 @@ impl<T: AmalgamClass> SymbolicClass for T {
             .collect()
     }
 
-    /// Resolves each guard-passing candidate by its canonical key words
-    /// ([`encode_generated_relational`]) against `known`, then against the
+    /// Resolves each guard-passing candidate against `known`: by its tag in
+    /// `cfg`'s successor memo ([`Interner::memo`]) when `known` holds `cfg`,
+    /// else by its canonical key words ([`encode_generated_relational`])
+    /// against `known` (filling the memo when found), then against the
     /// fresh successors this call already built; only a key absent from
     /// both becomes a [`RelConfig`]. Entries keep first-occurrence order.
     fn successors(
@@ -648,25 +779,52 @@ impl<T: AmalgamClass> SymbolicClass for T {
     ) -> Vec<Resolved<RelConfig>> {
         let guard = translate_formula(guard, self.public_schema(), self.internal_schema());
         let hints = GuardHints::of(&guard);
+        let mut memo = known
+            .lookup_prehashed(cfg, Interner::hash_value(cfg))
+            .map(|id| known.memo(id));
         let mut key = KeyScratch::default();
-        let mut seen_ids: HashSet<ConfigId> = HashSet::new();
+        // Bitmap over `known`'s ids of the ones already in `out`.
+        let mut seen_ids = vec![0u64; known.len().div_ceil(64)];
+        let mut push_id = |out: &mut Vec<Resolved<RelConfig>>, id: ConfigId| {
+            let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+            if seen_ids[word] & bit == 0 {
+                seen_ids[word] |= bit;
+                out.push(Resolved::Interned(id));
+            }
+        };
         // Probe hash → position in `out` of the first fresh entry under it.
-        let mut fresh_at: HashMap<u64, usize> = HashMap::new();
+        let mut fresh_at: HashMap<u64, usize, BuildWordHasher> = HashMap::default();
         let mut out = Vec::new();
         let mut combined = Vec::new();
-        let _ = self.for_each_amalgam(&cfg.pointed, &hints, &mut |s, new_points| {
+        let _ = self.for_each_amalgam(&cfg.pointed, &hints, &mut |s, new_points, tag| {
             fill_combined(&mut combined, &cfg.pointed.points, new_points);
             if !eval(&guard, s, &combined).unwrap_or(false) {
                 return ControlFlow::Continue(());
+            }
+            let memo_slot = memo.as_mut().zip(tag);
+            if let Some((memo, tag)) = &memo_slot {
+                if let Some(&id) = memo.get(tag) {
+                    debug_assert_eq!(
+                        known.lookup_with(
+                            probe_hash(&encode_generated_relational(s, new_points, &mut key)),
+                            |c| c.key().as_words() == key.words()
+                        ),
+                        Some(id),
+                        "amalgam tag {tag:#x} of {cfg:?} names two configurations"
+                    );
+                    push_id(&mut out, id);
+                    return ControlFlow::Continue(());
+                }
             }
             // `RelConfig` hashes as its key hash (see its `Hash` impl).
             let hash = probe_hash(&encode_generated_relational(s, new_points, &mut key));
             let words = key.words();
             let same_key = |c: &RelConfig| c.key().as_words() == words;
             if let Some(id) = known.lookup_with(hash, same_key) {
-                if seen_ids.insert(id) {
-                    out.push(Resolved::Interned(id));
+                if let Some((memo, tag)) = memo_slot {
+                    memo.insert(tag, id);
                 }
+                push_id(&mut out, id);
                 return ControlFlow::Continue(());
             }
             let is_fresh_dup = |entry: &Resolved<RelConfig>| {
@@ -711,7 +869,7 @@ pub(crate) fn collect_amalgams<C: AmalgamClass>(
     hints: &GuardHints,
 ) -> Vec<Pointed> {
     let mut out = Vec::new();
-    let _ = class.for_each_amalgam(base, hints, &mut |s, points| {
+    let _ = class.for_each_amalgam(base, hints, &mut |s, points, _| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });

@@ -22,7 +22,10 @@
 //! [`AmalgamClass::for_each_amalgam`] composes the inner class's amalgams
 //! with data-part extensions.
 
-use crate::amalgam::{project_structure, reset_extended, AmalgamClass, AmalgamVisitor, GuardHints};
+use crate::amalgam::{
+    field_bits, project_structure, reset_extended, tag_field, AmalgamClass, AmalgamVisitor,
+    GuardHints,
+};
 use crate::class::Pointed;
 use crate::equiv::block_extensions;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -378,14 +381,27 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         );
         let old_classes = self.data_classes(&base.structure);
         let m_old = base.structure.size();
+        let k = base.points.len();
+        // The data extensions of the old classes by `extra` fresh elements,
+        // computed once per `extra` (at most `k`).
+        let mut extensions: Vec<Option<Vec<Vec<usize>>>> = vec![None; k + 1];
+        // Tag: the inner tag, then the data extension, in the low `dbits`
+        // bits. Each fresh element ties with or goes next to one of at most
+        // `m_old + k` classes, so an extension index stays below
+        // `(2 (m_old + k) + 1)^k`.
+        let dbits = (2 * (m_old + k) + 1)
+            .checked_pow(k as u32)
+            .map_or(u64::BITS, field_bits);
         // The base is a member and both coordinates freeze the old elements,
         // so `with_data(inner, classes)` is the base plus the inner and data
         // facts that involve a fresh element. `lifted` holds the base plus
         // the inner candidate's fresh facts; `cand` adds the data facts.
         let mut lifted = base.structure.clone();
         let mut cand = base.structure.clone();
-        self.inner
-            .for_each_amalgam(&base_inner, &inner_hints, &mut |inner, points| {
+        self.inner.for_each_amalgam(
+            &base_inner,
+            &inner_hints,
+            &mut |inner, points, inner_tag| {
                 let extra = inner.size() - m_old;
                 reset_extended(&mut lifted, &base.structure, extra);
                 for r in inner.schema().relations() {
@@ -396,13 +412,19 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
                         lifted.add_fact(r, t).expect("inner symbols are a prefix");
                     }
                 }
-                for classes in self.extensions(&old_classes, extra) {
+                let extensions =
+                    extensions[extra].get_or_insert_with(|| self.extensions(&old_classes, extra));
+                for (di, classes) in extensions.iter().enumerate() {
                     cand.clone_from(&lifted);
-                    self.add_data_facts(&mut cand, &classes, m_old);
-                    f(&cand, points)?;
+                    self.add_data_facts(&mut cand, classes, m_old);
+                    let tag = inner_tag
+                        .filter(|_| field_bits(di + 1) <= dbits)
+                        .and_then(|inner_tag| tag_field(di as u64, dbits, inner_tag));
+                    f(&cand, points, tag)?;
                 }
                 ControlFlow::Continue(())
-            })
+            },
+        )
     }
 }
 

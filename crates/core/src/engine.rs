@@ -56,16 +56,21 @@
 //!
 //! * **Worker-side resolution**: inside their tasks, workers call the
 //!   class's [`SymbolicClass::successors`] against the layer-start
-//!   [`Interner`], which moves into the epoch wholesale — no clone, no
-//!   lock. It is the same call the inline path makes against the live
-//!   interner: each successor comes back as a [`Resolved`] entry, a known
-//!   id or a fresh configuration with its precomputed hash, and the
-//!   relational classes build a configuration only for a key the interner
-//!   lacks. The coordinator's merge interns the fresh ones in list order
-//!   and probes the visited bitmaps with the resulting ids, exactly as it
-//!   does inline. Because the merge replays tasks in arena order and ids
-//!   are assigned at insertion, the id sequence — and everything
-//!   downstream of it — is exactly the sequential one.
+//!   [`Interner`], which moves into the epoch wholesale — no clone, and no
+//!   lock on its table. It is the same call the inline path makes against
+//!   the live interner: each successor comes back as a [`Resolved`] entry,
+//!   a known id or a fresh configuration with its precomputed hash, and
+//!   the relational classes build a configuration only for a key the
+//!   interner lacks. The interner also carries one successor memo per
+//!   configuration (amalgam tag → id, [`Interner::memo`]), each behind its
+//!   own mutex, so workers expanding one configuration under different
+//!   guards share its resolutions; an entry is a pure function of the
+//!   configuration and the tag, so which worker fills it first cannot
+//!   change a list. The coordinator's merge interns the fresh entries in
+//!   list order and probes the visited bitmaps with the resulting ids,
+//!   exactly as it does inline. Because the merge replays tasks in arena
+//!   order and ids are assigned at insertion, the id sequence — and
+//!   everything downstream of it — is exactly the sequential one.
 //! * **Adaptive layer scheduling** ([`ParallelMode`], the default): the
 //!   per-layer `EpochGate` publish/wake/merge round-trip costs tens of
 //!   microseconds, which the macro suite showed *losing* to sequential on

@@ -6,8 +6,8 @@
 //! implemented here.
 
 use crate::amalgam::{
-    combined_valuation, placement_contexts, point_patterns, reset_extended, AmalgamClass,
-    AmalgamVisitor, GuardHints,
+    combined_valuation, field_bits, placement_contexts, point_patterns, reset_extended, tag_field,
+    AmalgamClass, AmalgamVisitor, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -182,17 +182,27 @@ impl AmalgamClass for EquivalenceClass {
         let m_old = base.structure.size();
         let old_blocks = self.blocks_of(&base.structure);
         let mut cand = base.structure.clone();
-        for ctx in placement_contexts(m_old, k).iter() {
+        let placements = placement_contexts(m_old, k);
+        let pbits = field_bits(placements.len());
+        for (pi, ctx) in placements.iter().enumerate() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
             }
             // The base is a member, so `from_blocks(&blocks)` is the base
-            // plus the facts that involve a fresh element.
-            for blocks in block_extensions(&old_blocks, ctx.fresh.len()) {
+            // plus the facts that involve a fresh element. Tag: the
+            // placement, then the block extension.
+            for (bi, blocks) in block_extensions(&old_blocks, ctx.fresh.len())
+                .iter()
+                .enumerate()
+            {
                 reset_extended(&mut cand, &base.structure, ctx.fresh.len());
-                self.add_block_facts(&mut cand, &blocks, m_old);
-                f(&cand, &ctx.new_points)?;
+                self.add_block_facts(&mut cand, blocks, m_old);
+                f(
+                    &cand,
+                    &ctx.new_points,
+                    tag_field(pi as u64, pbits, bi as u64),
+                )?;
             }
         }
         ControlFlow::Continue(())

@@ -17,8 +17,8 @@
 //!   enumeration ([`GuardHints::forced_facts`]).
 
 use crate::amalgam::{
-    combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, Fact, GuardHints,
+    combined_valuation, enumerate_fact_subsets, field_bits, hint_tuples, internal_new_tuples,
+    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, Fact, FactMask, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::enumerate::StructureIter;
@@ -75,7 +75,10 @@ impl AmalgamClass for FreeRelationalClass {
     ) -> ControlFlow<()> {
         let k = base.points.len();
         let mut cand = base.structure.clone();
-        for ctx in placement_contexts(base.structure.size(), k).iter() {
+        let placements = placement_contexts(base.structure.size(), k);
+        let pbits = field_bits(placements.len());
+        let mut mask = FactMask::default();
+        for (pi, ctx) in placements.iter().enumerate() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
@@ -95,7 +98,19 @@ impl AmalgamClass for FreeRelationalClass {
             let mut optional: Vec<_> = optional.into_iter().collect();
             reset_extended(&mut cand, &base.structure, ctx.fresh.len());
             if forced.apply(&mut optional, &mut cand) {
-                enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
+                // Tag: the placement, then which facts among the new points
+                // the candidate has.
+                let tags = mask.tags(
+                    &self.schema,
+                    self.schema.relations(),
+                    &np_universe,
+                    (pi as u64, pbits),
+                    forced.on(),
+                    &optional,
+                );
+                enumerate_fact_subsets(&mut cand, &optional, tags, |s, tag| {
+                    f(s, &ctx.new_points, tag)
+                })?;
             }
         }
         ControlFlow::Continue(())

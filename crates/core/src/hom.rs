@@ -17,8 +17,9 @@
 //! homomorphism search of `dds-structure`).
 
 use crate::amalgam::{
-    combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, Fact, GuardHints,
+    combined_valuation, enumerate_fact_subsets, field_bits, hint_tuples, internal_new_tuples,
+    placement_contexts, reset_extended, tag_field, AmalgamClass, AmalgamVisitor, Fact, FactMask,
+    GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -200,7 +201,7 @@ impl AmalgamClass for HomClass {
                         }
                     }
                 }
-                let _ = enumerate_fact_subsets(&mut base, &optional, |s| {
+                let _ = enumerate_fact_subsets(&mut base, &optional, None, |s, _| {
                     out.push(Pointed::new(s.clone(), points.clone()));
                     ControlFlow::Continue(())
                 });
@@ -224,7 +225,10 @@ impl AmalgamClass for HomClass {
             .map(|e| self.color_of(&base.structure, e).expect("base is a member"))
             .collect();
         let mut cand = base.structure.clone();
-        for ctx in placement_contexts(base.structure.size(), k).iter() {
+        let placements = placement_contexts(base.structure.size(), k);
+        let pbits = field_bits(placements.len());
+        let mut mask = FactMask::default();
+        for (pi, ctx) in placements.iter().enumerate() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
@@ -235,7 +239,9 @@ impl AmalgamClass for HomClass {
             let mut np_universe: Vec<Element> = ctx.new_points.clone();
             np_universe.sort_unstable();
             np_universe.dedup();
-            for fresh_colors in color_vectors(ctx.fresh.len(), nh) {
+            let colorings = color_vectors(ctx.fresh.len(), nh);
+            let cbits = field_bits(colorings.len());
+            for (ci, fresh_colors) in colorings.into_iter().enumerate() {
                 let mut colors = base_colors.clone();
                 colors.extend(fresh_colors.iter().copied());
                 // Optional facts: only color-compatible σ-tuples (others can
@@ -258,7 +264,21 @@ impl AmalgamClass for HomClass {
                 // A forced-on fact missing from `optional` is
                 // color-incompatible: no member of this coloring has it.
                 if forced.apply(&mut optional, &mut cand) {
-                    enumerate_fact_subsets(&mut cand, &optional, |s| f(s, &ctx.new_points))?;
+                    // Tag: the placement, the fresh coloring, then which
+                    // σ-facts among the new points the candidate has.
+                    let tags = tag_field(pi as u64, pbits, ci as u64).and_then(|head| {
+                        mask.tags(
+                            &self.internal,
+                            self.sigma.iter().copied(),
+                            &np_universe,
+                            (head, pbits + cbits),
+                            forced.on(),
+                            &optional,
+                        )
+                    });
+                    enumerate_fact_subsets(&mut cand, &optional, tags, |s, tag| {
+                        f(s, &ctx.new_points, tag)
+                    })?;
                 }
             }
         }

@@ -27,10 +27,22 @@
 //! points intern the fresh ones without re-hashing. Lookups take `&self`,
 //! so many threads may probe the same interner at once.
 //!
+//! Next to each value sits its *successor memo* ([`Interner::memo`]): a map
+//! from a guard-independent amalgam tag to the id of the successor that
+//! amalgam of the value resolves to (see [`crate::amalgam`]). It lives
+//! here, not in the class or the engine, because its entries are ids of
+//! this interner: it is created with the value, lives exactly as long as
+//! the search, and moves into a parallel layer's epoch with the interner.
+//! Each memo sits behind its own [`Mutex`], so workers resolving different
+//! configurations never contend, and an entry is a pure function of the
+//! value and the tag, so any fill order yields the same lookups.
+//!
 //! [`DefaultHasher`]: std::collections::hash_map::DefaultHasher
 
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Dense identifier of an interned configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,16 +80,47 @@ pub(crate) fn probe_hash<V: Hash + ?Sized>(value: &V) -> u64 {
     h.finish()
 }
 
+/// A cheap hasher for keys that are already one machine word (amalgam tags,
+/// probe hashes): a multiply and a fold, deterministic on every platform.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`std::collections::HashMap`] state for [`WordHasher`].
+pub type BuildWordHasher = BuildHasherDefault<WordHasher>;
+
+/// A value's successor memo: amalgam tag → id of the successor that amalgam
+/// resolves to (see the module docs).
+pub type SuccessorMemo = HashMap<u64, ConfigId, BuildWordHasher>;
+
 const EMPTY: u32 = u32::MAX;
 
 /// Initial slot count of the id table (power of two).
 const INITIAL_SLOTS: usize = 16;
 
 /// A hash-consing arena: owns each distinct value once, hands out dense ids.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Interner<T> {
     values: Vec<T>,
     hashes: Vec<u64>,
+    /// One successor memo per value, indexed by id.
+    memos: Vec<Mutex<SuccessorMemo>>,
     /// Open-addressed table of ids; length is a power of two.
     slots: Vec<u32>,
 }
@@ -94,6 +137,7 @@ impl<T: Eq + Hash> Interner<T> {
         Interner {
             values: Vec::new(),
             hashes: Vec::new(),
+            memos: Vec::new(),
             slots: vec![EMPTY; INITIAL_SLOTS],
         }
     }
@@ -116,6 +160,16 @@ impl<T: Eq + Hash> Interner<T> {
     /// The precomputed hash of an interned value.
     pub fn hash_of(&self, id: ConfigId) -> u64 {
         self.hashes[id.index()]
+    }
+
+    /// Locks the successor memo of an interned value (see the module docs).
+    /// Its ids are ids of this interner. A poisoned lock is taken over:
+    /// entries are inserted whole, so a panic elsewhere cannot leave one
+    /// half-written.
+    pub fn memo(&self, id: ConfigId) -> MutexGuard<'_, SuccessorMemo> {
+        self.memos[id.index()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The deterministic 64-bit hash used for table probes.
@@ -148,6 +202,7 @@ impl<T: Eq + Hash> Interner<T> {
                 assert!(id != EMPTY, "interner capacity exhausted");
                 self.values.push(value);
                 self.hashes.push(hash);
+                self.memos.push(Mutex::default());
                 self.slots[i] = id;
                 if self.values.len() * 8 >= self.slots.len() * 7 {
                     self.grow();
@@ -263,6 +318,34 @@ mod tests {
         // The predicate decides, not the hash alone.
         assert_eq!(it.lookup_with(hash, |v| v == "beta"), None);
         assert_eq!(it.lookup_with(probe_hash("beta"), |_| true), None);
+    }
+
+    #[test]
+    fn lookup_with_tells_apart_values_filed_under_one_hash() {
+        // Two values forced under one hash: only the predicate separates
+        // them, so an ignored predicate would return the first for both.
+        let mut it: Interner<String> = Interner::new();
+        let (a, _) = it.intern_prehashed("alpha".to_owned(), 7);
+        let (b, _) = it.intern_prehashed("beta".to_owned(), 7);
+        assert_ne!(a, b);
+        assert_eq!(it.lookup_with(7, |v| v == "alpha"), Some(a));
+        assert_eq!(it.lookup_with(7, |v| v == "beta"), Some(b));
+        assert_eq!(it.lookup_with(7, |v| v == "gamma"), None);
+    }
+
+    #[test]
+    fn each_value_has_its_own_memo() {
+        let mut it: Interner<u64> = Interner::new();
+        let (a, _) = it.intern(10);
+        let (b, _) = it.intern(20);
+        it.memo(a).insert(3, b);
+        assert_eq!(it.memo(a).get(&3), Some(&b));
+        assert!(it.memo(b).is_empty());
+        // Growing the table keeps every memo with its value.
+        for v in 0..100u64 {
+            it.intern(v);
+        }
+        assert_eq!(it.memo(a).get(&3), Some(&b));
     }
 
     #[test]

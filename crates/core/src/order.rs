@@ -10,8 +10,8 @@
 //! polynomial per placement.
 
 use crate::amalgam::{
-    combined_valuation, placement_contexts, reset_extended, surjections, AmalgamClass,
-    AmalgamVisitor, GuardHints,
+    combined_valuation, field_bits, placement_contexts, reset_extended, surjections, tag_field,
+    AmalgamClass, AmalgamVisitor, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -155,18 +155,25 @@ impl AmalgamClass for LinearOrderClass {
         let m_old = base.structure.size();
         let old_order = self.order_of(&base.structure);
         let mut cand = base.structure.clone();
-        for ctx in placement_contexts(m_old, k).iter() {
+        let placements = placement_contexts(m_old, k);
+        let pbits = field_bits(placements.len());
+        for (pi, ctx) in placements.iter().enumerate() {
             let combined = combined_valuation(&base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
             }
             // Interleave the fresh elements into the old chain in every way;
             // the base is a member, so each chain is the base plus the facts
-            // that involve a fresh element.
-            for order in interleavings(&old_order, &ctx.fresh) {
+            // that involve a fresh element. Tag: the placement, then the
+            // interleaving.
+            for (ii, order) in interleavings(&old_order, &ctx.fresh).iter().enumerate() {
                 reset_extended(&mut cand, &base.structure, ctx.fresh.len());
-                self.add_chain_facts(&mut cand, &order, m_old);
-                f(&cand, &ctx.new_points)?;
+                self.add_chain_facts(&mut cand, order, m_old);
+                f(
+                    &cand,
+                    &ctx.new_points,
+                    tag_field(pi as u64, pbits, ii as u64),
+                )?;
             }
         }
         ControlFlow::Continue(())

@@ -37,7 +37,7 @@ pub struct CanonicalKey {
 
 impl CanonicalKey {
     fn new(words: Vec<u64>) -> CanonicalKey {
-        let hash64 = fnv1a(&words);
+        let hash64 = hash_words(&words);
         CanonicalKey { words, hash64 }
     }
 
@@ -89,11 +89,22 @@ const SEP: u64 = u64::MAX;
 /// relation would read the same as one in the next relation.
 const NULLARY_ROW: u64 = 0;
 
-/// FNV-1a over key words: deterministic across runs and platforms.
-fn fnv1a(words: &[u64]) -> u64 {
-    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
-        (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
-    })
+/// The key hash: deterministic across runs and platforms. Each word is
+/// folded in with a multiply and an xor-shift, so a word's high bits reach
+/// the low bits before the next word lands (plain FNV-1a over whole words
+/// does not mix: `[1, SEP]` and `[SEP, 1]` collide under it), and the
+/// length and a final avalanche round seal it.
+fn hash_words(words: &[u64]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let h = words.iter().fold(0x243f_6a88_85a3_08d3_u64, |h, &w| {
+        let h = (h ^ w).wrapping_mul(K);
+        h ^ (h >> 29)
+    });
+    // The finalizer of MurmurHash3.
+    let mut h = h ^ words.len() as u64;
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Encodes a structure under a given renaming `number[old.index()] = new
@@ -275,7 +286,7 @@ pub fn encode_generated_relational(s: &Structure, points: &[Element], buf: &mut 
         }
         words.push(SEP);
     }
-    fnv1a(words)
+    hash_words(words)
 }
 
 /// One-pass [`canonicalize_pointed`] of the substructure a relational

@@ -1,11 +1,13 @@
 //! Property tests for the Fraïssé-class invariants the engine's correctness
 //! rests on (§4.1): amalgams stay in the class, extend the base in place,
-//! and sub-transition successors are themselves valid configurations. Two
+//! and sub-transition successors are themselves valid configurations. Three
 //! oracles pin the streaming successor path to the plain definition: the
 //! one-pass canonicalization and the words-only key encoder against
-//! `generated()` + `RelConfig::canonical`, and `transitions` and the
-//! interner-resolving `successors` against a reference built from those
-//! over the spec corpora.
+//! `generated()` + `RelConfig::canonical`; `transitions` and the
+//! interner-resolving `successors` (cold, and against warm successor memos)
+//! against a reference built from those over the spec corpora; and the
+//! amalgam tag contract — equal tags, equal key words — over the same
+//! corpora.
 
 use dds::core::amalgam::{combined_valuation, translate_formula, GuardHints};
 use dds::core::intern::Resolved;
@@ -15,14 +17,14 @@ use dds::structure::{encode_generated_relational, KeyScratch};
 use dds_cli::load_spec;
 use dds_cli::lower::{AnyClass, Task};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// Every candidate amalgam, cloned out of the visitor's buffer.
 fn amalgams<C: AmalgamClass>(class: &C, base: &Pointed) -> Vec<Pointed> {
     let mut out = Vec::new();
-    let _ = class.for_each_amalgam(base, &GuardHints::default(), &mut |s, points| {
+    let _ = class.for_each_amalgam(base, &GuardHints::default(), &mut |s, points, _| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });
@@ -171,7 +173,7 @@ fn reference_transitions<C: AmalgamClass>(
     };
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    let _ = class.for_each_amalgam(&cfg.pointed, &hints, &mut |s, points| {
+    let _ = class.for_each_amalgam(&cfg.pointed, &hints, &mut |s, points, _| {
         let combined = combined_valuation(&cfg.pointed.points, points);
         if dds::logic::eval::eval(&guard, s, &combined).unwrap_or(false) {
             let next = RelConfig::canonical(&Pointed::new(s.clone(), points.to_vec()).generated());
@@ -201,21 +203,81 @@ fn unresolve(entries: Vec<Resolved<RelConfig>>, known: &Interner<RelConfig>) -> 
         .collect()
 }
 
+/// Checks the amalgam tag contract on `cfg`: over the default hints and
+/// the hints of every guard in `guards`, candidates with equal tags have
+/// the same new points and equal key words. Returns how many candidates
+/// had no tag.
+fn check_tags<C: AmalgamClass>(
+    class: &C,
+    cfg: &RelConfig,
+    guards: &[Formula],
+    label: &str,
+) -> usize {
+    let mut named: HashMap<u64, (Vec<Element>, Vec<u64>)> = HashMap::new();
+    let mut untagged = 0;
+    let mut key = KeyScratch::default();
+    let hints = std::iter::once(GuardHints::default()).chain(guards.iter().map(|g| {
+        GuardHints::of(&translate_formula(
+            g,
+            class.public_schema(),
+            class.internal_schema(),
+        ))
+    }));
+    for hints in hints {
+        let _ = class.for_each_amalgam(&cfg.pointed, &hints, &mut |s, points, tag| {
+            let Some(tag) = tag else {
+                untagged += 1;
+                return ControlFlow::Continue(());
+            };
+            encode_generated_relational(s, points, &mut key);
+            let first = named
+                .entry(tag)
+                .or_insert_with(|| (points.to_vec(), key.words().to_vec()));
+            assert_eq!(
+                (first.0.as_slice(), first.1.as_slice()),
+                (points, key.words()),
+                "{label}: tag {tag:#x} of {cfg:?} names two candidates"
+            );
+            ControlFlow::Continue(())
+        });
+    }
+    untagged
+}
+
+/// What [`check_transitions`] checked.
+#[derive(Default)]
+struct Checked {
+    /// `(configuration, guard)` pairs.
+    pairs: usize,
+    /// Candidates without a tag.
+    untagged: usize,
+}
+
 /// For every initial configuration × compiled rule guard of one reach
 /// system, checks against [`reference_transitions`]: `transitions`, and
-/// `successors` resolved against an empty interner and against one seeded
+/// `successors` resolved against an empty interner, against one seeded
 /// with the initial configurations that are not successors plus every
 /// other reference successor (in reverse, so ids and list positions
-/// disagree), which mixes `Interned` and `Fresh` entries. Lists must match
-/// in order. Returns the number of pairs checked.
-fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -> usize {
+/// disagree), which mixes `Interned` and `Fresh` entries, and against one
+/// interner seeded with every initial configuration, as the engine seeds
+/// its own, that every pair resolves against in turn, so each
+/// configuration's successor memo is warm from the guards before. Lists
+/// must match in order. Also checks the tag contract ([`check_tags`]) on
+/// every initial configuration.
+fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -> Checked {
     let engine = Engine::new(class, system);
     let compiled = engine.compiled_system();
     let initial = class.initial_configs(compiled.num_registers());
-    let mut pairs = 0;
+    let guards: Vec<Formula> = compiled.rules().iter().map(|r| r.guard.clone()).collect();
+    let mut warm = Interner::new();
     for cfg in &initial {
-        for rule in compiled.rules() {
-            let reference = reference_transitions(class, cfg, &rule.guard);
+        warm.intern(cfg.clone());
+    }
+    let mut checked = Checked::default();
+    for cfg in &initial {
+        checked.untagged += check_tags(class, cfg, &guards, label);
+        for guard in &guards {
+            let reference = reference_transitions(class, cfg, guard);
             let keys = |v: &[RelConfig]| {
                 v.iter()
                     .map(|c| (c.key().as_words().to_vec(), c.pointed.clone()))
@@ -230,27 +292,30 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
                 seeded.intern(succ.clone());
             }
             for (how, got) in [
-                ("transitions", class.transitions(cfg, &rule.guard)),
+                ("transitions", class.transitions(cfg, guard)),
                 (
                     "successors (empty interner)",
-                    unresolve(class.successors(cfg, &rule.guard, &empty), &empty),
+                    unresolve(class.successors(cfg, guard, &empty), &empty),
                 ),
                 (
                     "successors (seeded interner)",
-                    unresolve(class.successors(cfg, &rule.guard, &seeded), &seeded),
+                    unresolve(class.successors(cfg, guard, &seeded), &seeded),
+                ),
+                (
+                    "successors (warm memos)",
+                    unresolve(class.successors(cfg, guard, &warm), &warm),
                 ),
             ] {
                 assert_eq!(
                     keys(&got),
                     keys(&reference),
-                    "{label}: {how} of {cfg:?} under {:?} differ",
-                    rule.guard
+                    "{label}: {how} of {cfg:?} under {guard:?} differ",
                 );
             }
-            pairs += 1;
+            checked.pairs += 1;
         }
     }
-    pairs
+    checked
 }
 
 fn spec_files(dir: &Path) -> Vec<PathBuf> {
@@ -263,41 +328,67 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Corpus oracle: over every relational-class spec in `specs/` and
-/// `specs/fuzz/`, `transitions` and `successors` (against an empty and a
-/// seeded interner) return exactly the reference successor list, in the
-/// same order.
-#[test]
-fn corpus_transitions_match_the_reference() {
+/// Runs `check` on the class and every reach system of each relational
+/// spec in `dirs`; returns how many specs were relational.
+fn for_each_relational_spec(
+    dirs: &[&str],
+    mut check: impl FnMut(&AnyClass, &System, &str),
+) -> usize {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut specs = 0;
-    let mut pairs = 0;
-    for dir in [root.join("specs"), root.join("specs/fuzz")] {
-        for path in spec_files(&dir) {
+    for dir in dirs {
+        for path in spec_files(&root.join(dir)) {
             let label = path.display().to_string();
             let lowered = load_spec(&std::fs::read_to_string(&path).unwrap())
                 .unwrap_or_else(|e| panic!("{}", e.with_path(&label)));
+            if matches!(
+                lowered.class,
+                AnyClass::Words(_) | AnyClass::Trees(_) | AnyClass::Counter(_)
+            ) {
+                continue;
+            }
             let mut relational = false;
             for p in &lowered.properties {
-                let Task::Reach(system) = &p.task else {
-                    continue;
-                };
-                pairs += match &lowered.class {
-                    AnyClass::Free(c) => check_transitions(c, system, &label),
-                    AnyClass::Hom(c) => check_transitions(c, system, &label),
-                    AnyClass::Order(c) => check_transitions(c, system, &label),
-                    AnyClass::Equiv(c) => check_transitions(c, system, &label),
-                    AnyClass::DataFree(c) => check_transitions(c, system, &label),
-                    AnyClass::DataHom(c) => check_transitions(c, system, &label),
-                    AnyClass::DataOrder(c) => check_transitions(c, system, &label),
-                    AnyClass::DataEquiv(c) => check_transitions(c, system, &label),
-                    AnyClass::Words(_) | AnyClass::Trees(_) | AnyClass::Counter(_) => continue,
-                };
-                relational = true;
+                if let Task::Reach(system) = &p.task {
+                    check(&lowered.class, system, &label);
+                    relational = true;
+                }
             }
             specs += usize::from(relational);
         }
     }
+    specs
+}
+
+/// Dispatches a generic check over the relational classes of [`AnyClass`].
+macro_rules! with_relational_class {
+    ($class:expr, |$c:ident| $body:expr) => {
+        match $class {
+            AnyClass::Free($c) => $body,
+            AnyClass::Hom($c) => $body,
+            AnyClass::Order($c) => $body,
+            AnyClass::Equiv($c) => $body,
+            AnyClass::DataFree($c) => $body,
+            AnyClass::DataHom($c) => $body,
+            AnyClass::DataOrder($c) => $body,
+            AnyClass::DataEquiv($c) => $body,
+            AnyClass::Words(_) | AnyClass::Trees(_) | AnyClass::Counter(_) => {
+                unreachable!("not a relational class")
+            }
+        }
+    };
+}
+
+/// Corpus oracle: over every relational-class spec in `specs/` and
+/// `specs/fuzz/`, `transitions` and `successors` (against an empty, a
+/// seeded and a warm interner) return exactly the reference successor
+/// list, in the same order, and equal amalgam tags name equal keys.
+#[test]
+fn corpus_transitions_match_the_reference() {
+    let mut pairs = 0;
+    let specs = for_each_relational_spec(&["specs", "specs/fuzz"], |class, system, label| {
+        pairs += with_relational_class!(class, |c| check_transitions(c, system, label).pairs);
+    });
     assert!(
         specs >= 15,
         "only {specs} relational specs found — corpus shrank?"
@@ -305,8 +396,34 @@ fn corpus_transitions_match_the_reference() {
     assert!(pairs >= 500, "only {pairs} (config, guard) pairs checked");
 }
 
+/// The key hash mixes: the distinct initial-configuration keys of every
+/// relational spec in `specs/` and `bench/macro/` have distinct
+/// [`dds::structure::CanonicalKey::hash64`]s.
+#[test]
+fn initial_key_hashes_are_distinct() {
+    fn hashes<C: AmalgamClass>(class: &C, system: &System) -> Vec<(u64, Vec<u64>)> {
+        class
+            .initial_configs(system.num_registers())
+            .iter()
+            .map(|c| (c.key_hash(), c.key().as_words().to_vec()))
+            .collect()
+    }
+    let mut keys = 0;
+    let specs = for_each_relational_spec(&["specs", "bench/macro"], |class, system, label| {
+        let mut by_hash: HashMap<u64, Vec<u64>> = HashMap::new();
+        for (hash, words) in with_relational_class!(class, |c| hashes(c, system)) {
+            let first = by_hash.entry(hash).or_insert_with(|| words.clone());
+            assert_eq!(*first, words, "{label}: two keys share hash {hash:#x}");
+            keys += 1;
+        }
+    });
+    assert!(specs >= 20, "only {specs} relational specs found");
+    assert!(keys >= 1000, "only {keys} initial keys checked");
+}
+
 /// Relations of arity 5 and 6 go through the successor oracle and verify
-/// end to end, with a certified witness. The class is `HOM` so that the
+/// end to end, with a certified witness; their candidates over two new
+/// points have no tag. The class is `HOM` so that the
 /// initial configurations stay few: the free class would enumerate every
 /// `R/6` structure on two elements.
 #[test]
@@ -344,7 +461,11 @@ property reach {
     let Task::Reach(system) = &lowered.properties[0].task else {
         panic!("reach property expected");
     };
-    assert!(check_transitions(class, system, "wide_arity") > 0);
+    // Two new points span 2^6 + 2^5 tuples of `R` and `Q`, more than a
+    // 64-bit tag holds, so those candidates are resolved by key.
+    let checked = check_transitions(class, system, "wide_arity");
+    assert!(checked.pairs > 0);
+    assert!(checked.untagged > 0, "every candidate had a tag");
     let outcome = Engine::new(class, system).run();
     assert!(outcome.is_nonempty(), "{outcome:?}");
     assert!(outcome.witness().is_some(), "witness not certified");
@@ -381,7 +502,7 @@ property reach {
         panic!("reach property expected");
     };
     assert_eq!(class.initial_configs(1).len(), 4);
-    assert!(check_transitions(class, system, "nullary") > 0);
+    assert!(check_transitions(class, system, "nullary").pairs > 0);
     let outcome = Engine::new(class, system).run();
     assert!(outcome.is_nonempty(), "{outcome:?}");
     assert!(outcome.witness().is_some(), "witness not certified");

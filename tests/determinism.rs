@@ -333,6 +333,51 @@ fn wide_macro_spec_bit_identical() {
     assert_deterministic(class, system, false);
 }
 
+/// Runs a spec of `bench/macro/` sequentially, then on the epoch path at
+/// 1, 2 and 4 workers and with one-task chunks, and asserts every outcome
+/// is identical.
+fn assert_macro_spec_deterministic(name: &str, expect_nonempty: bool) {
+    fn matrix<C: SymbolicClass>(class: &C, system: &System, expect_nonempty: bool, name: &str)
+    where
+        C::Config: PartialEq,
+    {
+        let run = |options: EngineOptions| Engine::new(class, system).with_options(options).run();
+        let sequential = run(EngineOptions::default());
+        assert_eq!(sequential.is_nonempty(), expect_nonempty, "{name}");
+        for (threads, chunk) in [(1, 0), (2, 0), (4, 0), (4, 1)] {
+            let parallel = run(EngineOptions::default()
+                .threads(threads)
+                .chunk_size(chunk)
+                .parallel_mode(ParallelMode::Eager));
+            assert_eq!(
+                sequential, parallel,
+                "{name}: threads = {threads}, chunk = {chunk}"
+            );
+        }
+    }
+    let path = format!("{}/bench/macro/{name}.dds", env!("CARGO_MANIFEST_DIR"));
+    let lowered = dds_cli::load_spec(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let dds_cli::lower::Task::Reach(system) = &lowered.properties[0].task else {
+        panic!("{path}: reach property expected");
+    };
+    match &lowered.class {
+        dds_cli::lower::AnyClass::Hom(c) => matrix(c, system, expect_nonempty, name),
+        dds_cli::lower::AnyClass::DataFree(c) => matrix(c, system, expect_nonempty, name),
+        _ => panic!("{path}: a HOM or data-over-free class expected"),
+    }
+}
+
+/// `HOM` and data-product macro specs on the epoch path: workers resolving
+/// the guard classes of one configuration fill its successor memo
+/// concurrently, with the tags of those classes (colorings; data
+/// extensions over free-class tags), and the lists must not depend on who
+/// filled it first.
+#[test]
+fn hom_and_data_macro_specs_bit_identical() {
+    assert_macro_spec_deterministic("hom_chain_k5", true);
+    assert_macro_spec_deterministic("data_order_exhaust", false);
+}
+
 /// Scheduler counter sanity. The counters are diagnostics excluded from
 /// `EngineStats` equality, but they must still tell the truth: a sequential
 /// run never steals and never waits on the epoch gate.
