@@ -15,22 +15,43 @@
 //!   databases — the executable form of the paper's soundness induction
 //!   ("by closure under amalgamation we get a database A′ ...", §4.1).
 //!
-//! Amalgams are *streamed*: [`AmalgamClass::for_each_amalgam`] builds each
-//! candidate in one buffer reused for the whole call and lends it to a
-//! visitor, which may stop the enumeration with [`ControlFlow::Break`].
-//! Successor computation evaluates the guard on the borrowed candidate and,
-//! for the ones that pass, writes only the canonical key words of the
-//! substructure the new points generate
-//! ([`encode_generated_relational`]: the schemas here are relational, so
-//! that substructure is induced on the new points). The words are probed
-//! against the search's interner and then against the successors this call
-//! already built; only a key absent from both becomes a configuration
-//! ([`RelConfig::generated_by`]). The engine interns every initial
-//! configuration — every `k`-generated member — before it expands
+//! Amalgams are *streamed* in *families*: [`AmalgamClass::for_each_amalgam`]
+//! lends a visitor one [`Family`] at a time — a candidate built in a buffer
+//! reused for the whole call, plus the sorted *optional facts* whose every
+//! subset extends it to another candidate, all with the same new points.
+//! The free and `HOM` classes pass one family per placement (and fresh
+//! coloring); orders, equivalences and data products pass one-candidate
+//! families. The visitor may stop the
+//! enumeration with [`ControlFlow::Break`]. A family's candidates are its
+//! subset masks in increasing order; [`Family::for_each`] builds each in
+//! turn, which is what replay and the tests use ([`for_each_candidate`]).
+//!
+//! Successor computation walks the masks without building them
+//! ([`Family::for_each_passing`]). A quantifier-free guard over variables
+//! sees only the facts on the old and new points (the paper's locality
+//! argument), so it is decided on the family where it can be. It is
+//! evaluated once with every optional fact absent; when that reads no
+//! optional fact — always for a conjunction of literals, whose relation
+//! literals are forced facts fixed before the walk — its value holds for
+//! every mask, and the family is skipped or every mask passes with no
+//! further evaluation ([`eval_with`]). A guard that does read one, or is
+//! not quantifier-free, is evaluated on each candidate built in turn. A
+//! guard-passing mask whose tag hits the memo (below) is resolved without
+//! touching the buffer; on a miss the buffer moves to the mask by adding
+//! and removing just the facts that differ, and only then is the candidate
+//! read. From it `successors` writes only the canonical key words of the
+//! substructure the new points generate ([`encode_generated_relational`]:
+//! the schemas here are relational, so that substructure is induced on the
+//! new points). The
+//! words are probed against the search's interner and then against the
+//! successors this call already built; only a key absent from both becomes
+//! a configuration ([`RelConfig::generated_by`]). The engine interns every
+//! initial configuration — every `k`-generated member — before it expands
 //! anything, so its calls build no configuration at all; `transitions`,
 //! against an empty interner, builds each distinct successor once. Replay
-//! compares key words the same way, stops at the first candidate matching
-//! the trace step and clones only that one.
+//! evaluates the guard on each candidate, compares key words the same way,
+//! stops at the first candidate matching the trace step and clones only
+//! that one.
 //!
 //! The engine expands a configuration once per guard class, and the
 //! successor an amalgam generates does not depend on the guard. So every
@@ -39,14 +60,17 @@
 //! extension choice (the free class: a mask of the facts among the new
 //! points; `HOM`: the fresh coloring and that mask; orders: the
 //! interleaving; equivalences: the block extension; data products: the
-//! data extension over the inner tag). Equal tags within one base name the
-//! same new points and generate equal key words. Each interned configuration keeps a successor memo
-//! from tag to id ([`Interner::memo`]); `successors` looks a guard-passing
-//! candidate's tag up there first, and only on a miss encodes the key and
-//! probes, recording the id it finds. A candidate whose tag would not fit
-//! in 64 bits has none and is always resolved by key, and a base the
-//! interner lacks (`transitions`) has no memo. Debug builds re-encode
-//! every hit and assert that the probe gives the memo's id.
+//! data extension over the inner tag). Within a family the tag of a subset
+//! is the empty subset's XOR one bit per optional fact it has. Equal tags
+//! within one base name the same new points and generate equal key words.
+//! Each interned configuration keeps a successor memo from tag to id
+//! ([`Interner::memo`]); `successors` looks a guard-passing candidate's tag
+//! up there first, and only on a miss encodes the key and probes, recording
+//! the id it finds. A candidate whose tag would not fit in 64 bits has none
+//! and is always resolved by key, and a base the interner lacks
+//! (`transitions`) has no memo. Debug builds build every hit in a separate
+//! buffer, re-encode it and assert that the probe gives the memo's id; the
+//! family's buffer moves exactly as in release.
 //!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
@@ -68,7 +92,7 @@
 
 use crate::class::{Pointed, RelConfig, SymbolicClass, Trace};
 use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved};
-use dds_logic::eval::eval;
+use dds_logic::eval::{eval, eval_with, is_local};
 use dds_logic::transform::{forced_literals, Literal};
 use dds_logic::{Formula, Term, Var};
 use dds_structure::{
@@ -90,12 +114,198 @@ thread_local! {
         RefCell::new(HashMap::new());
 }
 
-/// The visitor [`AmalgamClass::for_each_amalgam`] lends each candidate to:
-/// the candidate structure, its new points and its *tag* (see
-/// [`AmalgamClass::for_each_amalgam`]; `None` when the candidate has none).
-/// Returning [`ControlFlow::Break`] stops the enumeration.
-pub type AmalgamVisitor<'a> =
-    dyn FnMut(&Structure, &[Element], Option<u64>) -> ControlFlow<()> + 'a;
+/// The visitor [`AmalgamClass::for_each_amalgam`] lends each [`Family`] of
+/// candidates to. Returning [`ControlFlow::Break`] stops the enumeration.
+pub type AmalgamVisitor<'a> = dyn FnMut(&mut Family<'_>) -> ControlFlow<()> + 'a;
+
+/// A *family* of candidate amalgams with the same new points: `cand`
+/// extended by each subset of `optional`. A subset is a mask (bit `i`
+/// stands for `optional[i]`), and the family's candidates are its masks in
+/// increasing order. Classes without optional facts pass one-candidate
+/// families ([`Family::single`]).
+#[derive(Debug)]
+pub struct Family<'a> {
+    /// The candidate of the empty subset: the base, the fresh elements and
+    /// the facts every candidate of the family has, but none of
+    /// `optional`. A visitor may leave it holding any subset; the class
+    /// resets it before the next family.
+    pub cand: &'a mut Structure,
+    /// The new register values.
+    pub new_points: &'a [Element],
+    /// The optional facts: sorted, distinct, at most 24.
+    pub optional: &'a [Fact],
+    /// The tag of the empty subset and one tag bit per optional fact: a
+    /// subset's tag is the empty subset's XOR the bits of its facts (see
+    /// [`AmalgamClass::for_each_amalgam`]). `None` when the family's
+    /// candidates have no tag.
+    pub tags: Option<(u64, &'a [u64])>,
+}
+
+impl<'a> Family<'a> {
+    /// The family of the one candidate `cand`.
+    pub fn single(cand: &'a mut Structure, new_points: &'a [Element], tag: Option<u64>) -> Self {
+        Family {
+            cand,
+            new_points,
+            optional: &[],
+            tags: tag.map(|tag| (tag, &[][..])),
+        }
+    }
+
+    /// Visits every candidate with its tag, in increasing mask order,
+    /// editing `cand` in place: consecutive masks differ by one added fact
+    /// and the removal of the facts below it.
+    pub fn for_each(
+        &mut self,
+        mut f: impl FnMut(&Structure, Option<u64>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let mut at = 0;
+        for (mask, tag) in mask_steps(self.cand, self.optional, self.tags) {
+            move_to(self.cand, self.optional, at, mask);
+            at = mask;
+            f(self.cand, tag)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Visits the candidates that satisfy `guard` under `val`, in
+    /// [`Family::for_each`]'s order, lending each with its tag as a
+    /// [`Candidate`] that builds the structure only when asked.
+    ///
+    /// A [local](is_local) guard sees only the atoms over old and new
+    /// points, so it is first evaluated on the family: once on the empty
+    /// subset, answering optional tuples `false`. If that evaluation read
+    /// no optional fact, its value holds for every subset (it follows the
+    /// same path through the same answers), so the family is skipped or
+    /// every mask passes without another evaluation. Otherwise, and for a
+    /// guard that is not local, the guard is evaluated on each candidate
+    /// built in turn.
+    pub fn for_each_passing(
+        &mut self,
+        guard: &Formula,
+        local: bool,
+        val: &[Element],
+        mut visit: impl FnMut(Option<u64>, &mut Candidate<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let optional = self.optional;
+        let mut decided = false;
+        if local {
+            let cand = &*self.cand;
+            let mut reads = false;
+            let empty = eval_with(guard, val, |r, t| {
+                let opt = optional
+                    .binary_search_by(|(or, ot)| or.cmp(&r).then_with(|| ot.as_slice().cmp(t)))
+                    .is_ok();
+                reads |= opt;
+                !opt && cand.holds(r, t)
+            });
+            if !reads {
+                if !empty.unwrap_or(false) {
+                    return ControlFlow::Continue(());
+                }
+                decided = true;
+            }
+        }
+        let mut at = 0;
+        for (mask, tag) in mask_steps(self.cand, optional, self.tags) {
+            if !decided {
+                move_to(self.cand, optional, at, mask);
+                at = mask;
+                if !eval(guard, self.cand, val).unwrap_or(false) {
+                    continue;
+                }
+            }
+            visit(
+                tag,
+                &mut Candidate {
+                    buf: &mut *self.cand,
+                    optional,
+                    at: &mut at,
+                    mask,
+                },
+            )?;
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// A candidate of a [`Family`] that [`Family::for_each_passing`] lends
+/// without building it.
+#[derive(Debug)]
+pub struct Candidate<'c> {
+    buf: &'c mut Structure,
+    optional: &'c [Fact],
+    /// The mask `buf` holds.
+    at: &'c mut u64,
+    mask: u64,
+}
+
+impl Candidate<'_> {
+    /// The candidate structure: moves the family's buffer to this subset by
+    /// adding and removing just the facts the two subsets disagree on.
+    pub fn get(&mut self) -> &Structure {
+        move_to(self.buf, self.optional, *self.at, self.mask);
+        *self.at = self.mask;
+        self.buf
+    }
+
+    /// The candidate structure built in `buf`, leaving the family's buffer
+    /// where it is.
+    pub fn copy_into<'b>(&self, buf: &'b mut Option<Structure>) -> &'b Structure {
+        let buf = match buf {
+            Some(buf) => {
+                buf.clone_from(self.buf);
+                buf
+            }
+            None => buf.insert(self.buf.clone()),
+        };
+        move_to(buf, self.optional, *self.at, self.mask);
+        buf
+    }
+}
+
+/// The subset masks over a family's optional facts in increasing order,
+/// each with its tag: the empty subset's XOR the bits of its facts, stepped
+/// by the bits that change between consecutive masks. `cand` and `optional`
+/// are only checked against [`Family`]'s invariants.
+fn mask_steps<'t>(
+    cand: &Structure,
+    optional: &[Fact],
+    tags: Option<(u64, &'t [u64])>,
+) -> impl Iterator<Item = (u64, Option<u64>)> + 't {
+    let n = optional.len();
+    assert!(n <= 24, "too many optional facts in one family ({n})");
+    debug_assert!(optional.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(optional.iter().all(|(rel, t)| !cand.holds(*rel, t)));
+    debug_assert!(tags.map_or(true, |(_, bits)| bits.len() == n));
+    let mut tag = tags.map(|(empty, _)| empty);
+    (0u64..1 << n).map(move |mask| {
+        if let (Some(tag), Some((_, bits))) = (&mut tag, tags.filter(|_| mask > 0)) {
+            // From `mask - 1` to `mask`: the lowest set bit of `mask` turns
+            // on and every bit below it turns off.
+            let low = mask.trailing_zeros() as usize;
+            *tag ^= bits[..=low].iter().fold(0, |acc, b| acc ^ b);
+        }
+        (mask, tag)
+    })
+}
+
+/// Moves `cand` from the subset `from` of `optional` to the subset `to`:
+/// adds and removes just the facts of `from ^ to`, lowest bit first.
+fn move_to(cand: &mut Structure, optional: &[Fact], from: u64, to: u64) {
+    let mut diff = from ^ to;
+    while diff != 0 {
+        let i = diff.trailing_zeros() as usize;
+        diff &= diff - 1;
+        let (rel, t) = &optional[i];
+        if to >> i & 1 == 1 {
+            cand.add_fact(*rel, t)
+        } else {
+            cand.remove_fact(*rel, t)
+        }
+        .expect("optional facts are valid");
+    }
+}
 
 /// A relation atom of a guard, as a variable tuple (relational schemas have
 /// no function symbols, so guard terms are plain variables).
@@ -468,11 +678,16 @@ pub(crate) fn reset_extended(buf: &mut Structure, base: &Structure, extra: usize
     buf.extend_domain_in_place(extra);
 }
 
-/// Concrete tuples a guard's hint atoms refer to under a combined valuation
-/// (deduplicated). Only tuples involving at least one element of `involving`
-/// are returned — the others are frozen parts of the base.
-pub fn hint_tuples(hints: &[Hint], combined: &[Element], involving: &[Element]) -> Vec<Fact> {
-    let mut out: BTreeSet<Fact> = BTreeSet::new();
+/// Appends to `out` the concrete tuples a guard's hint atoms refer to under
+/// a combined valuation (in atom order, duplicates kept). Only tuples
+/// involving at least one element of `involving` are appended — the others
+/// are frozen parts of the base.
+pub fn hint_tuples(
+    out: &mut Vec<Fact>,
+    hints: &[Hint],
+    combined: &[Element],
+    involving: &[Element],
+) {
     for (rel, vars) in hints {
         let tuple: Option<Vec<Element>> = vars
             .iter()
@@ -480,76 +695,31 @@ pub fn hint_tuples(hints: &[Hint], combined: &[Element], involving: &[Element]) 
             .collect();
         if let Some(t) = tuple {
             if t.iter().any(|e| involving.contains(e)) {
-                out.insert((*rel, t));
+                out.push((*rel, t));
             }
         }
     }
-    out.into_iter().collect()
 }
 
-/// All tuples over `universe` (per relation of `schema`) that involve at
-/// least one element of `involving` and whose elements all lie in
-/// `universe`. These are the tuples that survive into the new configuration,
-/// so completeness requires enumerating all subsets of them.
+/// Appends to `out` all tuples over `universe` (per relation in `relations`,
+/// of `schema`) that involve at least one element of `involving` and whose
+/// elements all lie in `universe`. These are the tuples that survive into
+/// the new configuration, so completeness requires enumerating all subsets
+/// of them.
 pub fn internal_new_tuples(
+    out: &mut Vec<Fact>,
     schema: &Schema,
+    relations: impl IntoIterator<Item = SymbolId>,
     universe: &[Element],
     involving: &[Element],
-) -> Vec<Fact> {
-    let mut out = Vec::new();
-    for r in schema.relations() {
+) {
+    for r in relations {
         for t in dds_structure::structure::tuples_over(universe, schema.arity(r)) {
             if t.iter().any(|e| involving.contains(e)) {
                 out.push((r, t));
             }
         }
     }
-    out
-}
-
-/// Visits `cand` extended by every subset of `optional`, in increasing
-/// subset-mask order (bit `i` stands for `optional[i]`).
-///
-/// `cand` must hold the base structure on entry, with none of the
-/// (pairwise distinct) `optional` facts. Consecutive masks differ by one
-/// added fact and the removal of the facts below it, so each step edits
-/// `cand` in place instead of rebuilding it. On return `cand` holds the base
-/// plus some of the optional facts; callers reset it before reuse.
-///
-/// `tags`, when given, is the tag of the empty subset and one tag bit per
-/// optional fact ([`FactMask::tags`]); each subset is visited with the
-/// empty subset's tag XOR the bits of its facts, kept up to date in the
-/// same step that edits `cand`.
-pub fn enumerate_fact_subsets(
-    cand: &mut Structure,
-    optional: &[Fact],
-    tags: Option<(u64, &[u64])>,
-    mut f: impl FnMut(&Structure, Option<u64>) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    assert!(
-        optional.len() <= 24,
-        "enumerate_fact_subsets: too many optional facts ({})",
-        optional.len()
-    );
-    debug_assert!(optional.iter().all(|(rel, t)| !cand.holds(*rel, t)));
-    debug_assert!(tags.map_or(true, |(_, bits)| bits.len() == optional.len()));
-    let mut tag = tags.map(|(empty, _)| empty);
-    f(cand, tag)?;
-    for mask in 1u64..(1u64 << optional.len()) {
-        // From `mask - 1` to `mask`: the lowest set bit of `mask` turns on
-        // and every bit below it turns off.
-        let low = mask.trailing_zeros() as usize;
-        for (rel, t) in &optional[..low] {
-            cand.remove_fact(*rel, t).expect("valid fact");
-        }
-        let (rel, t) = &optional[low];
-        cand.add_fact(*rel, t).expect("valid fact");
-        if let (Some(tag), Some((_, bits))) = (&mut tag, tags) {
-            *tag ^= bits[..=low].iter().fold(0, |acc, b| acc ^ b);
-        }
-        f(cand, tag)?;
-    }
-    ControlFlow::Continue(())
 }
 
 /// Bits that hold any value below `count` (0 when `count <= 1`): the width
@@ -585,8 +755,7 @@ pub struct FactMask {
 
 impl FactMask {
     /// Prepares one placement's mask over `ranked` (relations of `schema`)
-    /// and returns the input [`enumerate_fact_subsets`] takes: the tag of
-    /// the empty subset — `head` plus the bits of the `forced_on` facts —
+    /// and returns a [`Family`]'s tags: the tag of the empty subset — `head` plus the bits of the `forced_on` facts —
     /// and the tag bit of each `optional` fact. `head` must fit in `shift`
     /// bits, above which the mask goes. `universe` is the sorted,
     /// deduplicated new points. `None` when the mask does not fit in the
@@ -689,7 +858,7 @@ pub fn surjections(k: usize, m: usize) -> Vec<Vec<usize>> {
 
 /// Writes the interleaved old/new valuation into `out` (see
 /// [`combined_valuation`]), reusing its buffer.
-fn fill_combined(out: &mut Vec<Element>, old: &[Element], new: &[Element]) {
+pub(crate) fn fill_combined(out: &mut Vec<Element>, old: &[Element], new: &[Element]) {
     debug_assert_eq!(old.len(), new.len());
     out.clear();
     out.extend(old.iter().zip(new).flat_map(|(&o, &n)| [o, n]));
@@ -718,7 +887,7 @@ pub fn replay_trace<T: AmalgamClass>(
         let hints = GuardHints::of(&guard);
         let base = Pointed::new(db, points);
         let mut found = None;
-        let _ = class.for_each_amalgam(&base, &hints, &mut |s, new_points, _| {
+        let _ = for_each_candidate(class, &base, &hints, |s, new_points, _| {
             fill_combined(&mut combined, &base.points, new_points);
             if eval(&guard, s, &combined).unwrap_or(false)
                 && encode_generated_relational(s, new_points, &mut key) == step.config.key_hash()
@@ -796,54 +965,63 @@ impl<T: AmalgamClass> SymbolicClass for T {
         let mut fresh_at: HashMap<u64, usize, BuildWordHasher> = HashMap::default();
         let mut out = Vec::new();
         let mut combined = Vec::new();
-        let _ = self.for_each_amalgam(&cfg.pointed, &hints, &mut |s, new_points, tag| {
-            fill_combined(&mut combined, &cfg.pointed.points, new_points);
-            if !eval(&guard, s, &combined).unwrap_or(false) {
-                return ControlFlow::Continue(());
-            }
-            let memo_slot = memo.as_mut().zip(tag);
-            if let Some((memo, tag)) = &memo_slot {
-                if let Some(&id) = memo.get(tag) {
-                    debug_assert_eq!(
-                        known.lookup_with(
-                            probe_hash(&encode_generated_relational(s, new_points, &mut key)),
-                            |c| c.key().as_words() == key.words()
-                        ),
-                        Some(id),
-                        "amalgam tag {tag:#x} of {cfg:?} names two configurations"
-                    );
+        let local = is_local(&guard);
+        // Debug builds re-check memo hits on a copy, so the family's buffer
+        // moves exactly as in release.
+        let mut recheck = None;
+        let _ = self.for_each_amalgam(&cfg.pointed, &hints, &mut |family| {
+            fill_combined(&mut combined, &cfg.pointed.points, family.new_points);
+            let new_points = family.new_points;
+            family.for_each_passing(&guard, local, &combined, |tag, cand| {
+                let memo_slot = memo.as_mut().zip(tag);
+                if let Some((memo, tag)) = &memo_slot {
+                    if let Some(&id) = memo.get(tag) {
+                        debug_assert_eq!(
+                            known.lookup_with(
+                                probe_hash(&encode_generated_relational(
+                                    cand.copy_into(&mut recheck),
+                                    new_points,
+                                    &mut key
+                                )),
+                                |c| c.key().as_words() == key.words()
+                            ),
+                            Some(id),
+                            "amalgam tag {tag:#x} of {cfg:?} names two configurations"
+                        );
+                        push_id(&mut out, id);
+                        return ControlFlow::Continue(());
+                    }
+                }
+                let s = cand.get();
+                // `RelConfig` hashes as its key hash (see its `Hash` impl).
+                let hash = probe_hash(&encode_generated_relational(s, new_points, &mut key));
+                let words = key.words();
+                let same_key = |c: &RelConfig| c.key().as_words() == words;
+                if let Some(id) = known.lookup_with(hash, same_key) {
+                    if let Some((memo, tag)) = memo_slot {
+                        memo.insert(tag, id);
+                    }
                     push_id(&mut out, id);
                     return ControlFlow::Continue(());
                 }
-            }
-            // `RelConfig` hashes as its key hash (see its `Hash` impl).
-            let hash = probe_hash(&encode_generated_relational(s, new_points, &mut key));
-            let words = key.words();
-            let same_key = |c: &RelConfig| c.key().as_words() == words;
-            if let Some(id) = known.lookup_with(hash, same_key) {
-                if let Some((memo, tag)) = memo_slot {
-                    memo.insert(tag, id);
+                let is_fresh_dup = |entry: &Resolved<RelConfig>| {
+                    matches!(entry, Resolved::Fresh(c, h) if *h == hash && same_key(c))
+                };
+                let dup = match fresh_at.get(&hash) {
+                    None => false,
+                    // A different key under the same hash is a collision:
+                    // fall back to scanning every fresh entry.
+                    Some(&at) => is_fresh_dup(&out[at]) || out.iter().any(is_fresh_dup),
+                };
+                if !dup {
+                    fresh_at.entry(hash).or_insert(out.len());
+                    out.push(Resolved::Fresh(
+                        Box::new(RelConfig::generated_by(s, new_points)),
+                        hash,
+                    ));
                 }
-                push_id(&mut out, id);
-                return ControlFlow::Continue(());
-            }
-            let is_fresh_dup = |entry: &Resolved<RelConfig>| {
-                matches!(entry, Resolved::Fresh(c, h) if *h == hash && same_key(c))
-            };
-            let dup = match fresh_at.get(&hash) {
-                None => false,
-                // A different key under the same hash is a collision: fall
-                // back to scanning every fresh entry.
-                Some(&at) => is_fresh_dup(&out[at]) || out.iter().any(is_fresh_dup),
-            };
-            if !dup {
-                fresh_at.entry(hash).or_insert(out.len());
-                out.push(Resolved::Fresh(
-                    Box::new(RelConfig::generated_by(s, new_points)),
-                    hash,
-                ));
-            }
-            ControlFlow::Continue(())
+                ControlFlow::Continue(())
+            })
         });
         out
     }
@@ -860,6 +1038,20 @@ impl<T: AmalgamClass> SymbolicClass for T {
     }
 }
 
+/// Visits the candidates of [`AmalgamClass::for_each_amalgam`] one at a
+/// time ([`Family::for_each`]), each with its new points and tag.
+pub fn for_each_candidate<C: AmalgamClass + ?Sized>(
+    class: &C,
+    base: &Pointed,
+    hints: &GuardHints,
+    mut f: impl FnMut(&Structure, &[Element], Option<u64>) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    class.for_each_amalgam(base, hints, &mut |family| {
+        let new_points = family.new_points;
+        family.for_each(|s, tag| f(s, new_points, tag))
+    })
+}
+
 /// Every candidate of [`AmalgamClass::for_each_amalgam`], cloned out of the
 /// visitor's buffer (unit tests inspect them after the enumeration).
 #[cfg(test)]
@@ -869,7 +1061,7 @@ pub(crate) fn collect_amalgams<C: AmalgamClass>(
     hints: &GuardHints,
 ) -> Vec<Pointed> {
     let mut out = Vec::new();
-    let _ = class.for_each_amalgam(base, hints, &mut |s, points, _| {
+    let _ = for_each_candidate(class, base, hints, |s, points, _| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });

@@ -23,8 +23,8 @@
 //! with data-part extensions.
 
 use crate::amalgam::{
-    field_bits, project_structure, reset_extended, tag_field, AmalgamClass, AmalgamVisitor,
-    GuardHints,
+    field_bits, for_each_candidate, project_structure, reset_extended, tag_field, AmalgamClass,
+    AmalgamVisitor, Family, GuardHints,
 };
 use crate::class::Pointed;
 use crate::equiv::block_extensions;
@@ -398,10 +398,11 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         // the inner candidate's fresh facts; `cand` adds the data facts.
         let mut lifted = base.structure.clone();
         let mut cand = base.structure.clone();
-        self.inner.for_each_amalgam(
+        for_each_candidate(
+            &self.inner,
             &base_inner,
             &inner_hints,
-            &mut |inner, points, inner_tag| {
+            |inner, points, inner_tag| {
                 let extra = inner.size() - m_old;
                 reset_extended(&mut lifted, &base.structure, extra);
                 for r in inner.schema().relations() {
@@ -420,7 +421,7 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
                     let tag = inner_tag
                         .filter(|_| field_bits(di + 1) <= dbits)
                         .and_then(|inner_tag| tag_field(di as u64, dbits, inner_tag));
-                    f(&cand, points, tag)?;
+                    f(&mut Family::single(&mut cand, points, tag))?;
                 }
                 ControlFlow::Continue(())
             },

@@ -7,7 +7,7 @@
 
 use crate::amalgam::{
     combined_valuation, field_bits, placement_contexts, point_patterns, reset_extended, tag_field,
-    AmalgamClass, AmalgamVisitor, GuardHints,
+    AmalgamClass, AmalgamVisitor, Family, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -198,11 +198,11 @@ impl AmalgamClass for EquivalenceClass {
             {
                 reset_extended(&mut cand, &base.structure, ctx.fresh.len());
                 self.add_block_facts(&mut cand, blocks, m_old);
-                f(
-                    &cand,
+                f(&mut Family::single(
+                    &mut cand,
                     &ctx.new_points,
                     tag_field(pi as u64, pbits, bi as u64),
-                )?;
+                ))?;
             }
         }
         ControlFlow::Continue(())

@@ -15,15 +15,19 @@
 //!   configuration (see the module docs of [`crate::amalgam`]);
 //! * cross and new tuples the guard forces or forbids fixed before the
 //!   enumeration ([`GuardHints::forced_facts`]).
+//!
+//! Each placement is one [`Family`]: the base with the fresh elements and
+//! the forced-on facts, and the remaining tuples (sorted and deduplicated
+//! in one reused buffer) as its optional facts, whose subsets the visitor
+//! walks as masks.
 
 use crate::amalgam::{
-    combined_valuation, enumerate_fact_subsets, field_bits, hint_tuples, internal_new_tuples,
-    placement_contexts, reset_extended, AmalgamClass, AmalgamVisitor, Fact, FactMask, GuardHints,
+    field_bits, fill_combined, hint_tuples, internal_new_tuples, placement_contexts,
+    reset_extended, AmalgamClass, AmalgamVisitor, FactMask, Family, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::enumerate::StructureIter;
 use dds_structure::{Element, Schema};
-use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -78,8 +82,9 @@ impl AmalgamClass for FreeRelationalClass {
         let placements = placement_contexts(base.structure.size(), k);
         let pbits = field_bits(placements.len());
         let mut mask = FactMask::default();
+        let (mut combined, mut np_universe, mut optional) = (Vec::new(), Vec::new(), Vec::new());
         for (pi, ctx) in placements.iter().enumerate() {
-            let combined = combined_valuation(&base.points, &ctx.new_points);
+            fill_combined(&mut combined, &base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
             }
@@ -87,15 +92,20 @@ impl AmalgamClass for FreeRelationalClass {
                 continue;
             };
             // Universe of elements that survive into the next configuration.
-            let mut np_universe: Vec<Element> = ctx.new_points.clone();
+            np_universe.clone_from(&ctx.new_points);
             np_universe.sort_unstable();
             np_universe.dedup();
-            let mut optional: BTreeSet<Fact> =
-                internal_new_tuples(&self.schema, &np_universe, &ctx.fresh)
-                    .into_iter()
-                    .collect();
-            optional.extend(hint_tuples(&hints.atoms, &combined, &ctx.fresh));
-            let mut optional: Vec<_> = optional.into_iter().collect();
+            optional.clear();
+            internal_new_tuples(
+                &mut optional,
+                &self.schema,
+                self.schema.relations(),
+                &np_universe,
+                &ctx.fresh,
+            );
+            hint_tuples(&mut optional, &hints.atoms, &combined, &ctx.fresh);
+            optional.sort_unstable();
+            optional.dedup();
             reset_extended(&mut cand, &base.structure, ctx.fresh.len());
             if forced.apply(&mut optional, &mut cand) {
                 // Tag: the placement, then which facts among the new points
@@ -108,8 +118,11 @@ impl AmalgamClass for FreeRelationalClass {
                     forced.on(),
                     &optional,
                 );
-                enumerate_fact_subsets(&mut cand, &optional, tags, |s, tag| {
-                    f(s, &ctx.new_points, tag)
+                f(&mut Family {
+                    cand: &mut cand,
+                    new_points: &ctx.new_points,
+                    optional: &optional,
+                    tags,
                 })?;
             }
         }
@@ -120,10 +133,11 @@ impl AmalgamClass for FreeRelationalClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::amalgam::collect_amalgams;
+    use crate::amalgam::{collect_amalgams, combined_valuation};
     use crate::class::{RelConfig, SymbolicClass};
     use dds_logic::{Formula, Var};
     use dds_system::{new_var, old_var};
+    use std::collections::BTreeSet;
 
     fn graph_class() -> FreeRelationalClass {
         let mut s = Schema::new();

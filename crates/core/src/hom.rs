@@ -11,19 +11,23 @@
 //! emptiness transfers by Lemma 6. Because the schema stays relational the
 //! blowup is the identity and the procedure runs in PSpace (Theorem 4).
 //!
+//! Candidate amalgams are enumerated as in the free class, per placement
+//! and fresh coloring: each is one [`Family`] whose optional facts are the
+//! color-compatible σ-tuples among the new points and of the guard's
+//! atoms. Those σ-tuples are computed once per placement; each coloring
+//! keeps its compatible ones.
+//!
 //! This class manipulates colored structures internally; the engine's
 //! guards only see σ, and witnesses are σ-projections (the colors are
 //! exactly a homomorphism to `H`, which tests re-verify with the independent
 //! homomorphism search of `dds-structure`).
 
 use crate::amalgam::{
-    combined_valuation, enumerate_fact_subsets, field_bits, hint_tuples, internal_new_tuples,
-    placement_contexts, reset_extended, tag_field, AmalgamClass, AmalgamVisitor, Fact, FactMask,
-    GuardHints,
+    field_bits, fill_combined, hint_tuples, internal_new_tuples, placement_contexts,
+    reset_extended, tag_field, AmalgamClass, AmalgamVisitor, FactMask, Family, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
-use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -201,7 +205,13 @@ impl AmalgamClass for HomClass {
                         }
                     }
                 }
-                let _ = enumerate_fact_subsets(&mut base, &optional, None, |s, _| {
+                let mut family = Family {
+                    cand: &mut base,
+                    new_points: &points,
+                    optional: &optional,
+                    tags: None,
+                };
+                let _ = family.for_each(|s, _| {
                     out.push(Pointed::new(s.clone(), points.clone()));
                     ControlFlow::Continue(())
                 });
@@ -228,36 +238,53 @@ impl AmalgamClass for HomClass {
         let placements = placement_contexts(base.structure.size(), k);
         let pbits = field_bits(placements.len());
         let mut mask = FactMask::default();
+        // The colorings of `j` fresh elements, computed once per `j`.
+        let mut colorings_of: Vec<Option<Vec<Vec<usize>>>> = vec![None; k + 1];
+        let mut colors = base_colors.clone();
+        let (mut combined, mut np_universe) = (Vec::new(), Vec::new());
+        let (mut sigma_tuples, mut optional) = (Vec::new(), Vec::new());
         for (pi, ctx) in placements.iter().enumerate() {
-            let combined = combined_valuation(&base.points, &ctx.new_points);
+            fill_combined(&mut combined, &base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
             }
             let Some(forced) = hints.forced_facts(&combined, &base.structure) else {
                 continue;
             };
-            let mut np_universe: Vec<Element> = ctx.new_points.clone();
+            np_universe.clone_from(&ctx.new_points);
             np_universe.sort_unstable();
             np_universe.dedup();
-            let colorings = color_vectors(ctx.fresh.len(), nh);
+            // The σ-tuples among the new points and of the hint atoms, once
+            // per placement; each coloring keeps its compatible ones.
+            sigma_tuples.clear();
+            internal_new_tuples(
+                &mut sigma_tuples,
+                &self.internal,
+                self.sigma.iter().copied(),
+                &np_universe,
+                &ctx.fresh,
+            );
+            hint_tuples(&mut sigma_tuples, &hints.atoms, &combined, &ctx.fresh);
+            sigma_tuples.retain(|(r, _)| self.sigma.contains(r));
+            sigma_tuples.sort_unstable();
+            sigma_tuples.dedup();
+            let colorings = colorings_of[ctx.fresh.len()]
+                .get_or_insert_with(|| color_vectors(ctx.fresh.len(), nh));
             let cbits = field_bits(colorings.len());
-            for (ci, fresh_colors) in colorings.into_iter().enumerate() {
-                let mut colors = base_colors.clone();
-                colors.extend(fresh_colors.iter().copied());
+            for (ci, fresh_colors) in colorings.iter().enumerate() {
+                colors.truncate(base_colors.len());
+                colors.extend_from_slice(fresh_colors);
                 // Optional facts: only color-compatible σ-tuples (others can
                 // never appear in a member).
-                let mut optional: BTreeSet<Fact> = BTreeSet::new();
-                for (r, t) in internal_new_tuples(&self.internal, &np_universe, &ctx.fresh)
-                    .into_iter()
-                    .chain(hint_tuples(&hints.atoms, &combined, &ctx.fresh))
-                {
-                    if self.sigma.contains(&r) && self.tuple_compatible(r, &t, &colors) {
-                        optional.insert((r, t));
-                    }
-                }
-                let mut optional: Vec<_> = optional.into_iter().collect();
+                optional.clear();
+                optional.extend(
+                    sigma_tuples
+                        .iter()
+                        .filter(|(r, t)| self.tuple_compatible(*r, t, &colors))
+                        .cloned(),
+                );
                 reset_extended(&mut cand, &base.structure, ctx.fresh.len());
-                for (fr, &h) in ctx.fresh.iter().zip(&fresh_colors) {
+                for (fr, &h) in ctx.fresh.iter().zip(fresh_colors) {
                     cand.add_fact(self.color_syms[h], &[*fr])
                         .expect("fresh elements are in range");
                 }
@@ -276,8 +303,11 @@ impl AmalgamClass for HomClass {
                             &optional,
                         )
                     });
-                    enumerate_fact_subsets(&mut cand, &optional, tags, |s, tag| {
-                        f(s, &ctx.new_points, tag)
+                    f(&mut Family {
+                        cand: &mut cand,
+                        new_points: &ctx.new_points,
+                        optional: &optional,
+                        tags,
                     })?;
                 }
             }

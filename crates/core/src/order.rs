@@ -11,7 +11,7 @@
 
 use crate::amalgam::{
     combined_valuation, field_bits, placement_contexts, reset_extended, surjections, tag_field,
-    AmalgamClass, AmalgamVisitor, GuardHints,
+    AmalgamClass, AmalgamVisitor, Family, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -169,11 +169,11 @@ impl AmalgamClass for LinearOrderClass {
             for (ii, order) in interleavings(&old_order, &ctx.fresh).iter().enumerate() {
                 reset_extended(&mut cand, &base.structure, ctx.fresh.len());
                 self.add_chain_facts(&mut cand, order, m_old);
-                f(
-                    &cand,
+                f(&mut Family::single(
+                    &mut cand,
                     &ctx.new_points,
                     tag_field(pi as u64, pbits, ii as u64),
-                )?;
+                ))?;
             }
         }
         ControlFlow::Continue(())

@@ -9,7 +9,7 @@
 use crate::error::LogicError;
 use crate::formula::Formula;
 use crate::term::{Term, Var};
-use dds_structure::{Element, Structure};
+use dds_structure::{Element, Structure, SymbolId};
 
 /// Evaluates a term under a partial environment (indexed by variable).
 pub fn eval_term(t: &Term, s: &Structure, env: &[Option<Element>]) -> Result<Element, LogicError> {
@@ -30,7 +30,7 @@ pub fn eval_term(t: &Term, s: &Structure, env: &[Option<Element>]) -> Result<Ele
     }
 }
 
-/// Widest relation atom [`eval`] evaluates from a stack buffer.
+/// Widest relation atom whose tuple is built in a stack buffer.
 const ARGS_INLINE: usize = 8;
 
 /// Evaluates a formula under a total valuation of its free variables.
@@ -39,78 +39,69 @@ const ARGS_INLINE: usize = 8;
 /// free variable. Bound variables may exceed the slice length.
 ///
 /// Connectives and atoms over variables are evaluated straight from `val`
-/// without allocating; a subformula with a quantifier, a function term or a
-/// relation atom of more than `ARGS_INLINE` arguments falls back to the
-/// environment evaluator, which gives the same results and errors.
+/// (the same code as [`eval_with`]); a quantified subformula or an atom
+/// with a function term falls back to the environment evaluator, which
+/// gives the same results and errors.
 pub fn eval(f: &Formula, s: &Structure, val: &[Element]) -> Result<bool, LogicError> {
-    let var = |v: &Var| {
-        val.get(v.index())
-            .copied()
-            .ok_or(LogicError::UnboundVariable(v.0))
-    };
-    match f {
-        Formula::True => return Ok(true),
-        Formula::False => return Ok(false),
-        Formula::Eq(Term::Var(a), Term::Var(b)) => return Ok(var(a)? == var(b)?),
-        Formula::Rel(r, args) if args.len() <= ARGS_INLINE => {
-            let mut buf = [Element(0); ARGS_INLINE];
-            let mut direct = true;
-            for (slot, a) in buf.iter_mut().zip(args) {
-                match a {
-                    Term::Var(v) => *slot = var(v)?,
-                    Term::App(..) => {
-                        direct = false;
-                        break;
-                    }
-                }
+    connectives(
+        f,
+        &mut |atom| match var_atom(atom, val, &mut |r, t| s.holds(r, t)) {
+            Some(value) => value,
+            None => {
+                let mut env: Vec<Option<Element>> = val.iter().map(|&e| Some(e)).collect();
+                eval_env(atom, s, &mut env)
             }
-            if direct {
-                return Ok(s.holds(*r, &buf[..args.len()]));
-            }
-        }
-        Formula::Not(inner) => return Ok(!eval(inner, s, val)?),
-        Formula::And(fs) => {
-            for sub in fs {
-                if !eval(sub, s, val)? {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
-        Formula::Or(fs) => {
-            for sub in fs {
-                if eval(sub, s, val)? {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        _ => {}
-    }
-    let mut env: Vec<Option<Element>> = val.iter().map(|&e| Some(e)).collect();
-    eval_env(f, s, &mut env)
+        },
+    )
 }
 
-fn eval_env(
+/// Evaluates a [local](is_local) formula under `val` without a structure:
+/// `holds(r, tuple)` answers each relation atom the evaluation reaches.
+/// Connectives short-circuit left to right exactly as in [`eval`], so
+/// `eval_with(f, val, |r, t| s.holds(r, t)) == eval(f, s, val)`, errors
+/// included, and `holds` sees exactly the atoms whose value can matter.
+///
+/// A quantifier or function term reached by the evaluation is an error
+/// ([`LogicError::Kind`]): those need the structure's domain or functions.
+pub fn eval_with(
     f: &Formula,
-    s: &Structure,
-    env: &mut Vec<Option<Element>>,
+    val: &[Element],
+    mut holds: impl FnMut(SymbolId, &[Element]) -> bool,
+) -> Result<bool, LogicError> {
+    connectives(f, &mut |atom| {
+        var_atom(atom, val, &mut holds)
+            .unwrap_or_else(|| Err(LogicError::Kind(format!("non-local subformula {atom:?}"))))
+    })
+}
+
+/// Whether `f` is *local*: quantifier-free with variables as its only
+/// terms, so its value under a valuation depends only on the atoms over the
+/// valuation's elements ([`eval_with`] evaluates it).
+pub fn is_local(f: &Formula) -> bool {
+    match f {
+        Formula::True | Formula::False => true,
+        Formula::Eq(a, b) => matches!((a, b), (Term::Var(_), Term::Var(_))),
+        Formula::Rel(_, args) => args.iter().all(|t| matches!(t, Term::Var(_))),
+        Formula::Not(inner) => is_local(inner),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().all(is_local),
+        Formula::Exists(..) => false,
+    }
+}
+
+/// The one connective evaluator: `True`, `False`, `Not`, `And` and `Or`,
+/// with `And`/`Or` short-circuiting left to right; every other subformula
+/// (an atom or a quantifier) goes to `atom`.
+fn connectives(
+    f: &Formula,
+    atom: &mut impl FnMut(&Formula) -> Result<bool, LogicError>,
 ) -> Result<bool, LogicError> {
     match f {
         Formula::True => Ok(true),
         Formula::False => Ok(false),
-        Formula::Eq(a, b) => Ok(eval_term(a, s, env)? == eval_term(b, s, env)?),
-        Formula::Rel(r, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_term(a, s, env)?);
-            }
-            Ok(s.holds(*r, &vals))
-        }
-        Formula::Not(inner) => Ok(!eval_env(inner, s, env)?),
+        Formula::Not(inner) => Ok(!connectives(inner, atom)?),
         Formula::And(fs) => {
             for sub in fs {
-                if !eval_env(sub, s, env)? {
+                if !connectives(sub, atom)? {
                     return Ok(false);
                 }
             }
@@ -118,11 +109,69 @@ fn eval_env(
         }
         Formula::Or(fs) => {
             for sub in fs {
-                if eval_env(sub, s, env)? {
+                if connectives(sub, atom)? {
                     return Ok(true);
                 }
             }
             Ok(false)
+        }
+        _ => atom(f),
+    }
+}
+
+/// Evaluates an equality or relation atom whose terms are variables,
+/// reading them from `val` in argument order and answering relation atoms
+/// with `holds`. `None` for any other subformula, and for an atom with a
+/// function term (after its variables before the term are found bound).
+fn var_atom(
+    atom: &Formula,
+    val: &[Element],
+    holds: &mut impl FnMut(SymbolId, &[Element]) -> bool,
+) -> Option<Result<bool, LogicError>> {
+    let var = |v: &Var| {
+        val.get(v.index())
+            .copied()
+            .ok_or(LogicError::UnboundVariable(v.0))
+    };
+    match atom {
+        Formula::Eq(Term::Var(a), Term::Var(b)) => Some(var(a).and_then(|x| Ok(x == var(b)?))),
+        Formula::Rel(r, args) => {
+            let mut buf = [Element(0); ARGS_INLINE];
+            let mut wide = Vec::new();
+            let tuple = if args.len() <= ARGS_INLINE {
+                &mut buf[..args.len()]
+            } else {
+                wide.resize(args.len(), Element(0));
+                &mut wide[..]
+            };
+            for (slot, a) in tuple.iter_mut().zip(args) {
+                match a {
+                    Term::Var(v) => match var(v) {
+                        Ok(e) => *slot = e,
+                        Err(err) => return Some(Err(err)),
+                    },
+                    Term::App(..) => return None,
+                }
+            }
+            Some(Ok(holds(*r, tuple)))
+        }
+        _ => None,
+    }
+}
+
+fn eval_env(
+    f: &Formula,
+    s: &Structure,
+    env: &mut Vec<Option<Element>>,
+) -> Result<bool, LogicError> {
+    connectives(f, &mut |atom| match atom {
+        Formula::Eq(a, b) => Ok(eval_term(a, s, env)? == eval_term(b, s, env)?),
+        Formula::Rel(r, args) => {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(eval_term(a, s, env)?);
+            }
+            Ok(s.holds(*r, &vals))
         }
         Formula::Exists(vs, body) => {
             // Grow the environment to cover the bound block.
@@ -137,7 +186,8 @@ fn eval_env(
             }
             Ok(found)
         }
-    }
+        _ => unreachable!("connectives are evaluated by `connectives`"),
+    })
 }
 
 fn try_all(
@@ -267,6 +317,36 @@ mod tests {
                 assert_eq!(eval(phi, &a, &val), eval_env(phi, &a, &mut env), "{phi:?}");
             }
         }
+    }
+
+    #[test]
+    fn eval_with_reads_only_the_atoms_it_reaches() {
+        let mut sc = Schema::new();
+        let e = sc.add_relation("E", 2).unwrap();
+        let schema = sc.finish();
+        let val = [Element(0), Element(1)];
+        // E(x, y) | E(y, x): the second atom is read only when the first fails.
+        let phi = Formula::or(vec![
+            Formula::rel_vars(e, &[Var(0), Var(1)]),
+            Formula::rel_vars(e, &[Var(1), Var(0)]),
+        ]);
+        let mut read = Vec::new();
+        let got = eval_with(&phi, &val, |_, t| {
+            read.push(t.to_vec());
+            t[0] == Element(0)
+        });
+        assert_eq!(got, Ok(true));
+        assert_eq!(read, vec![vec![Element(0), Element(1)]]);
+        assert!(is_local(&phi));
+        // Quantifiers and function terms need the structure.
+        let exists = Formula::Exists(vec![Var(2)], Box::new(phi));
+        assert!(!is_local(&exists));
+        assert!(matches!(
+            eval_with(&exists, &val, |_, _| true),
+            Err(LogicError::Kind(_))
+        ));
+        let g = Structure::new(schema, 2);
+        assert_eq!(eval(&exists, &g, &val), Ok(false));
     }
 
     #[test]

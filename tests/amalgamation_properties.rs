@@ -7,11 +7,13 @@
 //! interner-resolving `successors` (cold, and against warm successor memos)
 //! against a reference built from those over the spec corpora; and the
 //! amalgam tag contract — equal tags, equal key words — over the same
-//! corpora.
+//! corpora. A fourth pins the guard evaluator the successor search decides
+//! families with (`eval_with`) to `eval`.
 
-use dds::core::amalgam::{combined_valuation, translate_formula, GuardHints};
+use dds::core::amalgam::{combined_valuation, for_each_candidate, translate_formula, GuardHints};
 use dds::core::intern::Resolved;
 use dds::core::{AmalgamClass, Interner, Pointed, RelConfig};
+use dds::logic::eval::{eval, eval_with, is_local};
 use dds::prelude::*;
 use dds::structure::{encode_generated_relational, KeyScratch};
 use dds_cli::load_spec;
@@ -24,7 +26,7 @@ use std::path::{Path, PathBuf};
 /// Every candidate amalgam, cloned out of the visitor's buffer.
 fn amalgams<C: AmalgamClass>(class: &C, base: &Pointed) -> Vec<Pointed> {
     let mut out = Vec::new();
-    let _ = class.for_each_amalgam(base, &GuardHints::default(), &mut |s, points, _| {
+    let _ = for_each_candidate(class, base, &GuardHints::default(), |s, points, _| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });
@@ -156,6 +158,80 @@ proptest! {
     }
 }
 
+/// A formula read off a stream of choices (0 once the stream runs out):
+/// `True`, `False`, `Not`, `And` and `Or` of up to three parts, nested up
+/// to `depth`, over equalities and relation atoms of `rels`, with variables
+/// `v0`..`v5`.
+fn formula_from(
+    choices: &mut std::slice::Iter<'_, u32>,
+    rels: &[SymbolId],
+    depth: usize,
+) -> Formula {
+    fn pick(choices: &mut std::slice::Iter<'_, u32>, n: usize) -> usize {
+        choices.next().map_or(0, |&c| c as usize % n)
+    }
+    let var = |choices: &mut std::slice::Iter<'_, u32>| Term::var(Var(pick(choices, 6) as u32));
+    match pick(choices, if depth == 0 { 4 } else { 7 }) {
+        0 => Formula::True,
+        1 => Formula::False,
+        2 => Formula::Eq(var(choices), var(choices)),
+        3 => {
+            let r = rels[pick(choices, rels.len())];
+            let arity = [1, 2, 9][r.index()];
+            Formula::Rel(r, (0..arity).map(|_| var(choices)).collect())
+        }
+        4 => Formula::Not(Box::new(formula_from(choices, rels, depth - 1))),
+        kind => {
+            let parts = (0..pick(choices, 4))
+                .map(|_| formula_from(choices, rels, depth - 1))
+                .collect();
+            if kind == 5 {
+                Formula::And(parts)
+            } else {
+                Formula::Or(parts)
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `eval_with` answering atoms from a structure is `eval` on it, errors
+    /// included, over random nestings of the connectives, equalities and
+    /// atoms of arity 1, 2 and 9 (wider than `eval`'s stack buffer), with
+    /// valuations of up to four elements for variables `v0`..`v5`.
+    #[test]
+    fn eval_with_matches_eval(
+        size in 1usize..4,
+        facts in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(0usize..3, 9..10)),
+            0..24,
+        ),
+        raw_val in proptest::collection::vec(0usize..3, 0..5),
+        choices in proptest::collection::vec(0u32..1000, 8..64),
+    ) {
+        let mut sc = Schema::new();
+        let rels = [
+            sc.add_relation("u", 1).unwrap(),
+            sc.add_relation("E", 2).unwrap(),
+            sc.add_relation("W", 9).unwrap(),
+        ];
+        let mut s = Structure::new(sc.finish(), size);
+        for (r, coords) in &facts {
+            let tuple: Vec<Element> = coords[..[1, 2, 9][*r]]
+                .iter()
+                .map(|&e| Element::from_index(e % size))
+                .collect();
+            s.add_fact(rels[*r], &tuple).unwrap();
+        }
+        let val: Vec<Element> = raw_val.iter().map(|&e| Element::from_index(e % size)).collect();
+        let f = formula_from(&mut choices.iter(), &rels, 3);
+        prop_assert!(is_local(&f));
+        prop_assert_eq!(eval_with(&f, &val, |r, t| s.holds(r, t)), eval(&f, &s, &val));
+    }
+}
+
 /// The plain definition of a sub-transition: visit the candidates, keep
 /// those satisfying the guard, restrict each to the substructure its new
 /// points generate, canonicalize, and deduplicate in order. The forced
@@ -173,7 +249,7 @@ fn reference_transitions<C: AmalgamClass>(
     };
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    let _ = class.for_each_amalgam(&cfg.pointed, &hints, &mut |s, points, _| {
+    let _ = for_each_candidate(class, &cfg.pointed, &hints, |s, points, _| {
         let combined = combined_valuation(&cfg.pointed.points, points);
         if dds::logic::eval::eval(&guard, s, &combined).unwrap_or(false) {
             let next = RelConfig::canonical(&Pointed::new(s.clone(), points.to_vec()).generated());
@@ -224,7 +300,7 @@ fn check_tags<C: AmalgamClass>(
         ))
     }));
     for hints in hints {
-        let _ = class.for_each_amalgam(&cfg.pointed, &hints, &mut |s, points, tag| {
+        let _ = for_each_candidate(class, &cfg.pointed, &hints, |s, points, tag| {
             let Some(tag) = tag else {
                 untagged += 1;
                 return ControlFlow::Continue(());
@@ -251,6 +327,33 @@ struct Checked {
     pairs: usize,
     /// Candidates without a tag.
     untagged: usize,
+    /// Families whose guard, evaluated on the empty subset, reads one of
+    /// their optional facts: the successor search evaluates the guard on
+    /// each of their candidates instead of once per family.
+    reading: usize,
+}
+
+/// How many of the families `successors` visits for `cfg` under `guard`
+/// have a guard that reads an optional fact on the empty subset.
+fn families_reading_optional<C: AmalgamClass>(
+    class: &C,
+    cfg: &RelConfig,
+    guard: &Formula,
+) -> usize {
+    let guard = translate_formula(guard, class.public_schema(), class.internal_schema());
+    let mut reading = 0;
+    let _ = class.for_each_amalgam(&cfg.pointed, &GuardHints::of(&guard), &mut |family| {
+        let combined = combined_valuation(&cfg.pointed.points, family.new_points);
+        let mut reads = false;
+        let _ = eval_with(&guard, &combined, |r, t| {
+            let optional = family.optional.iter().any(|(o, u)| *o == r && u == t);
+            reads |= optional;
+            !optional && family.cand.holds(r, t)
+        });
+        reading += usize::from(reads);
+        ControlFlow::Continue(())
+    });
+    reading
 }
 
 /// For every initial configuration × compiled rule guard of one reach
@@ -313,6 +416,7 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
                 );
             }
             checked.pairs += 1;
+            checked.reading += families_reading_optional(class, cfg, guard);
         }
     }
     checked
@@ -383,17 +487,73 @@ macro_rules! with_relational_class {
 /// `specs/fuzz/`, `transitions` and `successors` (against an empty, a
 /// seeded and a warm interner) return exactly the reference successor
 /// list, in the same order, and equal amalgam tags name equal keys.
+///
+/// The free disjunctive-guard spec must reach the per-candidate guard
+/// evaluation of a local guard: some family of it has a guard that reads
+/// an optional fact.
 #[test]
 fn corpus_transitions_match_the_reference() {
     let mut pairs = 0;
+    let mut reading = HashSet::new();
     let specs = for_each_relational_spec(&["specs", "specs/fuzz"], |class, system, label| {
-        pairs += with_relational_class!(class, |c| check_transitions(c, system, label).pairs);
+        let checked = with_relational_class!(class, |c| check_transitions(c, system, label));
+        pairs += checked.pairs;
+        if checked.reading > 0 {
+            reading.insert(label.rsplit('/').next().unwrap().to_owned());
+        }
     });
     assert!(
         specs >= 15,
         "only {specs} relational specs found — corpus shrank?"
     );
     assert!(pairs >= 500, "only {pairs} (config, guard) pairs checked");
+    assert!(
+        reading.contains("disjunctive_guards.dds"),
+        "no family of disjunctive_guards.dds has a guard reading an optional fact"
+    );
+}
+
+/// A quantified guard is not local, so `successors` evaluates it on each
+/// candidate built in turn; `transitions` and warm-memo `successors` still
+/// match the reference. (The engine never passes one: it eliminates
+/// existentials first.)
+#[test]
+fn quantified_guards_match_the_reference() {
+    let mut sc = Schema::new();
+    let e = sc.add_relation("E", 2).unwrap();
+    let u = sc.add_relation("u0", 1).unwrap();
+    let class = FreeRelationalClass::new(sc.finish());
+    // ∃z. E(x_old, z) & E(z, x_new), or u0(x_new) & !E(x_old, x_new).
+    let guard = Formula::Or(vec![
+        Formula::Exists(
+            vec![Var(2)],
+            Box::new(Formula::and(vec![
+                Formula::rel_vars(e, &[Var(0), Var(2)]),
+                Formula::rel_vars(e, &[Var(2), Var(1)]),
+            ])),
+        ),
+        Formula::and(vec![
+            Formula::rel_vars(u, &[Var(1)]),
+            Formula::negate(Formula::rel_vars(e, &[Var(0), Var(1)])),
+        ]),
+    ]);
+    assert!(!is_local(&guard));
+    let initial = class.initial_configs(1);
+    let mut warm = Interner::new();
+    for cfg in &initial {
+        warm.intern(cfg.clone());
+    }
+    let mut nonempty = 0;
+    for cfg in &initial {
+        let reference = reference_transitions(&class, cfg, &guard);
+        nonempty += usize::from(!reference.is_empty());
+        assert_eq!(class.transitions(cfg, &guard), reference, "{cfg:?}");
+        for _ in 0..2 {
+            let got = unresolve(class.successors(cfg, &guard, &warm), &warm);
+            assert_eq!(got, reference, "{cfg:?}");
+        }
+    }
+    assert!(nonempty > 0);
 }
 
 /// The key hash mixes: the distinct initial-configuration keys of every
