@@ -12,10 +12,9 @@ use dds_reductions::counter::CounterMachine;
 use dds_reductions::lemma1::{lemma1_system, LinearTm};
 use dds_reductions::words_succ;
 use dds_system::baseline::{bounded_emptiness_relational, BaselineStats};
-use dds_system::{eliminate_existentials, SystemBuilder};
+use dds_system::eliminate_existentials;
 use dds_trees::pointers::{blowup_ratio, run_pointers};
-use dds_trees::tree::Tree;
-use dds_trees::{TreeAutomaton, TreeClass};
+use dds_trees::TreeClass;
 use dds_words::{Nfa, WordClass};
 use std::time::Duration;
 
@@ -38,20 +37,8 @@ fn e01_lemma1_hardness(c: &mut Criterion) {
 /// E2 — Fact 2: existential elimination is linear time in guard size.
 fn e02_fact2_elimination(c: &mut Criterion) {
     let mut g = c.benchmark_group("e02_fact2_elimination");
-    let mut sc = dds_structure::Schema::new();
-    sc.add_relation("E", 2).unwrap();
-    let schema = sc.finish();
     for n in [4usize, 16, 64, 256] {
-        let names: Vec<String> = (0..n).map(|i| format!("z{i}")).collect();
-        let mut parts = vec!["E(x_old, z0)".to_owned()];
-        for i in 1..n {
-            parts.push(format!("E(z{}, z{})", i - 1, i));
-        }
-        let guard = format!("exists {} . {}", names.join(" "), parts.join(" & "));
-        let mut b = SystemBuilder::new(schema.clone(), &["x"]);
-        b.state("s").initial().accepting();
-        b.rule("s", "s", &guard).unwrap();
-        let system = b.finish().unwrap();
+        let system = existential_chain_system(n);
         g.bench_with_input(BenchmarkId::new("guard_size", n), &n, |bch, _| {
             bch.iter(|| eliminate_existentials(&system).unwrap())
         });
@@ -111,26 +98,11 @@ fn e05_word_emptiness(c: &mut Criterion) {
             )
             .unwrap(),
         ),
-        (
-            4,
-            Nfa::new(
-                vec!["a".into(), "b".into(), "c".into(), "d".into()],
-                vec![0, 1, 2, 3],
-                vec![(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)],
-                vec![0],
-                vec![3],
-            )
-            .unwrap(),
-        ),
+        (4, nfa4()),
     ];
     for (n, nfa) in nfas {
         let class = WordClass::new(nfa);
-        let schema = class.schema().clone();
-        let mut b = SystemBuilder::new(schema, &["x"]);
-        b.state("s").initial();
-        b.state("t").accepting();
-        b.rule("s", "t", "x_old < x_new").unwrap();
-        let system = b.finish().unwrap();
+        let system = word_step_system(class.schema().clone());
         g.bench_with_input(BenchmarkId::new("nfa_states", n), &n, |bch, _| {
             bch.iter(|| run_engine(&class, &system))
         });
@@ -141,35 +113,9 @@ fn e05_word_emptiness(c: &mut Criterion) {
 /// E6 — Theorem 3: tree emptiness; fixed automaton, system-state sweep.
 fn e06_tree_emptiness(c: &mut Criterion) {
     let mut g = c.benchmark_group("e06_tree_emptiness");
-    let aut = TreeAutomaton::new(
-        vec!["r".into(), "a".into(), "b".into()],
-        vec![0, 1, 2],
-        vec![2],
-        vec![0],
-        vec![0, 1, 2],
-        vec![(1, 0), (2, 0), (1, 1), (2, 1)],
-        vec![],
-    );
-    let class = TreeClass::new(aut);
+    let class = TreeClass::new(abc_tree_automaton());
     for steps in [1usize, 2] {
-        let schema = class.schema().clone();
-        let mut b = SystemBuilder::new(schema, &["x"]);
-        b.state("s0").initial();
-        for i in 1..=steps {
-            b.state(&format!("s{i}"));
-        }
-        b.state("acc").accepting();
-        for i in 0..steps {
-            b.rule(
-                &format!("s{i}"),
-                &format!("s{}", i + 1),
-                "x_old <= x_new & x_old != x_new",
-            )
-            .unwrap();
-        }
-        b.rule(&format!("s{steps}"), "acc", "b(x_old) & x_old = x_new")
-            .unwrap();
-        let system = b.finish().unwrap();
+        let system = tree_walk_system(class.schema().clone(), steps);
         g.bench_with_input(BenchmarkId::new("walk_steps", steps), &steps, |bch, _| {
             bch.iter(|| run_engine(&class, &system))
         });
@@ -182,17 +128,7 @@ fn e07_data_values(c: &mut Criterion) {
     let mut g = c.benchmark_group("e07_data_values");
     let schema = graph_schema();
     // Base: one register random walk.
-    let build = |schema: std::sync::Arc<dds_structure::Schema>, data_atom: &str| {
-        let mut b = SystemBuilder::new(schema, &["x"]);
-        b.state("s").initial();
-        b.state("m");
-        b.state("t").accepting();
-        let guard = format!("E(x_old, x_new){data_atom}");
-        b.rule("s", "m", &guard).unwrap();
-        b.rule("m", "t", &guard).unwrap();
-        b.finish().unwrap()
-    };
-    let base_system = build(schema.clone(), "");
+    let base_system = data_walk_system(schema.clone(), "");
     g.bench_function("base", |b| b.iter(|| run_free(&base_system)));
     for (name, spec, atom) in [
         ("nat_eq", DataSpec::nat_eq(), " & !(x_old ~ x_new)"),
@@ -203,7 +139,7 @@ fn e07_data_values(c: &mut Criterion) {
         ),
     ] {
         let class = DataClass::new(FreeRelationalClass::new(schema.clone()), spec);
-        let system = build(class.schema().clone(), atom);
+        let system = data_walk_system(class.schema().clone(), atom);
         g.bench_function(name, |b| b.iter(|| run_engine(&class, &system)));
     }
     g.finish();
@@ -212,26 +148,10 @@ fn e07_data_values(c: &mut Criterion) {
 /// E8 — Lemma 14: pointer-closure blowup stays constant as trees grow.
 fn e08_blowup(c: &mut Criterion) {
     let mut g = c.benchmark_group("e08_blowup");
-    let aut = TreeAutomaton::new(
-        vec!["r".into(), "a".into(), "b".into()],
-        vec![0, 1, 2],
-        vec![2],
-        vec![0],
-        vec![0, 1, 2],
-        vec![(1, 0), (2, 0), (1, 1), (2, 1)],
-        vec![],
-    );
+    let aut = abc_tree_automaton();
     for depth in [8usize, 64] {
         // Chain r a^depth b.
-        let mut t = Tree::leaf(0);
-        let mut cur = 0;
-        for _ in 0..depth {
-            cur = t.push_child(cur, 1);
-        }
-        t.push_child(cur, 2);
-        let mut states = vec![0u32];
-        states.extend(std::iter::repeat(1).take(depth));
-        states.push(2);
+        let (t, states) = chain_tree(depth);
         g.bench_with_input(BenchmarkId::new("chain_depth", depth), &depth, |b, _| {
             b.iter(|| {
                 let ptr = run_pointers(&aut, &t, &states);

@@ -34,18 +34,18 @@
 //! gating until refreshed).
 
 use dds_bench::{
-    chain_system, cycle_template, env_or, example1, graph_schema, measure, run_engine, run_free,
-    Gate,
+    abc_tree_automaton, chain_system, chain_tree, cycle_template, data_walk_system, env_or,
+    example1, existential_chain_system, graph_schema, measure, nfa4, run_engine, run_free,
+    tree_walk_system, word_step_system, Gate,
 };
 use dds_core::{DataClass, DataSpec, Engine, FreeRelationalClass, SymbolicClass};
 use dds_reductions::counter::CounterMachine;
 use dds_reductions::lemma1::{lemma1_system, LinearTm};
 use dds_reductions::words_succ;
-use dds_system::{eliminate_existentials, SystemBuilder};
+use dds_system::eliminate_existentials;
 use dds_trees::pointers::{blowup_ratio, run_pointers};
-use dds_trees::tree::Tree;
-use dds_trees::{TreeAutomaton, TreeClass};
-use dds_words::{Nfa, WordClass};
+use dds_trees::TreeClass;
+use dds_words::WordClass;
 
 /// One experiment's recorded result.
 struct Record {
@@ -87,20 +87,7 @@ fn run_all(reps: u32) -> Vec<Record> {
 
     // E2 — Fact 2 existential elimination (guard size 256).
     {
-        let mut sc = dds_structure::Schema::new();
-        sc.add_relation("E", 2).unwrap();
-        let schema = sc.finish();
-        let n = 256usize;
-        let names: Vec<String> = (0..n).map(|i| format!("z{i}")).collect();
-        let mut parts = vec!["E(x_old, z0)".to_owned()];
-        for i in 1..n {
-            parts.push(format!("E(z{}, z{})", i - 1, i));
-        }
-        let guard = format!("exists {} . {}", names.join(" "), parts.join(" & "));
-        let mut b = SystemBuilder::new(schema, &["x"]);
-        b.state("s").initial().accepting();
-        b.rule("s", "s", &guard).unwrap();
-        let system = b.finish().unwrap();
+        let system = existential_chain_system(256);
         let (ns, _) = measure(reps, || eliminate_existentials(&system).unwrap());
         push("E2_elim_guard256", ns, 0, "ok".to_owned());
     }
@@ -124,46 +111,17 @@ fn run_all(reps: u32) -> Vec<Record> {
 
     // E5 — Theorem 10 word emptiness (4-state NFA).
     {
-        let nfa = Nfa::new(
-            vec!["a".into(), "b".into(), "c".into(), "d".into()],
-            vec![0, 1, 2, 3],
-            vec![(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)],
-            vec![0],
-            vec![3],
-        )
-        .unwrap();
-        let class = WordClass::new(nfa);
-        let schema = class.schema().clone();
-        let mut b = SystemBuilder::new(schema, &["x"]);
-        b.state("s").initial();
-        b.state("t").accepting();
-        b.rule("s", "t", "x_old < x_new").unwrap();
-        let system = b.finish().unwrap();
+        let class = WordClass::new(nfa4());
+        let system = word_step_system(class.schema().clone());
         let (ns, (ne, configs)) = measure(reps, || run_engine(&class, &system));
         push("E5_word_nfa4", ns, configs as u64, outcome_str(ne));
     }
 
-    // E6 — Theorem 3 tree emptiness (2-step walk).
+    // E6 — Theorem 3 tree emptiness (one descendant step, then the `b`
+    // check: two rules).
     {
-        let aut = TreeAutomaton::new(
-            vec!["r".into(), "a".into(), "b".into()],
-            vec![0, 1, 2],
-            vec![2],
-            vec![0],
-            vec![0, 1, 2],
-            vec![(1, 0), (2, 0), (1, 1), (2, 1)],
-            vec![],
-        );
-        let class = TreeClass::new(aut);
-        let schema = class.schema().clone();
-        let mut b = SystemBuilder::new(schema, &["x"]);
-        b.state("s0").initial();
-        b.state("s1");
-        b.state("acc").accepting();
-        b.rule("s0", "s1", "x_old <= x_new & x_old != x_new")
-            .unwrap();
-        b.rule("s1", "acc", "b(x_old) & x_old = x_new").unwrap();
-        let system = b.finish().unwrap();
+        let class = TreeClass::new(abc_tree_automaton());
+        let system = tree_walk_system(class.schema().clone(), 1);
         let (ns, (ne, configs)) = measure(reps, || run_engine(&class, &system));
         push("E6_tree_walk2", ns, configs as u64, outcome_str(ne));
     }
@@ -175,39 +133,16 @@ fn run_all(reps: u32) -> Vec<Record> {
             FreeRelationalClass::new(schema.clone()),
             DataSpec::rational_order(),
         );
-        let mut b = SystemBuilder::new(class.schema().clone(), &["x"]);
-        b.state("s").initial();
-        b.state("m");
-        b.state("t").accepting();
-        let guard = "E(x_old, x_new) & x_old << x_new";
-        b.rule("s", "m", guard).unwrap();
-        b.rule("m", "t", guard).unwrap();
-        let system = b.finish().unwrap();
+        let system = data_walk_system(class.schema().clone(), " & x_old << x_new");
         let (ns, (ne, configs)) = measure(reps, || run_engine(&class, &system));
         push("E7_data_rational", ns, configs as u64, outcome_str(ne));
     }
 
     // E8 — Lemma 14 pointer-closure blowup (chain depth 64).
     {
-        let aut = TreeAutomaton::new(
-            vec!["r".into(), "a".into(), "b".into()],
-            vec![0, 1, 2],
-            vec![2],
-            vec![0],
-            vec![0, 1, 2],
-            vec![(1, 0), (2, 0), (1, 1), (2, 1)],
-            vec![],
-        );
+        let aut = abc_tree_automaton();
         let depth = 64usize;
-        let mut t = Tree::leaf(0);
-        let mut cur = 0;
-        for _ in 0..depth {
-            cur = t.push_child(cur, 1);
-        }
-        t.push_child(cur, 2);
-        let mut states = vec![0u32];
-        states.extend(std::iter::repeat(1).take(depth));
-        states.push(2);
+        let (t, states) = chain_tree(depth);
         let (ns, ratio) = measure(reps, || {
             let ptr = run_pointers(&aut, &t, &states);
             let mid = 1 + depth / 2;

@@ -2,8 +2,9 @@
 //!
 //! The paper has no empirical section; EXPERIMENTS.md defines one experiment
 //! per theorem and maps each to a bench group in
-//! `benches/experiments.rs`. This library builds the workloads so that
-//! benches and EXPERIMENTS.md tables stay in sync.
+//! `benches/experiments.rs`. This library builds the workloads once, for
+//! those benches and for the `experiments_json` runner, so both and the
+//! EXPERIMENTS.md tables stay in sync.
 //!
 //! It also holds the timing and baseline-gate helpers both JSON runners
 //! (`experiments_json`, `macro_json`) share: [`env_or`], [`measure`] and the
@@ -12,6 +13,9 @@
 use dds_core::{Engine, FreeRelationalClass, HomClass, SymbolicClass};
 use dds_structure::{Element, Schema, Structure};
 use dds_system::{System, SystemBuilder};
+use dds_trees::tree::Tree;
+use dds_trees::TreeAutomaton;
+use dds_words::Nfa;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -81,6 +85,111 @@ pub fn distinct_registers_system(k: usize) -> System {
     }
     b.rule("s", "t", &parts.join(" & ")).unwrap();
     b.finish().unwrap()
+}
+
+/// A one-state system over `{E/2}` whose self-loop guard is an existential
+/// edge chain of length `n` from `x_old` — the Fact 2 elimination input
+/// (E2).
+pub fn existential_chain_system(n: usize) -> System {
+    let mut sc = Schema::new();
+    sc.add_relation("E", 2).unwrap();
+    let names: Vec<String> = (0..n).map(|i| format!("z{i}")).collect();
+    let mut parts = vec!["E(x_old, z0)".to_owned()];
+    for i in 1..n {
+        parts.push(format!("E(z{}, z{})", i - 1, i));
+    }
+    let guard = format!("exists {} . {}", names.join(" "), parts.join(" & "));
+    let mut b = SystemBuilder::new(sc.finish(), &["x"]);
+    b.state("s").initial().accepting();
+    b.rule("s", "s", &guard).unwrap();
+    b.finish().unwrap()
+}
+
+/// The 4-state NFA over `a b c d` (a cycle with a loop on `b`) of E5.
+pub fn nfa4() -> Nfa {
+    Nfa::new(
+        vec!["a".into(), "b".into(), "c".into(), "d".into()],
+        vec![0, 1, 2, 3],
+        vec![(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)],
+        vec![0],
+        vec![3],
+    )
+    .unwrap()
+}
+
+/// One strictly forward step `x_old < x_new` into an accepting state, over
+/// a word class's schema (E5).
+pub fn word_step_system(schema: Arc<Schema>) -> System {
+    let mut b = SystemBuilder::new(schema, &["x"]);
+    b.state("s").initial();
+    b.state("t").accepting();
+    b.rule("s", "t", "x_old < x_new").unwrap();
+    b.finish().unwrap()
+}
+
+/// The tree automaton of E6 and E8: a root `r` over a subtree of `a`s
+/// with `b` leaves.
+pub fn abc_tree_automaton() -> TreeAutomaton {
+    TreeAutomaton::new(
+        vec!["r".into(), "a".into(), "b".into()],
+        vec![0, 1, 2],
+        vec![2],
+        vec![0],
+        vec![0, 1, 2],
+        vec![(1, 0), (2, 0), (1, 1), (2, 1)],
+        vec![],
+    )
+}
+
+/// A walk of `steps` strict descendant steps ending on a `b` node, over a
+/// tree class's schema (E6).
+pub fn tree_walk_system(schema: Arc<Schema>, steps: usize) -> System {
+    let mut b = SystemBuilder::new(schema, &["x"]);
+    b.state("s0").initial();
+    for i in 1..=steps {
+        b.state(&format!("s{i}"));
+    }
+    b.state("acc").accepting();
+    for i in 0..steps {
+        b.rule(
+            &format!("s{i}"),
+            &format!("s{}", i + 1),
+            "x_old <= x_new & x_old != x_new",
+        )
+        .unwrap();
+    }
+    b.rule(&format!("s{steps}"), "acc", "b(x_old) & x_old = x_new")
+        .unwrap();
+    b.finish().unwrap()
+}
+
+/// Two edge steps, each also asserting `data_atom` (appended to the guard
+/// as is, e.g. `" & x_old << x_new"`; empty for the plain graph walk) —
+/// the data-value overhead workload (E7).
+pub fn data_walk_system(schema: Arc<Schema>, data_atom: &str) -> System {
+    let mut b = SystemBuilder::new(schema, &["x"]);
+    b.state("s").initial();
+    b.state("m");
+    b.state("t").accepting();
+    let guard = format!("E(x_old, x_new){data_atom}");
+    b.rule("s", "m", &guard).unwrap();
+    b.rule("m", "t", &guard).unwrap();
+    b.finish().unwrap()
+}
+
+/// The chain tree `r a^depth b` and its run of [`abc_tree_automaton`]
+/// (E8).
+pub fn chain_tree(depth: usize) -> (Tree, Vec<u32>) {
+    let mut t = Tree::leaf(0);
+    let mut cur = 0;
+    for _ in 0..depth {
+        cur = t.push_child(cur, 1);
+    }
+    t.push_child(cur, 2);
+    let mut states = vec![0u32];
+    states.extend(std::iter::repeat(1).take(depth));
+    states.push(2);
+    (t, states)
 }
 
 /// Template of size `n`: red cycle of length `n` plus an absorbing white

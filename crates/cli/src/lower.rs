@@ -8,9 +8,7 @@
 
 use crate::ast::*;
 use crate::SpecError;
-use dds_core::{
-    DataClass, DataSpec, EquivalenceClass, FreeRelationalClass, HomClass, LinearOrderClass,
-};
+use dds_core::{DataClass, DataSpec, FreeRelationalClass, HomClass};
 use dds_reductions::counter::{CounterMachine, Instr};
 use dds_structure::{Element, Schema, Structure, SymbolKind};
 use dds_system::{System, SystemBuilder};
@@ -36,10 +34,12 @@ pub enum AnyClass {
     Free(FreeRelationalClass),
     /// `HOM(H)` via the colored lift (Theorem 4).
     Hom(HomClass),
-    /// Finite strict linear orders (Example 3).
-    Order(LinearOrderClass),
-    /// Finite equivalence relations (Example 3).
-    Equiv(EquivalenceClass),
+    /// Finite strict linear orders (Example 3), `⊙ ⟨ℚ,<⟩` over the empty
+    /// free class.
+    Order(DataClass<FreeRelationalClass>),
+    /// Finite equivalence relations (Example 3), `⊗ ⟨ℕ,=⟩` over the empty
+    /// free class.
+    Equiv(DataClass<FreeRelationalClass>),
     /// Regular word languages (Theorem 10).
     Words(WordClass),
     /// Regular tree languages (Theorem 3).
@@ -49,9 +49,9 @@ pub enum AnyClass {
     /// Data product over `HOM(H)` (Corollary 8).
     DataHom(DataClass<HomClass>),
     /// Data product over linear orders.
-    DataOrder(DataClass<LinearOrderClass>),
+    DataOrder(DataClass<DataClass<FreeRelationalClass>>),
     /// Data product over equivalence relations.
-    DataEquiv(DataClass<EquivalenceClass>),
+    DataEquiv(DataClass<DataClass<FreeRelationalClass>>),
     /// A §6 two-counter machine (no symbolic class; `bounded-halt` only).
     Counter(CounterMachine),
 }
@@ -249,8 +249,8 @@ fn lower_class(decl: &ClassDecl, schema: Option<Arc<Schema>>) -> Result<AnyClass
             let template = build_template(&schema, elements, facts)?;
             Ok(AnyClass::Hom(HomClass::new(template)))
         }
-        ClassDecl::LinearOrder => Ok(AnyClass::Order(LinearOrderClass::new())),
-        ClassDecl::Equivalence => Ok(AnyClass::Equiv(EquivalenceClass::new())),
+        ClassDecl::LinearOrder => Ok(AnyClass::Order(DataClass::linear_order())),
+        ClassDecl::Equivalence => Ok(AnyClass::Equiv(DataClass::equivalence())),
         ClassDecl::Words { .. } => Ok(AnyClass::Words(build_words(decl)?)),
         ClassDecl::Trees { .. } => Ok(AnyClass::Trees(build_trees(decl)?)),
         ClassDecl::Data { values, inner } => {

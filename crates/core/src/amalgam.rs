@@ -1,8 +1,8 @@
 //! Shared machinery for relational (semi-)Fraïssé classes.
 //!
-//! All relational classes in this crate (free, `HOM`, linear orders,
-//! equivalence relations, data products) implement the [`AmalgamClass`]
-//! trait: they enumerate `k`-generated members and, most importantly,
+//! All relational classes in this crate (free, `HOM` and the data
+//! products, which include Example 3's linear orders and equivalence
+//! relations) implement the [`AmalgamClass`] trait: they enumerate `k`-generated members and, most importantly,
 //! *amalgams* — extensions of a base pointed structure by `k` new register
 //! values that stay inside the class. A blanket implementation turns any
 //! `AmalgamClass` into a [`SymbolicClass`] for the Theorem 5 engine,
@@ -20,8 +20,7 @@
 //! reused for the whole call, plus the sorted *optional facts* whose every
 //! subset extends it to another candidate, all with the same new points.
 //! The free and `HOM` classes pass one family per placement (and fresh
-//! coloring); orders, equivalences and data products pass one-candidate
-//! families. The visitor may stop the
+//! coloring); data products pass one-candidate families. The visitor may stop the
 //! enumeration with [`ControlFlow::Break`]. A family's candidates are its
 //! subset masks in increasing order; [`Family::for_each`] builds each in
 //! turn, which is what replay and the tests use ([`for_each_candidate`]).
@@ -58,8 +57,7 @@
 //! candidate carries a *tag*: a `u64` naming it within its base,
 //! independently of the hints — the placement index, then the class's
 //! extension choice (the free class: a mask of the facts among the new
-//! points; `HOM`: the fresh coloring and that mask; orders: the
-//! interleaving; equivalences: the block extension; data products: the
+//! points; `HOM`: the fresh coloring and that mask; data products: the
 //! data extension over the inner tag). Within a family the tag of a subset
 //! is the empty subset's XOR one bit per optional fact it has. Equal tags
 //! within one base name the same new points and generate equal key words.
@@ -828,34 +826,6 @@ pub fn point_patterns(k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// All surjective maps `k -> m` (order of classes matters, e.g. positions of
-/// a chain).
-pub fn surjections(k: usize, m: usize) -> Vec<Vec<usize>> {
-    if m == 0 {
-        return if k == 0 { vec![vec![]] } else { vec![] };
-    }
-    let mut out = Vec::new();
-    let mut cur = vec![0usize; k];
-    fn go(i: usize, k: usize, m: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if i == k {
-            let mut used = vec![false; m];
-            for &c in cur.iter() {
-                used[c] = true;
-            }
-            if used.iter().all(|&u| u) {
-                out.push(cur.clone());
-            }
-            return;
-        }
-        for c in 0..m {
-            cur[i] = c;
-            go(i + 1, k, m, cur, out);
-        }
-    }
-    go(0, k, m, &mut cur, &mut out);
-    out
-}
-
 /// Writes the interleaved old/new valuation into `out` (see
 /// [`combined_valuation`]), reusing its buffer.
 pub(crate) fn fill_combined(out: &mut Vec<Element>, old: &[Element], new: &[Element]) {
@@ -1092,15 +1062,6 @@ mod tests {
         assert_eq!(point_patterns(2).len(), 2);
         assert_eq!(point_patterns(3).len(), 5);
         assert_eq!(point_patterns(4).len(), 15);
-    }
-
-    #[test]
-    fn surjections_counts() {
-        assert_eq!(surjections(2, 1).len(), 1);
-        assert_eq!(surjections(2, 2).len(), 2);
-        assert_eq!(surjections(3, 2).len(), 6);
-        assert_eq!(surjections(2, 3).len(), 0);
-        assert_eq!(surjections(0, 0).len(), 1);
     }
 
     #[test]

@@ -21,15 +21,22 @@
 //! shared domain — exactly how the product's
 //! [`AmalgamClass::for_each_amalgam`] composes the inner class's amalgams
 //! with data-part extensions.
+//!
+//! Example 3's classes are such products over the *empty* free class (the
+//! class of bare finite sets): finite equivalence relations are the
+//! structures of `⊗ ⟨ℕ,=⟩` with `~` ([`DataClass::equivalence`]), and
+//! finite strict linear orders — the setting of Segoufin–Toruńczyk, cited
+//! as \[9\] — those of `⊙ ⟨ℚ,<⟩` with `<` ([`DataClass::linear_order`]),
+//! since `⊙` makes the values pairwise distinct. Their amalgams are the
+//! block extensions and the interleavings of fresh elements into the chain.
 
 use crate::amalgam::{
     field_bits, for_each_candidate, project_structure, reset_extended, tag_field, AmalgamClass,
     AmalgamVisitor, Family, GuardHints,
 };
 use crate::class::Pointed;
-use crate::equiv::block_extensions;
+use crate::free::FreeRelationalClass;
 use dds_structure::{Element, Schema, Structure, SymbolId};
-use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -132,6 +139,11 @@ impl<C: AmalgamClass> DataClass<C> {
         &self.inner
     }
 
+    /// The data values the product attaches.
+    pub fn spec(&self) -> &DataSpec {
+        &self.spec
+    }
+
     /// The data relation symbol, in the *public* schema.
     pub fn data_symbol(&self) -> SymbolId {
         self.public
@@ -160,28 +172,21 @@ impl<C: AmalgamClass> DataClass<C> {
                 blocks
             }
             DataKind::Order => {
-                // rank(e) = number of distinct value classes strictly below.
-                let mut ranks = vec![0usize; s.size()];
-                for e in s.elements() {
-                    let mut below: Vec<Element> = s
-                        .elements()
-                        .filter(|&d| s.holds(self.data_sym, &[d, e]))
-                        .collect();
-                    // Count distinct classes among `below` = rank.
-                    below.retain(|&d| !s.holds(self.data_sym, &[e, d]));
-                    let mut classes = 0usize;
-                    let mut seen: Vec<Element> = Vec::new();
-                    for &d in &below {
-                        if !seen.iter().any(|&x| {
-                            !s.holds(self.data_sym, &[x, d]) && !s.holds(self.data_sym, &[d, x])
-                        }) {
-                            classes += 1;
-                            seen.push(d);
-                        }
-                    }
-                    ranks[e.index()] = classes;
+                // In a strict weak order an element's below-count grows
+                // with its class, so its rank (the number of distinct
+                // classes strictly below) is the position of that count
+                // among the distinct below-counts.
+                let mut below = vec![0usize; s.size()];
+                for t in s.rel_tuples(self.data_sym) {
+                    below[t[1].index()] += 1;
                 }
-                ranks
+                let mut counts = below.clone();
+                counts.sort_unstable();
+                counts.dedup();
+                below
+                    .iter()
+                    .map(|c| counts.binary_search(c).expect("a count of `below`"))
+                    .collect()
             }
         }
     }
@@ -219,7 +224,7 @@ impl<C: AmalgamClass> DataClass<C> {
         match (self.spec.kind, self.spec.injective) {
             (DataKind::Equality, false) => crate::amalgam::point_patterns(m),
             (DataKind::Equality, true) => vec![(0..m).collect()],
-            (DataKind::Order, false) => weak_orders(m),
+            (DataKind::Order, false) => rank_extensions(&[], m, false),
             (DataKind::Order, true) => permutations(m),
         }
     }
@@ -240,39 +245,27 @@ impl<C: AmalgamClass> DataClass<C> {
     }
 }
 
-/// All strict weak orders on `m` elements, as rank vectors with contiguous
-/// image `0..=max` (ordered Bell numbers of them).
-fn weak_orders(m: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur: Vec<usize> = Vec::new();
-    // Build by inserting elements one at a time (tie or gap), starting empty.
-    fn go(m: usize, cur: &mut Vec<usize>, out: &mut BTreeSet<Vec<usize>>) {
-        if cur.len() == m {
-            out.insert(cur.clone());
-            return;
-        }
-        let ranks = cur.iter().copied().max().map_or(0, |x| x + 1);
-        for r in 0..ranks {
-            cur.push(r);
-            go(m, cur, out);
-            cur.pop();
-        }
-        for gap in 0..=ranks {
-            let saved = cur.clone();
-            for x in cur.iter_mut() {
-                if *x >= gap {
-                    *x += 1;
-                }
-            }
-            cur.push(gap);
-            go(m, cur, out);
-            *cur = saved;
-        }
+impl DataClass<FreeRelationalClass> {
+    /// Finite strict linear orders over `{<}` (Example 3): `⊙ ⟨ℚ,<⟩` over
+    /// the empty free class, whose Fraïssé limit is `⟨ℚ,<⟩` itself.
+    pub fn linear_order() -> Self {
+        DataClass::new(
+            FreeRelationalClass::new(Schema::new().finish()),
+            DataSpec {
+                symbol: "<".into(),
+                ..DataSpec::rational_order_injective()
+            },
+        )
     }
-    let mut set = BTreeSet::new();
-    go(m, &mut cur, &mut set);
-    out.extend(set);
-    out
+
+    /// Finite equivalence relations over `{~}` (Example 3): `⊗ ⟨ℕ,=⟩` over
+    /// the empty free class.
+    pub fn equivalence() -> Self {
+        DataClass::new(
+            FreeRelationalClass::new(Schema::new().finish()),
+            DataSpec::nat_eq(),
+        )
+    }
 }
 
 /// All permutations of `0..m` (strict orders).
@@ -296,12 +289,14 @@ fn permutations(m: usize) -> Vec<Vec<usize>> {
 
 /// All rank-vector extensions by `extra` elements (ties allowed unless
 /// `injective`); old elements' relative ranks are preserved (their absolute
-/// ranks may shift when a gap is used).
+/// ranks may shift when a gap is used). Each extension is built along one
+/// path, so the list has no repeats. Injective extensions come in insertion
+/// order — each fresh element in turn goes into every gap of the chain,
+/// lowest first — and the others sorted.
 fn rank_extensions(old: &[usize], extra: usize, injective: bool) -> Vec<Vec<usize>> {
-    let mut set = BTreeSet::new();
-    fn go(cur: &[usize], extra: usize, injective: bool, set: &mut BTreeSet<Vec<usize>>) {
+    fn go(cur: &[usize], extra: usize, injective: bool, out: &mut Vec<Vec<usize>>) {
         if extra == 0 {
-            set.insert(cur.to_vec());
+            out.push(cur.to_vec());
             return;
         }
         let ranks = cur.iter().copied().max().map_or(0, |x| x + 1);
@@ -309,7 +304,7 @@ fn rank_extensions(old: &[usize], extra: usize, injective: bool) -> Vec<Vec<usiz
             for r in 0..ranks {
                 let mut next = cur.to_vec();
                 next.push(r);
-                go(&next, extra - 1, injective, set);
+                go(&next, extra - 1, injective, out);
             }
         }
         for gap in 0..=ranks {
@@ -318,11 +313,40 @@ fn rank_extensions(old: &[usize], extra: usize, injective: bool) -> Vec<Vec<usiz
                 .map(|&x| if x >= gap { x + 1 } else { x })
                 .collect();
             next.push(gap);
-            go(&next, extra - 1, injective, set);
+            go(&next, extra - 1, injective, out);
         }
     }
-    go(old, extra, injective, &mut set);
-    set.into_iter().collect()
+    let mut out = Vec::new();
+    go(old, extra, injective, &mut out);
+    if !injective {
+        out.sort_unstable();
+    }
+    out
+}
+
+/// All extensions of an existing block assignment by `extra` new elements:
+/// each new element joins an existing block or a (normalized) new block.
+fn block_extensions(old_blocks: &[usize], extra: usize) -> Vec<Vec<usize>> {
+    let base_count = old_blocks.iter().copied().max().map_or(0, |m| m + 1);
+    let mut out = Vec::new();
+    let mut cur = old_blocks.to_vec();
+    fn go(extra: usize, next_new: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if extra == 0 {
+            out.push(cur.clone());
+            return;
+        }
+        for b in 0..next_new {
+            cur.push(b);
+            go(extra - 1, next_new.max(b + 1), cur, out);
+            cur.pop();
+        }
+        // A fresh block.
+        cur.push(next_new);
+        go(extra - 1, next_new + 1, cur, out);
+        cur.pop();
+    }
+    go(extra, base_count, &mut cur, &mut out);
+    out
 }
 
 impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
@@ -434,7 +458,8 @@ mod tests {
     use super::*;
     use crate::amalgam::collect_amalgams;
     use crate::class::SymbolicClass;
-    use crate::free::FreeRelationalClass;
+    use dds_logic::Formula;
+    use dds_system::{new_var, old_var};
 
     fn base() -> FreeRelationalClass {
         let mut s = Schema::new();
@@ -443,11 +468,12 @@ mod tests {
     }
 
     #[test]
-    fn weak_orders_counts_are_ordered_bell() {
-        assert_eq!(weak_orders(0).len(), 1);
-        assert_eq!(weak_orders(1).len(), 1);
-        assert_eq!(weak_orders(2).len(), 3);
-        assert_eq!(weak_orders(3).len(), 13);
+    fn weak_orders_are_sorted_and_ordered_bell() {
+        for (m, count) in [1, 1, 3, 13, 75].into_iter().enumerate() {
+            let orders = rank_extensions(&[], m, false);
+            assert_eq!(orders.len(), count);
+            assert!(orders.windows(2).all(|w| w[0] < w[1]), "{orders:?}");
+        }
     }
 
     #[test]
@@ -458,8 +484,56 @@ mod tests {
         for e in &exts {
             assert!(e[0] < e[1], "old order broken: {e:?}");
         }
-        // Injective: gaps only.
-        assert_eq!(rank_extensions(&[0, 1], 1, true).len(), 3);
+    }
+
+    #[test]
+    fn injective_rank_extensions_interleave_lowest_gap_first() {
+        // The fresh element goes below the chain, between, then on top.
+        assert_eq!(
+            rank_extensions(&[0, 1], 1, true),
+            vec![vec![1, 2, 0], vec![0, 2, 1], vec![0, 1, 2]]
+        );
+    }
+
+    #[test]
+    fn block_extensions_cover_all_choices() {
+        // 2 old blocks, 1 extra element: join block 0, block 1, or open a
+        // new one.
+        assert_eq!(block_extensions(&[0, 1], 1).len(), 3);
+        // 1 old block, 2 extras: the first joins it or opens block 1 (2),
+        // the second joins one of the blocks so far or opens another (2, 3).
+        assert_eq!(block_extensions(&[0], 2).len(), 5);
+    }
+
+    /// The definition of an element's rank: the number of distinct value
+    /// classes strictly below it.
+    fn reference_ranks(s: &Structure, lt: SymbolId) -> Vec<usize> {
+        let same = |a: Element, b: Element| !s.holds(lt, &[a, b]) && !s.holds(lt, &[b, a]);
+        s.elements()
+            .map(|e| {
+                let mut classes: Vec<Element> = Vec::new();
+                for d in s.elements().filter(|&d| s.holds(lt, &[d, e])) {
+                    if !classes.iter().any(|&c| same(c, d)) {
+                        classes.push(d);
+                    }
+                }
+                classes.len()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn order_ranks_match_the_definition() {
+        let class = DataClass::new(base(), DataSpec::rational_order());
+        let lt = class.data_symbol();
+        for m in 0..=5 {
+            let inner = Structure::new(class.inner().public_schema().clone(), m);
+            for ranks in rank_extensions(&[], m, false) {
+                let s = class.with_data(&inner, &ranks);
+                assert_eq!(class.data_classes(&s), reference_ranks(&s, lt));
+                assert_eq!(class.data_classes(&s), ranks);
+            }
+        }
     }
 
     #[test]
@@ -474,6 +548,17 @@ mod tests {
         let configs = class.initial_configs(2);
         // 2 single-element configs × 1 partition + 16 two-element × 2.
         assert_eq!(configs.len(), 2 + 16 * 2);
+    }
+
+    #[test]
+    fn example3_initial_counts() {
+        // k=2: both points equal (1 config), or distinct: two orientations
+        // of the chain, two partitions into blocks.
+        assert_eq!(DataClass::linear_order().initial_configs(2).len(), 3);
+        assert_eq!(DataClass::equivalence().initial_configs(2).len(), 3);
+        // k=3: 1 + 3·2 + 6 chains; 1 + 3·2 + 5 partitions.
+        assert_eq!(DataClass::linear_order().initial_configs(3).len(), 13);
+        assert_eq!(DataClass::equivalence().initial_configs(3).len(), 12);
     }
 
     #[test]
@@ -505,8 +590,13 @@ mod tests {
 
     #[test]
     fn data_amalgams_freeze_old_values() {
-        for spec in [DataSpec::nat_eq(), DataSpec::rational_order()] {
-            let class = DataClass::new(base(), spec);
+        let classes = [
+            DataClass::new(base(), DataSpec::nat_eq()),
+            DataClass::new(base(), DataSpec::rational_order()),
+            DataClass::linear_order(),
+            DataClass::equivalence(),
+        ];
+        for class in classes {
             for base_cfg in class.initial_configs(2) {
                 let pointed = &base_cfg.pointed;
                 for cand in collect_amalgams(&class, pointed, &GuardHints::default()) {
@@ -522,8 +612,31 @@ mod tests {
                             assert_eq!(old[i].cmp(&old[j]), new[i].cmp(&new[j]));
                         }
                     }
+                    // `⊙`: every element has a value of its own.
+                    if class.spec().injective {
+                        let mut sorted = new.clone();
+                        sorted.sort_unstable();
+                        sorted.dedup();
+                        assert_eq!(sorted.len(), new.len());
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn linear_order_grows_strictly_forever() {
+        // Guard x_new > x_old can fire forever — the hallmark of dense
+        // linear orders via amalgamation (no bound on the chain length).
+        let class = DataClass::linear_order();
+        let guard = Formula::rel_vars(class.data_symbol(), &[old_var(0), new_var(0)]);
+        let mut cfg = class.initial_configs(1).into_iter().next().unwrap();
+        for _ in 0..5 {
+            let succs = class.transitions(&cfg, &guard);
+            assert!(!succs.is_empty());
+            cfg = succs.into_iter().next().unwrap();
+            // Configurations stay size 1 (generated by the single register).
+            assert_eq!(cfg.pointed.structure.size(), 1);
         }
     }
 }

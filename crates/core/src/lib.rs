@@ -31,12 +31,13 @@
 //!     schema,
 //!   * [`HomClass`] — `HOM(H)` via the paper's colored lift (Lemma 7,
 //!     Theorem 4),
-//!   * [`LinearOrderClass`] — finite linear orders (Example 3; the setting
-//!     of Segoufin–Toruńczyk),
-//!   * [`EquivalenceClass`] — finite equivalence relations (Example 3),
 //!   * [`DataClass`] — the data-value products `C ⊗ F` and `C ⊙ F` for the
 //!     homogeneous structures `⟨ℕ,=⟩` and `⟨ℚ,<⟩` (Proposition 1,
-//!     Corollary 8).
+//!     Corollary 8). Example 3's classes are products over the empty free
+//!     class: finite linear orders are `⊙ ⟨ℚ,<⟩`
+//!     ([`DataClass::linear_order`]; the setting of Segoufin–Toruńczyk) and
+//!     finite equivalence relations `⊗ ⟨ℕ,=⟩`
+//!     ([`DataClass::equivalence`]).
 //!
 //! The word and tree instantiations (Theorems 10 and 3) implement
 //! [`SymbolicClass`] in their own crates on top of this engine.
@@ -52,11 +53,9 @@ pub mod amalgam;
 pub mod class;
 pub mod data;
 pub mod engine;
-pub mod equiv;
 pub mod free;
 pub mod hom;
 pub mod intern;
-pub mod order;
 mod pool;
 pub mod product;
 
@@ -67,8 +66,6 @@ pub use engine::{
     Engine, EngineOptions, EngineStats, LayerWidths, MultiOutcome, Outcome, ParallelMode,
     TargetStatus,
 };
-pub use equiv::EquivalenceClass;
 pub use free::FreeRelationalClass;
 pub use hom::HomClass;
 pub use intern::{ConfigId, Interner};
-pub use order::LinearOrderClass;

@@ -4,9 +4,8 @@
 //! For every scenario the harness runs the symbolic engine four ways —
 //! `threads = 1` vs `threads = N`, certification on vs off — and requires
 //! bit-identical outcomes and deterministic statistics across all four.
-//! Where a brute-force oracle exists (the free / `HOM` / equivalence /
-//! linear-order / words / trees classes, and counter machines through the
-//! Fact 15 word search) it then cross-checks:
+//! Every class has a brute-force oracle (counter machines through the
+//! Fact 15 word search), which it then cross-checks:
 //!
 //! * engine `empty` ⇒ the baseline finds **no** witness up to its bound
 //!   (a baseline witness against an `empty` answer is a soundness bug);
@@ -17,11 +16,14 @@
 //! the engine is undecided there, and the baselines stay sound either way.
 
 use crate::scenario::{Built, BuiltClass, Scenario, ScenarioClass};
-use dds_core::{Engine, EngineOptions, Outcome, SymbolicClass};
+use dds_core::amalgam::point_patterns;
+use dds_core::data::DataKind;
+use dds_core::{DataSpec, Engine, EngineOptions, Outcome, SymbolicClass};
 use dds_reductions::words_succ;
-use dds_structure::Structure;
+use dds_structure::{Element, Schema, Structure};
 use dds_system::baseline::{bounded_emptiness, bounded_emptiness_relational, BaselineStats};
 use dds_system::{Run, System};
+use std::sync::Arc;
 
 /// Differential-run tuning.
 #[derive(Clone, Copy, Debug)]
@@ -101,17 +103,10 @@ pub fn check_built(sc: &Scenario, built: &Built, opts: &DiffOptions) -> Result<D
                     let four = four_way(c, system, opts)?;
                     finish_relational(four, system, opts, |db| c.maps_into_template(db))
                 }
-                BuiltClass::Equiv(c) => {
+                BuiltClass::Equiv(c) | BuiltClass::Order(c) => {
                     let four = four_way(c, system, opts)?;
-                    finish_members(four, system, c.members_up_to(opts.db_bound), |db| {
-                        c.is_member(db)
-                    })
-                }
-                BuiltClass::Order(c) => {
-                    let four = four_way(c, system, opts)?;
-                    finish_members(four, system, c.members_up_to(opts.db_bound), |db| {
-                        c.is_member(db)
-                    })
+                    let members = example3_members(system.schema(), c.spec(), opts.db_bound);
+                    finish_members(four, system, members, |db| is_data_relation(c.spec(), db))
                 }
                 BuiltClass::Words(c) => {
                     let four = four_way(c, system, opts)?;
@@ -129,15 +124,13 @@ pub fn check_built(sc: &Scenario, built: &Built, opts: &DiffOptions) -> Result<D
                 }
                 BuiltClass::DataFree(c) => {
                     let four = four_way(c, system, opts)?;
-                    finish_without_oracle(four, system)
+                    finish_relational(four, system, opts, |db| is_data_relation(c.spec(), db))
                 }
-                BuiltClass::DataEquiv(c) => {
+                BuiltClass::DataEquiv(c) | BuiltClass::DataOrder(c) => {
                     let four = four_way(c, system, opts)?;
-                    finish_without_oracle(four, system)
-                }
-                BuiltClass::DataOrder(c) => {
-                    let four = four_way(c, system, opts)?;
-                    finish_without_oracle(four, system)
+                    finish_relational(four, system, opts, |db| {
+                        is_data_relation(c.spec(), db) && is_data_relation(c.inner().spec(), db)
+                    })
                 }
                 BuiltClass::Counter(_) => unreachable!("handled above"),
             }
@@ -246,7 +239,8 @@ fn relational_bound(schema: &dds_structure::Schema, max: usize) -> usize {
     best
 }
 
-/// Classes with a direct member enumeration (equivalence, linear orders).
+/// Classes with a direct member enumeration (Example 3's equivalence
+/// relations and linear orders).
 fn finish_members(
     four: FourWay,
     system: &System,
@@ -280,16 +274,71 @@ fn finish_with_oracle(
     })
 }
 
-/// Four-way agreement only (no oracle for data products).
-fn finish_without_oracle(four: FourWay, system: &System) -> Result<DiffReport, String> {
-    let witness_certified = certify_witness(&four, system, |_| true)?;
-    Ok(DiffReport {
-        outcome: four.outcome.into(),
-        configs_explored: four.stats.configs_explored,
-        engine_stats: Some(four.stats),
-        baseline_checked: false,
-        witness_certified,
-    })
+/// Whether the data relation of `db` (the symbol `spec.symbol`) has the
+/// shape the data product demands (§4.4): an equivalence under
+/// `⊗ ⟨ℕ,=⟩`, the identity under `⊙ ⟨ℕ,=⟩`, a strict weak order under
+/// `⊗ ⟨ℚ,<⟩` and a strict total order under `⊙ ⟨ℚ,<⟩`. Read straight from
+/// the definitions, independently of [`dds_core::DataClass`]: this is the
+/// membership oracle of data products and of Example 3's classes, which
+/// are data products over the empty free class.
+pub fn is_data_relation(spec: &DataSpec, db: &Structure) -> bool {
+    let Ok(sym) = db.schema().lookup(&spec.symbol) else {
+        return false;
+    };
+    let r = |a: Element, b: Element| db.holds(sym, &[a, b]);
+    let all = |p: &dyn Fn(Element, Element, Element) -> bool| {
+        db.elements()
+            .all(|a| db.elements().all(|b| db.elements().all(|c| p(a, b, c))))
+    };
+    match (spec.kind, spec.injective) {
+        (DataKind::Equality, false) => {
+            all(&|a, b, c| r(a, a) && r(a, b) == r(b, a) && (!r(a, b) || !r(b, c) || r(a, c)))
+        }
+        (DataKind::Equality, true) => all(&|a, b, _| r(a, b) == (a == b)),
+        // Irreflexive, transitive, and incomparability is transitive.
+        (DataKind::Order, false) => all(&|a, b, c| {
+            !r(a, a) && (!r(a, b) || !r(b, c) || r(a, c)) && (!r(a, c) || r(a, b) || r(b, c))
+        }),
+        // Irreflexive, transitive and total.
+        (DataKind::Order, true) => all(&|a, b, c| {
+            !r(a, a) && (!r(a, b) || !r(b, c) || r(a, c)) && (a == b || r(a, b) || r(b, a))
+        }),
+    }
+}
+
+/// One member per isomorphism class, with `1..=max` elements, of the data
+/// product `spec` over the empty free class: the set partitions under
+/// `⊗ ⟨ℕ,=⟩` (finite equivalence relations) and one chain per size under
+/// `⊙ ⟨ℚ,<⟩` (finite linear orders). An accepting run exists on a
+/// structure iff it exists on any isomorphic copy, so these are a complete
+/// brute-force emptiness basis up to the bound.
+fn example3_members(schema: &Arc<Schema>, spec: &DataSpec, max: usize) -> Vec<Structure> {
+    let sym = schema.lookup(&spec.symbol).expect("the data symbol");
+    let mut out = Vec::new();
+    for n in 1..=max {
+        let assignments = match (spec.kind, spec.injective) {
+            (DataKind::Equality, false) => point_patterns(n),
+            (DataKind::Order, true) => vec![(0..n).collect()],
+            _ => unreachable!("Example 3 has no class {spec:?}"),
+        };
+        for values in assignments {
+            let mut s = Structure::new(schema.clone(), n);
+            for (a, &va) in values.iter().enumerate() {
+                for (b, &vb) in values.iter().enumerate() {
+                    let holds = match spec.kind {
+                        DataKind::Equality => va == vb,
+                        DataKind::Order => va < vb,
+                    };
+                    if holds {
+                        s.add_fact(sym, &[Element::from_index(a), Element::from_index(b)])
+                            .expect("elements in range");
+                    }
+                }
+            }
+            out.push(s);
+        }
+    }
+    out
 }
 
 /// Replays the certified witness, when one exists.
@@ -400,6 +449,68 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{kind:?} iter {iter}: {e}\n{}", sc.render()));
                 assert!(!report.outcome.is_empty());
             }
+        }
+    }
+
+    /// The data-relation oracle, on two elements: which of the four
+    /// products admits each relation.
+    #[test]
+    fn data_relation_oracle_follows_the_definitions() {
+        let specs = [
+            DataSpec::nat_eq(),
+            DataSpec::nat_eq_injective(),
+            DataSpec::rational_order(),
+            DataSpec::rational_order_injective(),
+        ];
+        let mut sc = Schema::new();
+        sc.add_relation("~", 2).unwrap();
+        sc.add_relation("<<", 2).unwrap();
+        let schema = sc.finish();
+        let db = |sym: &str, facts: &[(u32, u32)]| {
+            let r = schema.lookup(sym).unwrap();
+            let mut s = Structure::new(schema.clone(), 2);
+            for &(a, b) in facts {
+                s.add_fact(r, &[Element(a), Element(b)]).unwrap();
+            }
+            s
+        };
+        // (symbol, facts, [admitted by ⊗, admitted by ⊙])
+        let cases = [
+            ("~", &[(0, 0), (1, 1)][..], [true, true]),
+            ("~", &[(0, 0), (1, 1), (0, 1), (1, 0)][..], [true, false]),
+            ("~", &[(0, 0), (1, 1), (0, 1)][..], [false, false]), // not symmetric
+            ("~", &[(0, 0)][..], [false, false]),                 // not reflexive
+            ("<<", &[][..], [true, false]),                       // a tie: not total
+            ("<<", &[(0, 1)][..], [true, true]),
+            ("<<", &[(0, 1), (1, 0)][..], [false, false]), // not antisymmetric
+            ("<<", &[(0, 0)][..], [false, false]),         // not irreflexive
+        ];
+        for (sym, facts, [otimes, odot]) in cases {
+            let s = db(sym, facts);
+            let (a, b) = if sym == "~" {
+                (&specs[0], &specs[1])
+            } else {
+                (&specs[2], &specs[3])
+            };
+            assert_eq!(is_data_relation(a, &s), otimes, "{sym} {facts:?} under ⊗");
+            assert_eq!(is_data_relation(b, &s), odot, "{sym} {facts:?} under ⊙");
+        }
+    }
+
+    /// Example 3's member bases: Bell-many partitions, one chain per size,
+    /// every one a member.
+    #[test]
+    fn example3_members_are_complete_and_members() {
+        for (class, counts) in [
+            (dds_core::DataClass::equivalence(), [1, 2, 5]),
+            (dds_core::DataClass::linear_order(), [1, 1, 1]),
+        ] {
+            let members = example3_members(class.schema(), class.spec(), 3);
+            for (n, &count) in counts.iter().enumerate() {
+                let of_size = members.iter().filter(|s| s.size() == n + 1).count();
+                assert_eq!(of_size, count, "{:?} size {}", class.spec(), n + 1);
+            }
+            assert!(members.iter().all(|s| is_data_relation(class.spec(), s)));
         }
     }
 

@@ -14,9 +14,7 @@
 //! lowering a scenario must reproduce [`Scenario::build`]'s system
 //! rule-for-rule (the round-trip property).
 
-use dds_core::{
-    DataClass, DataSpec, EquivalenceClass, FreeRelationalClass, HomClass, LinearOrderClass,
-};
+use dds_core::{DataClass, DataSpec, FreeRelationalClass, HomClass};
 use dds_reductions::counter::{CounterMachine, Instr};
 use dds_structure::{Element, Schema, Structure};
 use dds_system::{System, SystemBuilder};
@@ -284,10 +282,10 @@ pub enum BuiltClass {
     Free(FreeRelationalClass),
     /// `HOM(H)`.
     Hom(HomClass),
-    /// Equivalence relations.
-    Equiv(EquivalenceClass),
-    /// Linear orders.
-    Order(LinearOrderClass),
+    /// Equivalence relations ([`DataClass::equivalence`]).
+    Equiv(DataClass<FreeRelationalClass>),
+    /// Linear orders ([`DataClass::linear_order`]).
+    Order(DataClass<FreeRelationalClass>),
     /// Word languages.
     Words(WordClass),
     /// Tree languages.
@@ -295,9 +293,9 @@ pub enum BuiltClass {
     /// Data over free.
     DataFree(DataClass<FreeRelationalClass>),
     /// Data over equivalence.
-    DataEquiv(DataClass<EquivalenceClass>),
+    DataEquiv(DataClass<DataClass<FreeRelationalClass>>),
     /// Data over linear orders.
-    DataOrder(DataClass<LinearOrderClass>),
+    DataOrder(DataClass<DataClass<FreeRelationalClass>>),
     /// A counter machine (no symbolic class).
     Counter(CounterMachine),
 }
@@ -355,8 +353,8 @@ impl Scenario {
                 }
                 BuiltClass::Hom(HomClass::new(h))
             }
-            ScenarioClass::Equivalence => BuiltClass::Equiv(EquivalenceClass::new()),
-            ScenarioClass::LinearOrder => BuiltClass::Order(LinearOrderClass::new()),
+            ScenarioClass::Equivalence => BuiltClass::Equiv(DataClass::equivalence()),
+            ScenarioClass::LinearOrder => BuiltClass::Order(DataClass::linear_order()),
             ScenarioClass::Words(decl) => BuiltClass::Words(WordClass::new(
                 decl.build().ok_or("generated word language is empty")?,
             )),

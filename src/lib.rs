@@ -21,8 +21,10 @@
 //! * [`system`] — database-driven systems, runs, explicit model checking,
 //!   the Fact 2 guard elimination, and brute-force baselines;
 //! * [`core`] — the Fraïssé framework: the [`core::SymbolicClass`] trait, the
-//!   Theorem 5 engine, relational classes (free, linear orders, equivalence
-//!   relations, `HOM(H)`), and data-value products;
+//!   Theorem 5 engine, relational classes (free, `HOM(H)`), and data-value
+//!   products — among them Example 3's linear orders and equivalence
+//!   relations ([`core::DataClass::linear_order`],
+//!   [`core::DataClass::equivalence`]);
 //! * [`words`] — Theorem 10 for regular word languages;
 //! * [`trees`] — Theorem 3 for regular tree languages;
 //! * [`reductions`] — the undecidability encodings of §6.
@@ -75,8 +77,8 @@ pub use dds_words as words;
 /// deprecated and will stop compiling when a private field is added.
 pub mod prelude {
     pub use dds_core::{
-        DataClass, DataSpec, Engine, EngineOptions, EngineStats, EquivalenceClass,
-        FreeRelationalClass, HomClass, LinearOrderClass, Outcome, SymbolicClass,
+        DataClass, DataSpec, Engine, EngineOptions, EngineStats, FreeRelationalClass, HomClass,
+        Outcome, SymbolicClass,
     };
     pub use dds_logic::{Formula, Term, Var};
     pub use dds_structure::{Element, Schema, Structure, SymbolId};

@@ -18,6 +18,7 @@ use dds::prelude::*;
 use dds::structure::{encode_generated_relational, KeyScratch};
 use dds_cli::load_spec;
 use dds_cli::lower::{AnyClass, Task};
+use dds_gen::diff::is_data_relation;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -34,11 +35,22 @@ fn amalgams<C: AmalgamClass>(class: &C, base: &Pointed) -> Vec<Pointed> {
 }
 
 /// Builds an arbitrary equivalence-class configuration from a block string.
-fn equiv_pointed(class: &EquivalenceClass, blocks: &[usize], points: &[usize]) -> Pointed {
-    Pointed::new(
-        class.from_blocks(blocks),
-        points.iter().map(|&p| Element::from_index(p)).collect(),
-    )
+fn equiv_pointed(
+    class: &DataClass<FreeRelationalClass>,
+    blocks: &[usize],
+    points: &[usize],
+) -> Pointed {
+    let sim = class.data_symbol();
+    let mut s = Structure::new(class.schema().clone(), blocks.len());
+    for (i, bi) in blocks.iter().enumerate() {
+        for (j, bj) in blocks.iter().enumerate() {
+            if bi == bj {
+                s.add_fact(sim, &[Element::from_index(i), Element::from_index(j)])
+                    .unwrap();
+            }
+        }
+    }
+    Pointed::new(s, points.iter().map(|&p| Element::from_index(p)).collect())
 }
 
 proptest! {
@@ -51,7 +63,7 @@ proptest! {
         raw_blocks in proptest::collection::vec(0usize..3, 1..4),
         point in 0usize..3,
     ) {
-        let class = EquivalenceClass::new();
+        let class = DataClass::equivalence();
         // Normalize the block string (restricted growth).
         let mut map = std::collections::HashMap::new();
         let mut next = 0usize;
@@ -61,10 +73,10 @@ proptest! {
         let point = point % blocks.len();
         let base = equiv_pointed(&class, &blocks, &[point]);
         for cand in amalgams(&class, &base) {
-            prop_assert!(class.is_member(&cand.structure));
+            prop_assert!(is_data_relation(class.spec(), &cand.structure));
             // Base frozen: old blocks unchanged.
-            let old = class.blocks_of(&base.structure);
-            let new = class.blocks_of(&cand.structure);
+            let old = class.data_classes(&base.structure);
+            let new = class.data_classes(&cand.structure);
             for i in 0..old.len() {
                 for j in 0..old.len() {
                     prop_assert_eq!(old[i] == old[j], new[i] == new[j]);
@@ -76,7 +88,7 @@ proptest! {
     /// Linear orders: amalgams are total strict orders preserving the base.
     #[test]
     fn linear_order_amalgams_are_members(m in 1usize..4, point in 0usize..4) {
-        let class = LinearOrderClass::new();
+        let class = DataClass::linear_order();
         let base = class
             .initial_pointed(1)
             .into_iter()
@@ -84,7 +96,7 @@ proptest! {
             .unwrap();
         let _ = point;
         for cand in amalgams(&class, &base) {
-            prop_assert!(class.is_member(&cand.structure));
+            prop_assert!(is_data_relation(class.spec(), &cand.structure));
         }
     }
 

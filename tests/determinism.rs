@@ -205,7 +205,7 @@ fn data_product_nonempty() {
 
 #[test]
 fn linear_order_nonempty() {
-    let class = LinearOrderClass::new();
+    let class = DataClass::linear_order();
     let mut b = SystemBuilder::new(class.schema().clone(), &["x", "y"]);
     b.state("s").initial();
     b.state("t").accepting();
@@ -218,7 +218,7 @@ fn linear_order_nonempty() {
 #[test]
 fn equivalence_class_both_polarities() {
     // Nonempty: walk to a register outside x's block, then back into it.
-    let class = EquivalenceClass::new();
+    let class = DataClass::equivalence();
     let mut b = SystemBuilder::new(class.schema().clone(), &["x", "y"]);
     b.state("s").initial();
     b.state("m");

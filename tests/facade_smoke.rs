@@ -62,7 +62,7 @@ fn prelude_covers_restricted_classes() {
 
     // Linear orders: strictly ascending twice is satisfiable, and a
     // register cannot be strictly below itself.
-    let class = LinearOrderClass::new();
+    let class = DataClass::linear_order();
     let system = two_step(class.schema().clone(), "x_old < x_new");
     assert!(Engine::new(&class, &system).run().is_nonempty());
     let system = two_step(class.schema().clone(), "x_old < x_old");

@@ -166,7 +166,7 @@ fn fact2_preserves_emptiness_over_the_engine() {
 /// satisfiable (the class has no maximal chain), strict cycles are not.
 #[test]
 fn linear_order_walks() {
-    let class = LinearOrderClass::new();
+    let class = DataClass::linear_order();
     let schema = class.schema().clone();
     let mut b = SystemBuilder::new(schema.clone(), &["x"]);
     b.state("s0").initial();
@@ -191,7 +191,7 @@ fn linear_order_walks() {
 /// Equivalence relations with data-style guards.
 #[test]
 fn equivalence_class_guards() {
-    let class = EquivalenceClass::new();
+    let class = DataClass::equivalence();
     let schema = class.schema().clone();
     // Reach an element equivalent to the start but distinct from it.
     let mut b = SystemBuilder::new(schema, &["x"]);

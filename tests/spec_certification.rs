@@ -11,11 +11,12 @@
 //!   ([`System::check_run`]) against the accepting condition;
 //! * the witness database is a member of the class, where a membership
 //!   predicate exists (free — trivially, `HOM(H)`, equivalence relations,
-//!   linear orders).
+//!   linear orders, data products over those three).
 
 use dds::core::{Engine, EngineOptions, Outcome, SymbolicClass};
 use dds_cli::load_spec;
 use dds_cli::lower::{AnyClass, Task};
+use dds_gen::diff::is_data_relation;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -80,17 +81,21 @@ fn dispatch(class: &AnyClass, system: &dds::system::System) -> (RunResult, RunRe
     match class {
         AnyClass::Free(c) => go!(c, |_| Some(true), false),
         AnyClass::Hom(c) => go!(c, |db| Some(c.maps_into_template(db)), false),
-        AnyClass::Order(c) => go!(c, |db| Some(c.is_member(db)), false),
-        AnyClass::Equiv(c) => go!(c, |db| Some(c.is_member(db)), false),
+        AnyClass::Order(c) | AnyClass::Equiv(c) => {
+            go!(c, |db| Some(is_data_relation(c.spec(), db)), false)
+        }
         AnyClass::Words(c) => go!(c, |_| None, false),
         // Tree concretization is best-effort (bounded by the certify node
         // budget), so a missing witness is tolerated — but a present one
         // must still replay.
         AnyClass::Trees(c) => go!(c, |_| None, true),
-        AnyClass::DataFree(c) => go!(c, |_| None, false),
+        AnyClass::DataFree(c) => go!(c, |db| Some(is_data_relation(c.spec(), db)), false),
         AnyClass::DataHom(c) => go!(c, |_| None, false),
-        AnyClass::DataOrder(c) => go!(c, |_| None, false),
-        AnyClass::DataEquiv(c) => go!(c, |_| None, false),
+        AnyClass::DataOrder(c) | AnyClass::DataEquiv(c) => go!(
+            c,
+            |db| Some(is_data_relation(c.spec(), db) && is_data_relation(c.inner().spec(), db)),
+            false
+        ),
         AnyClass::Counter(_) => unreachable!("reach properties never lower over counter machines"),
     }
 }
