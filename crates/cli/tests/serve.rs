@@ -101,6 +101,33 @@ fn timeout_is_a_structured_error_and_the_server_survives() {
 }
 
 #[test]
+fn a_panicking_run_is_a_500_and_the_server_survives() {
+    let server = start(ServeOptions::default());
+    let addr = server.addr();
+    let spec = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../specs/adversarial/free_r3.dds"),
+    )
+    .unwrap();
+
+    // Three fresh points of `R/3` make a family of 27 optional facts, over
+    // the enumeration's limit: the engine panics instead of exhausting
+    // memory, and the daemon reports it.
+    let resp = client::verify(&addr, &spec, None, None).expect("request");
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    assert!(
+        resp.body.contains("\"code\":\"internal-error\""),
+        "{}",
+        resp.body
+    );
+
+    let resp = client::health(&addr).expect("health after the panic");
+    assert_eq!(resp.status, 200);
+    assert!(resp.body.contains("\"status\": \"ok\""), "{}", resp.body);
+    server.shutdown();
+}
+
+#[test]
 fn oversize_bad_json_and_spec_errors_are_structured() {
     let server = start(ServeOptions {
         max_request_bytes: 256,

@@ -2,12 +2,15 @@
 //!
 //! All relational classes in this crate (free, `HOM` and the data
 //! products, which include Example 3's linear orders and equivalence
-//! relations) implement the [`AmalgamClass`] trait: they enumerate `k`-generated members and, most importantly,
-//! *amalgams* — extensions of a base pointed structure by `k` new register
-//! values that stay inside the class. A blanket implementation turns any
-//! `AmalgamClass` into a [`SymbolicClass`] for the Theorem 5 engine,
-//! providing:
+//! relations) implement the [`AmalgamClass`] trait: they list their members
+//! on 0 elements and, most importantly, enumerate *amalgams* — extensions
+//! of a base pointed structure by `k_new` new register values that stay
+//! inside the class. A blanket implementation turns any `AmalgamClass` into
+//! a [`SymbolicClass`] for the Theorem 5 engine, providing:
 //!
+//! * initial configurations: the amalgams of each member on 0 elements
+//!   (with no points) by `k` new points, under the guard `true` — every
+//!   `k`-generated member is one, over the part no point generates;
 //! * sub-transition successors (amalgams filtered by the guard, restricted to
 //!   the substructure generated by the new points, canonicalized), resolved
 //!   against the search's interner ([`SymbolicClass::successors`]);
@@ -44,8 +47,10 @@
 //! new points). The
 //! words are probed against the search's interner and then against the
 //! successors this call already built; only a key absent from both becomes
-//! a configuration ([`RelConfig::generated_by`]). The engine interns every
-//! initial configuration — every `k`-generated member — before it expands
+//! a configuration ([`RelConfig::generated_by`]). The initial
+//! configurations are resolved the same way against an empty interner,
+//! so each distinct one is built once. The engine interns every initial
+//! configuration — every `k`-generated member — before it expands
 //! anything, so its calls build no configuration at all; `transitions`,
 //! against an empty interner, builds each distinct successor once. Replay
 //! evaluates the guard on each candidate, compares key words the same way,
@@ -89,7 +94,7 @@
 //! unpruned enumeration.
 
 use crate::class::{Pointed, RelConfig, SymbolicClass, Trace};
-use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved};
+use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved, SuccessorMemo};
 use dds_logic::eval::{eval, eval_with, is_local};
 use dds_logic::transform::{forced_literals, Literal};
 use dds_logic::{Formula, Term, Var};
@@ -98,10 +103,10 @@ use dds_structure::{
 };
 use dds_system::{Run, System};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// All placements of `k` points into a base of a given size, shared by
 /// reference between the memo and its borrowers.
@@ -325,14 +330,18 @@ pub trait AmalgamClass: Sync {
     /// Schema the guards are written against.
     fn public_schema(&self) -> &Arc<Schema>;
 
-    /// Every `k`-pointed member generated by its points (duplicates allowed;
-    /// the engine canonicalizes). Over the internal schema.
-    fn initial_pointed(&self, k: usize) -> Vec<Pointed>;
+    /// The members on 0 elements, one per set of nullary facts the class
+    /// allows, over the internal schema. With no points they are the
+    /// 0-point configurations, and every initial configuration is one of
+    /// their amalgams (see [`SymbolicClass::initial_configs`]).
+    fn empty_members(&self) -> Vec<Structure>;
 
     /// Visits the candidate amalgams: pointed structures `(A, new_points)`
     /// such that `A` is a member of the class, `A` extends `base.structure`
     /// *in place* (elements `0..base.size()` are untouched, fresh elements
-    /// appended), and `new_points` are the new register values. The visited
+    /// appended), and `new_points` are the `k_new` new register values
+    /// (`base.points.len()` for a sub-transition, any `k` for the initial
+    /// configurations over a base without points). The visited
     /// set must cover, for every member amalgam in the class sense *that
     /// satisfies the guard the hints came from*, some candidate that agrees
     /// with it on the hint atoms and on the substructure generated by the
@@ -355,6 +364,7 @@ pub trait AmalgamClass: Sync {
     fn for_each_amalgam(
         &self,
         base: &Pointed,
+        k_new: usize,
         hints: &GuardHints,
         f: &mut AmalgamVisitor<'_>,
     ) -> ControlFlow<()>;
@@ -827,9 +837,10 @@ pub fn point_patterns(k: usize) -> Vec<Vec<usize>> {
 }
 
 /// Writes the interleaved old/new valuation into `out` (see
-/// [`combined_valuation`]), reusing its buffer.
+/// [`combined_valuation`]), reusing its buffer. A base without points (the
+/// initial configurations, resolved under `true`) gives the empty valuation.
 pub(crate) fn fill_combined(out: &mut Vec<Element>, old: &[Element], new: &[Element]) {
-    debug_assert_eq!(old.len(), new.len());
+    debug_assert!(old.is_empty() || old.len() == new.len());
     out.clear();
     out.extend(old.iter().zip(new).flat_map(|(&o, &n)| [o, n]));
 }
@@ -857,7 +868,8 @@ pub fn replay_trace<T: AmalgamClass>(
         let hints = GuardHints::of(&guard);
         let base = Pointed::new(db, points);
         let mut found = None;
-        let _ = for_each_candidate(class, &base, &hints, |s, new_points, _| {
+        let k = base.points.len();
+        let _ = for_each_candidate(class, &base, k, &hints, |s, new_points, _| {
             fill_combined(&mut combined, &base.points, new_points);
             if eval(&guard, s, &combined).unwrap_or(false)
                 && encode_generated_relational(s, new_points, &mut key) == step.config.key_hash()
@@ -882,16 +894,25 @@ impl<T: AmalgamClass> SymbolicClass for T {
         self.public_schema()
     }
 
+    /// The successors under `true` of each 0-point configuration
+    /// ([`AmalgamClass::empty_members`]) with `k` new points. Every
+    /// `k`-generated member is an amalgam over the part no point generates,
+    /// which is a member on 0 elements. Two members on 0 elements differ in
+    /// a nullary fact, which every configuration over them keeps, so their
+    /// successor lists are disjoint.
     fn initial_configs(&self, k: usize) -> Vec<RelConfig> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for p in self.initial_pointed(k) {
-            let cfg = RelConfig::canonical(&p);
-            if seen.insert(cfg.key().clone()) {
-                out.push(cfg);
-            }
-        }
-        out
+        let none = Interner::new();
+        self.empty_members()
+            .into_iter()
+            .flat_map(|s| {
+                let base = Pointed::new(s, Vec::new());
+                resolve_amalgams(self, &base, k, &Formula::True, None, &none)
+            })
+            .map(|entry| match entry {
+                Resolved::Fresh(cfg, _) => *cfg,
+                Resolved::Interned(_) => unreachable!("an empty interner holds no id"),
+            })
+            .collect()
     }
 
     fn transitions(&self, cfg: &RelConfig, guard: &Formula) -> Vec<RelConfig> {
@@ -917,32 +938,61 @@ impl<T: AmalgamClass> SymbolicClass for T {
         known: &Interner<RelConfig>,
     ) -> Vec<Resolved<RelConfig>> {
         let guard = translate_formula(guard, self.public_schema(), self.internal_schema());
-        let hints = GuardHints::of(&guard);
-        let mut memo = known
+        let memo = known
             .lookup_prehashed(cfg, Interner::hash_value(cfg))
             .map(|id| known.memo(id));
-        let mut key = KeyScratch::default();
-        // Bitmap over `known`'s ids of the ones already in `out`.
-        let mut seen_ids = vec![0u64; known.len().div_ceil(64)];
-        let mut push_id = |out: &mut Vec<Resolved<RelConfig>>, id: ConfigId| {
-            let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
-            if seen_ids[word] & bit == 0 {
-                seen_ids[word] |= bit;
-                out.push(Resolved::Interned(id));
-            }
-        };
-        // Probe hash → position in `out` of the first fresh entry under it.
-        let mut fresh_at: HashMap<u64, usize, BuildWordHasher> = HashMap::default();
-        let mut out = Vec::new();
-        let mut combined = Vec::new();
-        let local = is_local(&guard);
-        // Debug builds re-check memo hits on a copy, so the family's buffer
-        // moves exactly as in release.
-        let mut recheck = None;
-        let _ = self.for_each_amalgam(&cfg.pointed, &hints, &mut |family| {
-            fill_combined(&mut combined, &cfg.pointed.points, family.new_points);
-            let new_points = family.new_points;
-            family.for_each_passing(&guard, local, &combined, |tag, cand| {
+        let k = cfg.pointed.points.len();
+        resolve_amalgams(self, &cfg.pointed, k, &guard, memo, known)
+    }
+
+    fn materialize(&self, cfg: &RelConfig) -> Pointed {
+        Pointed {
+            structure: self.project(&cfg.pointed.structure),
+            points: cfg.pointed.points.clone(),
+        }
+    }
+
+    fn concretize(&self, system: &System, trace: &Trace<RelConfig>) -> Option<(Structure, Run)> {
+        replay_trace(self, system, trace)
+    }
+}
+
+/// The key-first resolution behind [`SymbolicClass::successors`] and
+/// [`SymbolicClass::initial_configs`]: the configurations the `k_new` new
+/// points generate in the candidates over `base` that satisfy `guard`
+/// (over the internal schema), resolved against `known` and `memo` (the
+/// successor memo of `base` when `known` holds it).
+fn resolve_amalgams<T: AmalgamClass + ?Sized>(
+    class: &T,
+    base: &Pointed,
+    k_new: usize,
+    guard: &Formula,
+    mut memo: Option<MutexGuard<'_, SuccessorMemo>>,
+    known: &Interner<RelConfig>,
+) -> Vec<Resolved<RelConfig>> {
+    let hints = GuardHints::of(guard);
+    let mut key = KeyScratch::default();
+    // Bitmap over `known`'s ids of the ones already in `out`.
+    let mut seen_ids = vec![0u64; known.len().div_ceil(64)];
+    let mut push_id = |out: &mut Vec<Resolved<RelConfig>>, id: ConfigId| {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if seen_ids[word] & bit == 0 {
+            seen_ids[word] |= bit;
+            out.push(Resolved::Interned(id));
+        }
+    };
+    // Probe hash → position in `out` of the first fresh entry under it.
+    let mut fresh_at: HashMap<u64, usize, BuildWordHasher> = HashMap::default();
+    let mut out = Vec::new();
+    let mut combined = Vec::new();
+    let local = is_local(guard);
+    // Debug builds re-check memo hits on a copy, so the family's buffer
+    // moves exactly as in release.
+    let mut recheck = None;
+    let _ = class.for_each_amalgam(base, k_new, &hints, &mut |family| {
+        fill_combined(&mut combined, &base.points, family.new_points);
+        let new_points = family.new_points;
+        family.for_each_passing(guard, local, &combined, |tag, cand| {
                 let memo_slot = memo.as_mut().zip(tag);
                 if let Some((memo, tag)) = &memo_slot {
                     if let Some(&id) = memo.get(tag) {
@@ -956,7 +1006,7 @@ impl<T: AmalgamClass> SymbolicClass for T {
                                 |c| c.key().as_words() == key.words()
                             ),
                             Some(id),
-                            "amalgam tag {tag:#x} of {cfg:?} names two configurations"
+                            "amalgam tag {tag:#x} of {base:?} names two configurations"
                         );
                         push_id(&mut out, id);
                         return ControlFlow::Continue(());
@@ -992,20 +1042,8 @@ impl<T: AmalgamClass> SymbolicClass for T {
                 }
                 ControlFlow::Continue(())
             })
-        });
-        out
-    }
-
-    fn materialize(&self, cfg: &RelConfig) -> Pointed {
-        Pointed {
-            structure: self.project(&cfg.pointed.structure),
-            points: cfg.pointed.points.clone(),
-        }
-    }
-
-    fn concretize(&self, system: &System, trace: &Trace<RelConfig>) -> Option<(Structure, Run)> {
-        replay_trace(self, system, trace)
-    }
+    });
+    out
 }
 
 /// Visits the candidates of [`AmalgamClass::for_each_amalgam`] one at a
@@ -1013,10 +1051,11 @@ impl<T: AmalgamClass> SymbolicClass for T {
 pub fn for_each_candidate<C: AmalgamClass + ?Sized>(
     class: &C,
     base: &Pointed,
+    k_new: usize,
     hints: &GuardHints,
     mut f: impl FnMut(&Structure, &[Element], Option<u64>) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    class.for_each_amalgam(base, hints, &mut |family| {
+    class.for_each_amalgam(base, k_new, hints, &mut |family| {
         let new_points = family.new_points;
         family.for_each(|s, tag| f(s, new_points, tag))
     })
@@ -1031,7 +1070,7 @@ pub(crate) fn collect_amalgams<C: AmalgamClass>(
     hints: &GuardHints,
 ) -> Vec<Pointed> {
     let mut out = Vec::new();
-    let _ = for_each_candidate(class, base, hints, |s, points, _| {
+    let _ = for_each_candidate(class, base, base.points.len(), hints, |s, points, _| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });

@@ -173,7 +173,11 @@ impl<C> Trace<C> {
 /// engine (mirroring the paper's proof):
 ///
 /// * `initial_configs(k)` enumerates, up to the configuration equality, every
-///   `k`-pointed member of the class generated by its points;
+///   `k`-pointed member of the class generated by its points. Closure is
+///   monotone, so each such member is an amalgam over the part that no
+///   point generates: the initial configurations are the successors, under
+///   the guard `true` and with `k` new points, of the class's 0-point
+///   configurations, and the classes build them that way;
 /// * `transitions(cfg, guard)` enumerates every configuration `B'` such that
 ///   some amalgam `A` in the class embeds `cfg` and `B'` with `A ⊨ guard`
 ///   under the combined old/new valuation (old = `cfg`'s points, new = `B'`'s
@@ -197,7 +201,9 @@ pub trait SymbolicClass: Sync {
     fn schema(&self) -> &Arc<Schema>;
 
     /// All `k`-generated configurations (initial configurations may carry any
-    /// register valuation, so every `k`-generated member can start a run).
+    /// register valuation, so every `k`-generated member can start a run):
+    /// the successors under `true` of the 0-point configurations, with `k`
+    /// new points, without repeats.
     fn initial_configs(&self, k: usize) -> Vec<Self::Config>;
 
     /// Sub-transition successors of `cfg` under `guard` (quantifier-free).

@@ -193,6 +193,7 @@ impl<C: AmalgamClass> DataClass<C> {
 
     /// Overlays data facts for the given class/rank assignment on top of an
     /// inner structure embedded into the product schema.
+    #[cfg(test)]
     fn with_data(&self, inner_struct: &Structure, classes: &[usize]) -> Structure {
         let mut s = project_structure(inner_struct, &self.internal);
         self.add_data_facts(&mut s, classes, 0);
@@ -216,16 +217,6 @@ impl<C: AmalgamClass> DataClass<C> {
                     .expect("assignment elements are in range");
                 }
             }
-        }
-    }
-
-    /// All data assignments for `m` fresh-standing elements (no old part).
-    fn assignments(&self, m: usize) -> Vec<Vec<usize>> {
-        match (self.spec.kind, self.spec.injective) {
-            (DataKind::Equality, false) => crate::amalgam::point_patterns(m),
-            (DataKind::Equality, true) => vec![(0..m).collect()],
-            (DataKind::Order, false) => rank_extensions(&[], m, false),
-            (DataKind::Order, true) => permutations(m),
         }
     }
 
@@ -266,25 +257,6 @@ impl DataClass<FreeRelationalClass> {
             DataSpec::nat_eq(),
         )
     }
-}
-
-/// All permutations of `0..m` (strict orders).
-fn permutations(m: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur: Vec<usize> = (0..m).collect();
-    fn go(k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if k == cur.len() {
-            out.push(cur.clone());
-            return;
-        }
-        for i in k..cur.len() {
-            cur.swap(k, i);
-            go(k + 1, cur, out);
-            cur.swap(k, i);
-        }
-    }
-    go(0, &mut cur, &mut out);
-    out
 }
 
 /// All rank-vector extensions by `extra` elements (ties allowed unless
@@ -358,22 +330,20 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         &self.public
     }
 
-    fn initial_pointed(&self, k: usize) -> Vec<Pointed> {
-        let mut out = Vec::new();
-        for p in self.inner.initial_pointed(k) {
-            for classes in self.assignments(p.structure.size()) {
-                out.push(Pointed::new(
-                    self.with_data(&p.structure, &classes),
-                    p.points.clone(),
-                ));
-            }
-        }
-        out
+    /// The inner class's, lifted to the product schema: with no elements
+    /// there is no data to attach.
+    fn empty_members(&self) -> Vec<Structure> {
+        self.inner
+            .empty_members()
+            .iter()
+            .map(|s| project_structure(s, &self.internal))
+            .collect()
     }
 
     fn for_each_amalgam(
         &self,
         base: &Pointed,
+        k_new: usize,
         hints: &GuardHints,
         f: &mut AmalgamVisitor<'_>,
     ) -> ControlFlow<()> {
@@ -405,16 +375,15 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         );
         let old_classes = self.data_classes(&base.structure);
         let m_old = base.structure.size();
-        let k = base.points.len();
         // The data extensions of the old classes by `extra` fresh elements,
-        // computed once per `extra` (at most `k`).
-        let mut extensions: Vec<Option<Vec<Vec<usize>>>> = vec![None; k + 1];
+        // computed once per `extra` (at most `k_new`).
+        let mut extensions: Vec<Option<Vec<Vec<usize>>>> = vec![None; k_new + 1];
         // Tag: the inner tag, then the data extension, in the low `dbits`
         // bits. Each fresh element ties with or goes next to one of at most
-        // `m_old + k` classes, so an extension index stays below
-        // `(2 (m_old + k) + 1)^k`.
-        let dbits = (2 * (m_old + k) + 1)
-            .checked_pow(k as u32)
+        // `m_old + k_new` classes, so an extension index stays below
+        // `(2 (m_old + k_new) + 1)^k_new`.
+        let dbits = (2 * (m_old + k_new) + 1)
+            .checked_pow(k_new as u32)
             .map_or(u64::BITS, field_bits);
         // The base is a member and both coordinates freeze the old elements,
         // so `with_data(inner, classes)` is the base plus the inner and data
@@ -425,6 +394,7 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         for_each_candidate(
             &self.inner,
             &base_inner,
+            k_new,
             &inner_hints,
             |inner, points, inner_tag| {
                 let extra = inner.size() - m_old;

@@ -91,7 +91,7 @@
 
 use crate::class::{SymbolicClass, Trace, TraceStep};
 use crate::intern::{ConfigId, Interner, Resolved};
-use crate::pool::{EpochGate, TaskQueues};
+use crate::pool::{EpochGate, ShutdownOnDrop, TaskQueues};
 use dds_structure::Structure;
 use dds_system::{eliminate_existentials, Run, StateId, System};
 use std::collections::HashMap;
@@ -818,9 +818,10 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                     .unwrap_or(1),
                 cost: CostModel::default(),
             };
-            let out = self.search(targets, Some(pool));
-            gate.shutdown();
-            out
+            // Shut the pool down on unwinding too: the scope joins every
+            // worker, so a panicking search must still release them.
+            let _shutdown = ShutdownOnDrop(&gate);
+            self.search(targets, Some(pool))
         });
         out.stats.idle_ns += gate.idle_ns();
         out

@@ -27,7 +27,7 @@ use crate::amalgam::{
 };
 use crate::class::Pointed;
 use dds_structure::enumerate::StructureIter;
-use dds_structure::{Element, Schema};
+use dds_structure::{Schema, Structure};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -59,27 +59,19 @@ impl AmalgamClass for FreeRelationalClass {
         &self.schema
     }
 
-    fn initial_pointed(&self, k: usize) -> Vec<Pointed> {
-        let mut out = Vec::new();
-        for pattern in crate::amalgam::point_patterns(k) {
-            let m = pattern.iter().copied().max().map_or(0, |x| x + 1);
-            for s in StructureIter::new(self.schema.clone(), m) {
-                let points = pattern.iter().map(|&c| Element::from_index(c)).collect();
-                out.push(Pointed::new(s, points));
-            }
-        }
-        out
+    fn empty_members(&self) -> Vec<Structure> {
+        StructureIter::new(self.schema.clone(), 0).collect()
     }
 
     fn for_each_amalgam(
         &self,
         base: &Pointed,
+        k_new: usize,
         hints: &GuardHints,
         f: &mut AmalgamVisitor<'_>,
     ) -> ControlFlow<()> {
-        let k = base.points.len();
         let mut cand = base.structure.clone();
-        let placements = placement_contexts(base.structure.size(), k);
+        let placements = placement_contexts(base.structure.size(), k_new);
         let pbits = field_bits(placements.len());
         let mut mask = FactMask::default();
         let (mut combined, mut np_universe, mut optional) = (Vec::new(), Vec::new(), Vec::new());
@@ -134,7 +126,7 @@ impl AmalgamClass for FreeRelationalClass {
 mod tests {
     use super::*;
     use crate::amalgam::{collect_amalgams, combined_valuation};
-    use crate::class::{RelConfig, SymbolicClass};
+    use crate::class::SymbolicClass;
     use dds_logic::{Formula, Var};
     use dds_system::{new_var, old_var};
     use std::collections::BTreeSet;
@@ -156,11 +148,7 @@ mod tests {
         // both orderings of distinct elements are identified by
         // canonicalization only when symmetric).
         let configs = class.initial_configs(2);
-        // Reference: count distinct canonical keys directly.
-        let mut keys = BTreeSet::new();
-        for p in class.initial_pointed(2) {
-            keys.insert(RelConfig::canonical(&p).key().clone());
-        }
+        let keys: BTreeSet<_> = configs.iter().map(|c| c.key().clone()).collect();
         assert_eq!(configs.len(), keys.len());
         assert_eq!(configs.len(), 2 + 16);
     }

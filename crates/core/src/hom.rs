@@ -181,52 +181,35 @@ impl AmalgamClass for HomClass {
         &self.public
     }
 
-    fn initial_pointed(&self, k: usize) -> Vec<Pointed> {
-        let mut out = Vec::new();
-        let nh = self.template.size();
-        if nh == 0 {
-            return out; // HOM(∅) contains only the empty database
-        }
-        for pattern in crate::amalgam::point_patterns(k) {
-            let m = pattern.iter().copied().max().map_or(0, |x| x + 1);
-            let points: Vec<Element> = pattern.iter().map(|&c| Element::from_index(c)).collect();
-            // Enumerate colorings, then subsets of the compatible tuples.
-            let elems: Vec<Element> = (0..m as u32).map(Element).collect();
-            for colors in color_vectors(m, nh) {
-                let mut base = Structure::new(self.internal.clone(), m);
-                for (e, &h) in elems.iter().zip(&colors) {
-                    base.add_fact(self.color_syms[h], &[*e]).unwrap();
-                }
-                let mut optional = Vec::new();
-                for &r in &self.sigma {
-                    for t in dds_structure::structure::tuples_over(&elems, self.internal.arity(r)) {
-                        if self.tuple_compatible(r, &t, &colors) {
-                            optional.push((r, t));
-                        }
+    /// Each set of the template's nullary facts: they are the
+    /// color-compatible tuples on no elements.
+    fn empty_members(&self) -> Vec<Structure> {
+        let held: Vec<SymbolId> = self
+            .sigma
+            .iter()
+            .copied()
+            .filter(|&r| self.internal.arity(r) == 0 && self.template.holds(r, &[]))
+            .collect();
+        (0u64..1 << held.len())
+            .map(|mask| {
+                let mut s = Structure::new(self.internal.clone(), 0);
+                for (i, &r) in held.iter().enumerate() {
+                    if mask >> i & 1 == 1 {
+                        s.add_fact(r, &[]).expect("nullary σ-fact");
                     }
                 }
-                let mut family = Family {
-                    cand: &mut base,
-                    new_points: &points,
-                    optional: &optional,
-                    tags: None,
-                };
-                let _ = family.for_each(|s, _| {
-                    out.push(Pointed::new(s.clone(), points.clone()));
-                    ControlFlow::Continue(())
-                });
-            }
-        }
-        out
+                s
+            })
+            .collect()
     }
 
     fn for_each_amalgam(
         &self,
         base: &Pointed,
+        k_new: usize,
         hints: &GuardHints,
         f: &mut AmalgamVisitor<'_>,
     ) -> ControlFlow<()> {
-        let k = base.points.len();
         let nh = self.template.size();
         // Colors of base elements (base is a member by induction).
         let base_colors: Vec<usize> = base
@@ -235,11 +218,11 @@ impl AmalgamClass for HomClass {
             .map(|e| self.color_of(&base.structure, e).expect("base is a member"))
             .collect();
         let mut cand = base.structure.clone();
-        let placements = placement_contexts(base.structure.size(), k);
+        let placements = placement_contexts(base.structure.size(), k_new);
         let pbits = field_bits(placements.len());
         let mut mask = FactMask::default();
         // The colorings of `j` fresh elements, computed once per `j`.
-        let mut colorings_of: Vec<Option<Vec<Vec<usize>>>> = vec![None; k + 1];
+        let mut colorings_of: Vec<Option<Vec<Vec<usize>>>> = vec![None; k_new + 1];
         let mut colors = base_colors.clone();
         let (mut combined, mut np_universe) = (Vec::new(), Vec::new());
         let (mut sigma_tuples, mut optional) = (Vec::new(), Vec::new());
@@ -319,6 +302,9 @@ impl AmalgamClass for HomClass {
 /// All color assignments for `m` elements over `nh` colors.
 fn color_vectors(m: usize, nh: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
+    if nh == 0 && m > 0 {
+        return out; // HOM(∅) has no elements
+    }
     let mut cur = vec![0usize; m];
     loop {
         out.push(cur.clone());
@@ -341,6 +327,7 @@ fn color_vectors(m: usize, nh: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::amalgam::collect_amalgams;
+    use crate::class::SymbolicClass;
     use dds_structure::morphism::find_homomorphism;
 
     /// The paper's Example 2 template: enough to kill odd red cycles.
@@ -362,7 +349,8 @@ mod tests {
         // Every member's σ-projection admits a homomorphism to H; check on
         // all 1- and 2-element colored structures produced by the enumerator.
         for k in [1usize, 2] {
-            for p in class.initial_pointed(k) {
+            for cfg in class.initial_configs(k) {
+                let p = &cfg.pointed;
                 assert!(class.is_member(&p.structure), "enumerated non-member");
                 let projected = class.project(&p.structure);
                 assert!(
@@ -398,8 +386,8 @@ mod tests {
     #[test]
     fn amalgams_never_leave_the_class() {
         let class = HomClass::new(two_clique());
-        for start in class.initial_pointed(1) {
-            for cand in collect_amalgams(&class, &start, &GuardHints::default()) {
+        for start in class.initial_configs(1) {
+            for cand in collect_amalgams(&class, &start.pointed, &GuardHints::default()) {
                 assert!(class.is_member(&cand.structure));
             }
         }

@@ -242,6 +242,15 @@ impl<E> EpochGate<E> {
     }
 }
 
+/// Shuts its gate down when dropped, on return and on unwinding alike.
+pub(crate) struct ShutdownOnDrop<'g, E>(pub(crate) &'g EpochGate<E>);
+
+impl<E> Drop for ShutdownOnDrop<'_, E> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,8 +68,6 @@ pub struct DiffReport {
     /// fuzz driver's lowered-spec leg — diff against this instead of
     /// re-running the built one.
     pub engine_stats: Option<dds_core::EngineStats>,
-    /// A brute-force oracle ran and agreed.
-    pub baseline_checked: bool,
     /// A certified witness was replayed and membership-checked.
     pub witness_certified: bool,
 }
@@ -269,7 +267,6 @@ fn finish_with_oracle(
         outcome: four.outcome.into(),
         configs_explored: four.stats.configs_explored,
         engine_stats: Some(four.stats),
-        baseline_checked: true,
         witness_certified,
     })
 }
@@ -425,7 +422,6 @@ fn check_counter(
         outcome: if declared.is_some() { "halts" } else { "open" }.into(),
         configs_explored: four.stats.configs_explored,
         engine_stats: None,
-        baseline_checked: true,
         witness_certified,
     })
 }

@@ -30,9 +30,6 @@ pub struct WordClass {
     schema: Arc<Schema>,
     letter_syms: Vec<SymbolId>,
     lt: SymbolId,
-    /// Budget for the initial-configuration enumeration (DFS nodes); a hard
-    /// panic beats a silently incomplete answer.
-    enum_budget: usize,
 }
 
 /// Provenance of a glued (amalgam) position.
@@ -44,17 +41,13 @@ enum Prov {
     Fresh,
 }
 
-/// One gluing outcome: the amalgam sequence, per-position provenance, the
-/// new register positions (amalgam indices), and the extracted successor
-/// configuration with its position map into the amalgam.
+/// One gluing outcome: the amalgam sequence, per-position provenance, and
+/// the extracted successor configuration with its position map into the
+/// amalgam.
 #[derive(Clone, Debug)]
 struct Glue {
     union: Vec<NfaStateId>,
     prov: Vec<Prov>,
-    /// New register positions as amalgam indices (kept for diagnostics and
-    /// the dedup key during enumeration).
-    #[allow(dead_code)]
-    new_points: Vec<u32>,
     next: WordConfig,
     /// `next_map[i]` = amalgam index of the successor configuration's
     /// position `i`.
@@ -76,7 +69,6 @@ impl WordClass {
             schema: sc.finish(),
             letter_syms,
             lt,
-            enum_budget: 20_000_000,
         }
     }
 
@@ -108,130 +100,42 @@ impl WordClass {
         s
     }
 
-    /// Enumerates every valid configuration with `k` registers
-    /// (up to `k + 2·#components` positions).
-    fn enumerate_configs(&self, k: usize) -> Vec<WordConfig> {
-        let max_len = k + 2 * self.nfa.num_components();
-        let mut out = Vec::new();
-        let mut seq: Vec<NfaStateId> = Vec::new();
-        let mut budget = self.enum_budget;
-        self.dfs_configs(k, max_len, &mut seq, &mut out, &mut budget);
-        out
-    }
-
-    fn dfs_configs(
-        &self,
-        k: usize,
-        max_len: usize,
-        seq: &mut Vec<NfaStateId>,
-        out: &mut Vec<WordConfig>,
-        budget: &mut usize,
-    ) {
-        assert!(
-            *budget > 0,
-            "initial-configuration enumeration budget exhausted"
-        );
-        *budget -= 1;
-        if !seq.is_empty() && self.nfa.is_accepting(*seq.last().expect("nonempty")) {
-            self.finish_config(k, seq, out);
-        }
-        if seq.len() == max_len {
-            return;
-        }
-        let candidates: Vec<NfaStateId> = self.nfa.states().collect();
-        for q in candidates {
-            // Necessary conditions, cheap first.
-            if seq.is_empty() {
-                if !self.nfa.is_entry(q) {
-                    continue;
-                }
-            } else {
-                let prev = *seq.last().expect("nonempty");
-                if !self.nfa.reach_avoiding(prev, q, &|_| true) {
-                    continue;
-                }
+    /// Appends to `out` the 0-point configurations that extend `seq`: the
+    /// valid configurations without registers, in which every position is
+    /// the first or the last occurrence of its component. Each component
+    /// occurs at most twice, so the search is over sequences of at most
+    /// `2·#components` states.
+    fn unpointed_configs(&self, seq: &mut Vec<NfaStateId>, out: &mut Vec<WordConfig>) {
+        if seq.last().is_some_and(|&q| self.nfa.is_accepting(q)) {
+            let cfg = WordConfig {
+                states: seq.clone(),
+                points: Vec::new(),
+            };
+            if cfg.is_valid(&self.nfa) {
+                out.push(cfg);
             }
-            seq.push(q);
-            // Pruning: positions that are neither the first occurrence of
-            // their component nor (currently) the last must be register
-            // values; more than k of them cannot be covered.
-            if self.forced_points(seq) <= k {
-                self.dfs_configs(k, max_len, seq, out, budget);
+        }
+        for q in self.nfa.states() {
+            let follows = match seq.last() {
+                None => self.nfa.is_entry(q),
+                Some(&prev) => self.nfa.reach_avoiding(prev, q, &|_| true),
+            };
+            // A third occurrence of a component would leave the second one
+            // neither its first nor its last.
+            let c = self.nfa.component(q);
+            if follows && seq.iter().filter(|&&p| self.nfa.component(p) == c).count() < 2 {
+                seq.push(q);
+                self.unpointed_configs(seq, out);
+                seq.pop();
             }
-            seq.pop();
         }
     }
 
-    /// Number of positions that are not the first and not the latest
-    /// occurrence of their own component (they can only be justified by
-    /// register points).
-    fn forced_points(&self, seq: &[NfaStateId]) -> usize {
-        let span = component_span(&self.nfa, seq);
-        seq.iter()
-            .enumerate()
-            .filter(|(i, &q)| {
-                let (first, last) = span[self.nfa.component(q)].expect("present");
-                first != *i && last != *i
-            })
-            .count()
-    }
-
-    /// Completes a candidate sequence into configurations by choosing the
-    /// register positions.
-    fn finish_config(&self, k: usize, seq: &[NfaStateId], out: &mut Vec<WordConfig>) {
-        let m = seq.len();
-        let span = component_span(&self.nfa, seq);
-        let must_cover: Vec<u32> = (0..m)
-            .filter(|&i| {
-                let (first, last) = span[self.nfa.component(seq[i])].expect("present");
-                first != i && last != i
-            })
-            .map(|i| i as u32)
-            .collect();
-        if must_cover.len() > k {
-            return;
-        }
-        // Gap realizability (exact check).
-        for a in 0..m - 1 {
-            if !self.nfa.reach_avoiding(seq[a], seq[a + 1], &|s| {
-                allowed_in_gap(&self.nfa, &span, a, s)
-            }) {
-                return;
-            }
-        }
-        // All point tuples covering the forced positions.
-        let mut points = vec![0u32; k];
-        fn assign(
-            i: usize,
-            m: usize,
-            points: &mut Vec<u32>,
-            must: &[u32],
-            out: &mut Vec<WordConfig>,
-            seq: &[NfaStateId],
-        ) {
-            if i == points.len() {
-                if must.iter().all(|p| points.contains(p)) {
-                    out.push(WordConfig {
-                        states: seq.to_vec(),
-                        points: points.clone(),
-                    });
-                }
-                return;
-            }
-            for p in 0..m as u32 {
-                points[i] = p;
-                assign(i + 1, m, points, must, out, seq);
-            }
-        }
-        assign(0, m, &mut points, &must_cover, out, seq);
-    }
-
-    /// Enumerates all gluings of `cfg` with `k` new register values
-    /// satisfying `guard`.
-    fn glue_outcomes(&self, cfg: &WordConfig, guard: &Formula) -> Vec<Glue> {
-        let k = cfg.points.len();
+    /// Enumerates all gluings of `cfg` with `k_new` new register values
+    /// satisfying `guard` (`cfg.points.len()` of them for a sub-transition,
+    /// any number for the initial configurations over a 0-point one).
+    fn glue_outcomes(&self, cfg: &WordConfig, guard: &Formula, k_new: usize) -> Vec<Glue> {
         let m = cfg.len();
-        let span = component_span(&self.nfa, &cfg.states);
         let mut results = Vec::new();
         let mut seen: HashSet<(Vec<NfaStateId>, Vec<Prov>, Vec<u32>)> = HashSet::new();
 
@@ -313,18 +217,13 @@ impl WordClass {
 
         let mut union = cfg.states.clone();
         let mut prov: Vec<Prov> = (0..m).map(Prov::Old).collect();
-        // Re-number Old provenance after the initial setup (identity).
-        for (i, p) in prov.iter_mut().enumerate() {
-            *p = Prov::Old(i);
-        }
         let mut new_points = Vec::new();
-        let _ = span;
         choose(
             self,
             cfg,
             guard,
             0,
-            k,
+            k_new,
             &mut union,
             &mut prov,
             &mut new_points,
@@ -430,7 +329,6 @@ impl WordClass {
         results.push(Glue {
             union: union.to_vec(),
             prov: prov.to_vec(),
-            new_points: new_points.to_vec(),
             next,
             next_map: keep,
         });
@@ -451,18 +349,27 @@ impl SymbolicClass for WordClass {
         &self.schema
     }
 
+    /// The gluings of `k` points into each 0-point configuration, sorted
+    /// by `(states, points)`: every `k`-pointed configuration keeps the
+    /// first and last occurrences of its components, which form a 0-point
+    /// configuration of their own.
     fn initial_configs(&self, k: usize) -> Vec<WordConfig> {
-        let mut out = self.enumerate_configs(k);
-        let mut seen = HashSet::new();
-        out.retain(|c| seen.insert(c.clone()));
-        debug_assert!(out.iter().all(|c| c.is_valid(&self.nfa)));
+        let mut unpointed = Vec::new();
+        self.unpointed_configs(&mut Vec::new(), &mut unpointed);
+        let mut out: Vec<WordConfig> = unpointed
+            .iter()
+            .flat_map(|cfg| self.glue_outcomes(cfg, &Formula::True, k))
+            .map(|g| g.next)
+            .collect();
+        out.sort_unstable_by(|a, b| (&a.states, &a.points).cmp(&(&b.states, &b.points)));
+        out.dedup();
         out
     }
 
     fn transitions(&self, cfg: &WordConfig, guard: &Formula) -> Vec<WordConfig> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
-        for g in self.glue_outcomes(cfg, guard) {
+        for g in self.glue_outcomes(cfg, guard, cfg.points.len()) {
             if seen.insert(g.next.clone()) {
                 out.push(g.next);
             }
@@ -497,7 +404,7 @@ impl SymbolicClass for WordClass {
         for step in &trace.steps[1..] {
             let rule = &system.rules()[step.rule?];
             let glue = self
-                .glue_outcomes(&cur, &rule.guard)
+                .glue_outcomes(&cur, &rule.guard, cur.points.len())
                 .into_iter()
                 .find(|g| g.next == step.config)?;
             // Map the amalgam into the pseudo-word: old positions keep their
@@ -512,7 +419,6 @@ impl SymbolicClass for WordClass {
                         debug_assert_eq!(*i, old_iter);
                         old_iter += 1;
                         union_ids.push(cur_ids[*i]);
-                        let _ = u;
                     }
                     Prov::Fresh => {
                         // Insert into W before the W-position of the next old
@@ -665,7 +571,7 @@ mod tests {
         };
         // Insert freely (guard true): every outcome keeps position 0 as the
         // global first of the SCC and the last b as global last.
-        for g in class.glue_outcomes(&cfg, &Formula::True) {
+        for g in class.glue_outcomes(&cfg, &Formula::True, 1) {
             assert_eq!(g.union[0], a);
             assert_eq!(*g.union.last().unwrap(), b);
             assert!(g.next.is_valid(class.nfa()));

@@ -27,7 +27,8 @@ use std::path::{Path, PathBuf};
 /// Every candidate amalgam, cloned out of the visitor's buffer.
 fn amalgams<C: AmalgamClass>(class: &C, base: &Pointed) -> Vec<Pointed> {
     let mut out = Vec::new();
-    let _ = for_each_candidate(class, base, &GuardHints::default(), |s, points, _| {
+    let k = base.points.len();
+    let _ = for_each_candidate(class, base, k, &GuardHints::default(), |s, points, _| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });
@@ -90,8 +91,9 @@ proptest! {
     fn linear_order_amalgams_are_members(m in 1usize..4, point in 0usize..4) {
         let class = DataClass::linear_order();
         let base = class
-            .initial_pointed(1)
+            .initial_configs(1)
             .into_iter()
+            .map(|c| c.pointed)
             .find(|p| p.structure.size() == m.min(1))
             .unwrap();
         let _ = point;
@@ -261,7 +263,8 @@ fn reference_transitions<C: AmalgamClass>(
     };
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    let _ = for_each_candidate(class, &cfg.pointed, &hints, |s, points, _| {
+    let k = cfg.pointed.points.len();
+    let _ = for_each_candidate(class, &cfg.pointed, k, &hints, |s, points, _| {
         let combined = combined_valuation(&cfg.pointed.points, points);
         if dds::logic::eval::eval(&guard, s, &combined).unwrap_or(false) {
             let next = RelConfig::canonical(&Pointed::new(s.clone(), points.to_vec()).generated());
@@ -311,8 +314,9 @@ fn check_tags<C: AmalgamClass>(
             class.internal_schema(),
         ))
     }));
+    let k = cfg.pointed.points.len();
     for hints in hints {
-        let _ = for_each_candidate(class, &cfg.pointed, &hints, |s, points, tag| {
+        let _ = for_each_candidate(class, &cfg.pointed, k, &hints, |s, points, tag| {
             let Some(tag) = tag else {
                 untagged += 1;
                 return ControlFlow::Continue(());
@@ -354,7 +358,8 @@ fn families_reading_optional<C: AmalgamClass>(
 ) -> usize {
     let guard = translate_formula(guard, class.public_schema(), class.internal_schema());
     let mut reading = 0;
-    let _ = class.for_each_amalgam(&cfg.pointed, &GuardHints::of(&guard), &mut |family| {
+    let (k, hints) = (cfg.pointed.points.len(), GuardHints::of(&guard));
+    let _ = class.for_each_amalgam(&cfg.pointed, k, &hints, &mut |family| {
         let combined = combined_valuation(&cfg.pointed.points, family.new_points);
         let mut reads = false;
         let _ = eval_with(&guard, &combined, |r, t| {
