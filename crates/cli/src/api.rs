@@ -11,8 +11,13 @@
 //!   ([`crate::render`]);
 //! * **no `process::exit`** — every failure is a [`RunError`] value;
 //! * **deterministic fingerprints** — [`VerifyReport::fingerprint`] is a
-//!   content hash of the parsed spec and the outcome-relevant engine
-//!   options, the key the `dds serve` result cache replays on.
+//!   content hash of the parsed spec (source lines included) and the
+//!   outcome-relevant engine options, the key the `dds serve` result
+//!   cache replays on;
+//! * **two steps** — [`VerifyRequest::load`] is [`VerifyRequest::parse`]
+//!   (which computes the fingerprint) followed by
+//!   [`VerifyRequest::lower`]; `dds serve` answers a cache hit after the
+//!   first step and lowers only on a miss.
 //!
 //! ```
 //! use dds_cli::api::VerifyRequest;
@@ -35,6 +40,7 @@ use crate::lower::Lowered;
 use crate::runner::{run_spec, RunOptions, SpecReport};
 use crate::SpecError;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A structured failure from the library pipeline — the value-level
 /// replacement for the stderr-and-exit paths the CLI used to hard-code.
@@ -112,20 +118,34 @@ impl VerifyRequest {
         Ok(VerifyRequest::new(spec).label(path))
     }
 
-    /// Parses and lowers the spec without running it (`dds check`), and
-    /// computes the cache fingerprint from the parsed AST.
-    pub fn load(&self) -> Result<Loaded, RunError> {
-        let spec_err = |error| RunError::Spec {
-            label: self.label.clone(),
-            error,
-        };
-        let ast = crate::parse_spec(&self.spec).map_err(spec_err)?;
+    /// Parses the spec and computes its cache fingerprint, without
+    /// lowering it: all `dds serve` needs to answer a cache hit.
+    pub fn parse(&self) -> Result<Parsed, RunError> {
+        let ast = crate::parse_spec(&self.spec).map_err(|error| self.spec_error(error))?;
         let fingerprint = fingerprint(&ast, &self.options);
-        let lowered = crate::lower::lower(&ast).map_err(spec_err)?;
+        Ok(Parsed { ast, fingerprint })
+    }
+
+    /// Lowers a parsed spec into engine inputs.
+    pub fn lower(&self, parsed: &Parsed) -> Result<Loaded, RunError> {
+        let lowered = crate::lower::lower(&parsed.ast).map_err(|error| self.spec_error(error))?;
         Ok(Loaded {
             lowered,
-            fingerprint,
+            fingerprint: parsed.fingerprint,
         })
+    }
+
+    /// Parses and lowers the spec without running it (`dds check`):
+    /// [`VerifyRequest::parse`], then [`VerifyRequest::lower`].
+    pub fn load(&self) -> Result<Loaded, RunError> {
+        self.lower(&self.parse()?)
+    }
+
+    fn spec_error(&self, error: SpecError) -> RunError {
+        RunError::Spec {
+            label: self.label.clone(),
+            error,
+        }
     }
 
     /// Parses, lowers and runs every property: the whole pipeline as one
@@ -137,13 +157,23 @@ impl VerifyRequest {
     }
 
     /// Runs an already-loaded spec (the server's cache-miss path, where
-    /// loading happened earlier to compute the fingerprint).
+    /// parsing happened earlier to compute the fingerprint).
     pub fn run_loaded(&self, loaded: &Loaded) -> VerifyReport {
         VerifyReport {
             report: run_spec(&self.label, &loaded.lowered, &self.options),
             fingerprint: loaded.fingerprint,
         }
     }
+}
+
+/// A parsed spec together with the fingerprint its results are cacheable
+/// under.
+#[derive(Debug)]
+pub struct Parsed {
+    /// The parsed AST.
+    pub ast: Spec,
+    /// See [`fingerprint`].
+    pub fingerprint: u128,
 }
 
 /// A parsed-and-lowered spec together with the fingerprint its results
@@ -170,36 +200,96 @@ pub struct VerifyReport {
 
 /// Content hash of a parsed spec under the outcome-relevant options.
 ///
-/// The key covers the class, schema, registers, states, rules and every
-/// property (guards, tasks, expectations) plus the options that can
-/// change a report: `max_configs` (decides `resource-limit`) and
-/// `concretize` (decides witness fields). It deliberately excludes
-/// `threads` and `chunk_size` — the engine is bit-deterministic across
-/// worker counts (pinned by `tests/determinism.rs`), so those must not
-/// split the cache.
+/// The key covers the whole AST — the class, schema, registers, states,
+/// rules and every property (guards, tasks, expectations), each with its
+/// source line — plus the options that can change a report:
+/// `max_configs` (decides `resource-limit`) and `concretize` (decides
+/// witness fields). It deliberately excludes `threads` and `chunk_size` —
+/// the engine is bit-deterministic across worker counts (pinned by
+/// `tests/determinism.rs`), so those must not split the cache.
 ///
-/// The hash input is the `Debug` rendering of the *AST*, not the lowered
-/// system: the AST is plain `Vec`s in source order, so its rendering is
-/// deterministic, whereas lowered systems hold `HashMap`-backed schemas
-/// whose debug iteration order varies per instance (and would silently
-/// split the cache between identical requests).
+/// Because source lines are part of the AST, two specs share a key only
+/// if every declaration sits on the same line. Indentation, the spacing
+/// between a declaration's words and trailing comments are absorbed;
+/// guard text is kept verbatim, and an added or removed line (a leading
+/// comment, a blank line) changes the key.
+///
+/// The hash input is the *AST*, not the lowered system: the AST is plain
+/// `Vec`s in source order, whereas lowered systems hold `HashMap`-backed
+/// schemas whose iteration order varies per instance (and would silently
+/// split the cache between identical requests). The AST's derived `Hash`
+/// feeds a `Fingerprinter`, whose arithmetic is defined in this file, so
+/// the key is the same in every process; the `fingerprint_is_pinned`
+/// test catches a toolchain whose derive feeds it differently (the
+/// persisted `dds serve` cache header must then change too).
 pub fn fingerprint(spec: &Spec, options: &RunOptions) -> u128 {
-    let canonical = format!(
-        "{spec:?}|max_configs={}|concretize={}",
-        options.max_configs, options.concretize
-    );
-    let lo = fnv1a64(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
-    let hi = fnv1a64(canonical.as_bytes(), 0x6c62_272e_07bb_0142);
-    ((hi as u128) << 64) | lo as u128
+    let mut h = Fingerprinter(0x6c62_272e_07bb_0142_cbf2_9ce4_8422_2325);
+    (spec, options.max_configs, options.concretize).hash(&mut h);
+    h.0
 }
 
-fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
-    let mut h = offset_basis;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A word-at-a-time 128-bit hasher with a fixed definition (unlike
+/// `DefaultHasher`, whose algorithm may change between Rust releases).
+/// Each word is xored into the state, which is then multiplied by an odd
+/// constant and xor-folded (`h ^ h >> 64`): every step is a bijection of
+/// the state, and the fold carries high bits back down. Integers of every
+/// width enter as one `u64` word; byte strings enter as zero-padded
+/// little-endian words followed by their length, so adjacent strings
+/// cannot run into each other.
+struct Fingerprinter(u128);
+
+impl Fingerprinter {
+    /// PCG's 128-bit LCG multiplier (odd).
+    const MUL: u128 = 0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645;
+
+    fn word(&mut self, w: u64) {
+        let h = (self.0 ^ w as u128).wrapping_mul(Self::MUL);
+        self.0 = h ^ (h >> 64);
     }
-    h
+}
+
+impl Hasher for Fingerprinter {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(w));
+        }
+        self.word(bytes.len() as u64);
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.word(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.word(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 as u64
+    }
 }
 
 #[cfg(test)]
@@ -284,6 +374,53 @@ mod tests {
         let mut certify = req.options;
         certify.concretize = false;
         assert_ne!(base, fingerprint(&ast, &certify));
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // The persisted `dds serve` cache is keyed by this value. If it
+        // moves, the key changed: bump the cache file's format version.
+        let fp = VerifyRequest::new(SPEC).parse().unwrap().fingerprint;
+        assert_eq!(format!("{fp:032x}"), "7b86ed4293bc0f182d0185beaab68b49");
+    }
+
+    #[test]
+    fn fingerprint_absorbs_same_line_layout_but_not_moved_lines() {
+        let fp = |src: &str| VerifyRequest::new(src).parse().unwrap().fingerprint;
+        let base = fp(SPEC);
+        let relaid = SPEC
+            .replace("registers x", "registers   x   # the only register")
+            .replace("  relation E/2", "\trelation E/2 ")
+            .replace("rule start -> acc:", "rule  start  ->  acc :  ");
+        assert_ne!(relaid, SPEC);
+        assert_eq!(
+            fp(&relaid),
+            base,
+            "same-line layout and comments are absorbed"
+        );
+        assert_ne!(
+            fp(&format!("# a leading comment\n{SPEC}")),
+            base,
+            "source lines are part of the key"
+        );
+        assert_ne!(
+            fp(&SPEC.replace("E(x_old, x_new)", "E(x_old,x_new)")),
+            base,
+            "guard text is kept verbatim"
+        );
+    }
+
+    #[test]
+    fn parse_fingerprints_without_lowering() {
+        // `accept` names an undeclared state: the spec parses, so it has a
+        // fingerprint, and fails only when lowered.
+        let req = VerifyRequest::new(SPEC.replace("accept acc", "accept nowhere"));
+        let parsed = req.parse().expect("parses");
+        let err = req.lower(&parsed).unwrap_err();
+        assert!(err.to_string().contains("nowhere"), "{err}");
+        let ok = VerifyRequest::new(SPEC);
+        let parsed = ok.parse().unwrap();
+        assert_eq!(ok.lower(&parsed).unwrap().fingerprint, parsed.fingerprint);
     }
 
     #[test]

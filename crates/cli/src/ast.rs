@@ -5,7 +5,9 @@
 //! with their initial markers, the guarded transition rules, and one or more
 //! properties to verify. The concrete grammar is documented in
 //! `docs/SPEC_LANGUAGE.md`; [`crate::parse_spec`] produces this AST and
-//! [`crate::lower()`] turns it into engine inputs.
+//! [`crate::lower()`] turns it into engine inputs. Every type derives
+//! `Hash`: [`crate::api::fingerprint`] hashes the AST, source lines
+//! included, as the `dds serve` cache key.
 
 /// A state/letter/label reference together with its source line.
 pub type NameRef = (String, usize);
@@ -14,7 +16,7 @@ pub type NameRef = (String, usize);
 pub type PairRef = (String, String, usize);
 
 /// A whole `.dds` file.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Spec {
     /// System name (`system <name>`); used as the report-id prefix.
     pub name: String,
@@ -35,7 +37,7 @@ pub struct Spec {
 }
 
 /// One symbol declaration inside `schema { .. }`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SchemaDecl {
     /// Symbol name.
     pub name: String,
@@ -48,7 +50,7 @@ pub struct SchemaDecl {
 }
 
 /// A control state declaration inside `states { .. }`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StateDecl {
     /// State name.
     pub name: String,
@@ -59,7 +61,7 @@ pub struct StateDecl {
 }
 
 /// A transition rule `rule <from> -> <to>: <guard>`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RuleDecl {
     /// Source state name.
     pub from: String,
@@ -72,7 +74,7 @@ pub struct RuleDecl {
 }
 
 /// A ground fact `R(a, b, ..)` inside a `hom` template.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FactDecl {
     /// Relation name.
     pub relation: String,
@@ -83,7 +85,7 @@ pub struct FactDecl {
 }
 
 /// Which homogeneous structure supplies data values (`class data`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DataValues {
     /// `⊗ ⟨ℕ,=⟩` — compared with `~`.
     NatEq,
@@ -96,7 +98,7 @@ pub enum DataValues {
 }
 
 /// An NFA or tree-automaton state declaration `state <name> reads <letter>`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ReadsDecl {
     /// State name.
     pub state: String,
@@ -108,7 +110,7 @@ pub struct ReadsDecl {
 
 /// One counter-machine instruction (`class counter`). Program locations are
 /// implicit: the `n`-th instruction line is location `n`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InstrDecl {
     /// `inc c<i> <next>`.
     Inc {
@@ -131,7 +133,7 @@ pub enum InstrDecl {
 }
 
 /// The `class ..` stanza.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum ClassDecl {
     /// All finite databases over the declared (relational) schema.
     Free,
@@ -221,7 +223,7 @@ impl ClassDecl {
 }
 
 /// What a property asks the CLI to do.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PropertyKind {
     /// Reachability of the `accept` states (the default; Theorem 5 runs).
     Reach {
@@ -248,7 +250,7 @@ pub enum PropertyKind {
 }
 
 /// A `property <name> { .. }` stanza.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PropertyDecl {
     /// Property name; reports use `<system>::<property>` as the id.
     pub name: String,

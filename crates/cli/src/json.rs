@@ -81,6 +81,7 @@ impl std::error::Error for JsonError {}
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(src: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
     };
@@ -94,6 +95,7 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -255,18 +257,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let s = &self.bytes[self.pos..];
-                    let ch_len = match s[0] {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let chunk = std::str::from_utf8(&s[..ch_len.min(s.len())])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos += ch_len;
+                    // Copy the run up to the next `"` or `\` in one slice.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -321,6 +319,58 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"abc", "1 2"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn strings_copy_multibyte_runs_between_escapes() {
+        let v =
+            parse(r#"["héllo → wörld ✓ 𝄞", "\"é\\→\/ü\n", "a\u00e9\u2192b\u0041", "→\t→", ""]"#)
+                .unwrap();
+        let Value::Arr(items) = &v else { panic!() };
+        let strs: Vec<_> = items.iter().map(|i| i.as_str().unwrap()).collect();
+        assert_eq!(
+            strs,
+            ["héllo → wörld ✓ 𝄞", "\"é\\→/ü\n", "aé→bA", "→\t→", ""]
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_fail_at_the_same_offsets() {
+        for (src, at, msg) in [
+            ("\"abc", 4, "unterminated string"),
+            ("{\"spec\":\"é→x", 15, "unterminated string"),
+            ("\"ab\\n", 5, "unterminated string"),
+            ("\"ab\\", 4, "unknown escape"),
+            ("\"\\u12", 2, "truncated \\u escape"),
+            ("\"\\uzzzz\"", 2, "malformed \\u escape"),
+            ("\"a\\q\"", 3, "unknown escape"),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!((err.at, err.msg.as_str()), (at, msg), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn a_64k_string_round_trips_through_escape() {
+        let pieces = [
+            "plain ascii ",
+            "é→𝄞",
+            "\"",
+            "\\",
+            "\n\r\t",
+            "\u{1}\u{1f}",
+            "/",
+        ];
+        let mut original = String::new();
+        for i in 0.. {
+            if original.len() >= 64 * 1024 {
+                break;
+            }
+            original.push_str(pieces[i % pieces.len()]);
+        }
+        let doc = format!("{{\"spec\":\"{}\"}}", escape(&original));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("spec").unwrap().as_str(), Some(original.as_str()));
     }
 
     #[test]

@@ -59,19 +59,26 @@
 //! ## The content-hash result cache
 //!
 //! Results are cached by [`crate::api::fingerprint`] — a content hash of
-//! the *parsed* spec and the outcome-relevant options, so equal specs
-//! hit regardless of label, whitespace or comment differences, and
-//! `threads`/`chunk_size` never split the cache (the engine is
-//! bit-deterministic across worker counts). Each entry is a
-//! [`OnceLock`]: concurrent requests for the same fingerprint elect
-//! exactly one engine run and everyone else blocks on (or replays) its
-//! bytes — the single-flight property `crates/cli/tests/serve.rs` pins.
+//! the *parsed* spec and the outcome-relevant options. The label is not
+//! part of the key, and neither are indentation, the spacing between a
+//! declaration's words, or a trailing comment. But guard text is kept
+//! verbatim, and the AST records the source line of every declaration,
+//! so a spec moved by an added or removed line (a leading comment, say)
+//! gets a key of its own. `threads`/`chunk_size` never
+//! split the cache (the engine is bit-deterministic across worker
+//! counts). A request is parsed once: a filled entry answers from its
+//! bytes without lowering the spec, and only a miss lowers it and runs.
+//! Each entry is a [`OnceLock`], created once lowering has succeeded (a
+//! spec error leaves no entry behind): concurrent requests for the same
+//! fingerprint elect exactly one engine run and everyone else blocks on
+//! (or replays) its bytes — the single-flight property
+//! `crates/cli/tests/serve.rs` pins.
 //!
 //! With [`ServeOptions::cache_file`] the filled entries survive
 //! restarts: the `(fingerprint → response bytes)` map is serialized on
-//! drain and reloaded on start (the AST-keyed fingerprint is already
-//! stable across processes), behind a version/schema header — a stale or
-//! corrupt file is discarded wholesale, never partially trusted.
+//! drain and reloaded on start (the fingerprint is the same in every
+//! process), behind a version/schema header — a stale or corrupt file is
+//! discarded wholesale, never partially trusted.
 
 use crate::api::{RunError, VerifyRequest};
 use crate::json::{self, Value};
@@ -142,7 +149,8 @@ pub struct ServerStats {
     /// TCP connections accepted and handled (shed connections included).
     /// Keep-alive reuse shows up as `requests ≫ connections`.
     pub connections: u64,
-    /// `/verify` requests whose body parsed and spec lowered.
+    /// `/verify` requests whose spec parsed and then either hit the cache
+    /// or lowered.
     pub verifications: u64,
     /// Verifications that actually ran the engine (cache misses).
     pub engine_runs: u64,
@@ -180,6 +188,11 @@ struct Cache {
 }
 
 impl Cache {
+    /// The cached body under `key`, if its run has finished.
+    fn filled(&self, key: u128) -> Option<CachedBody> {
+        self.map.get(&key)?.get().cloned()
+    }
+
     fn entry(&mut self, key: u128) -> Arc<OnceLock<CachedBody>> {
         if let Some(cell) = self.map.get(&key) {
             return Arc::clone(cell);
@@ -202,9 +215,11 @@ impl Cache {
 /// The persisted-cache header: format name, format version, and the JSON
 /// schema version of the cached response bodies. Any mismatch discards
 /// the whole file — replaying bytes under a schema the reader does not
-/// write would silently serve stale shapes.
+/// write would silently serve stale shapes. The format version also
+/// stands for the definition of the key ([`crate::api::fingerprint`]),
+/// so a file keyed another way is discarded rather than probed.
 fn cache_file_header() -> String {
-    format!("dds-serve-cache 1 schema={}\n", render::SCHEMA_VERSION)
+    format!("dds-serve-cache 2 schema={}\n", render::SCHEMA_VERSION)
 }
 
 /// Serializes the filled cache entries (insertion order preserved) as
@@ -997,9 +1012,21 @@ fn handle_verify(
     let run = request_options(shared.opts.run, parsed.get("options"));
     let request = VerifyRequest::new(spec).label(label).options(run);
 
-    // Parse + lower up front: spec errors answer immediately, and the
-    // fingerprint comes from the parsed AST.
-    let loaded = match request.load() {
+    // Parse once. The fingerprint of the AST is the cache key: a filled
+    // entry answers right away, so a hit never lowers. A miss lowers the
+    // same AST (spec errors answer `422` before any cache entry exists).
+    let parsed = request.parse();
+    if let Ok(p) = &parsed {
+        let hit = shared.cache.lock().unwrap().filled(p.fingerprint);
+        if let Some(bytes) = hit {
+            let mut stats = shared.stats.lock().unwrap();
+            stats.verifications += 1;
+            stats.cache_hits += 1;
+            drop(stats);
+            return write_response(stream, 200, "OK", &bytes, keep_alive).is_ok() && keep_alive;
+        }
+    }
+    let loaded = match parsed.and_then(|p| request.lower(&p)) {
         Ok(l) => l,
         Err(RunError::Spec { error, .. }) => {
             let mut stats = shared.stats.lock().unwrap();
@@ -1053,16 +1080,10 @@ fn verify_cached(
     request: VerifyRequest,
     loaded: crate::api::Loaded,
 ) -> Result<CachedBody, Option<u64>> {
-    let key = loaded.fingerprint;
-    let cell = shared.cache.lock().unwrap().entry(key);
+    let cell = shared.cache.lock().unwrap().entry(loaded.fingerprint);
 
-    // Fast path: a finished identical run replays instantly.
-    if let Some(bytes) = cell.get() {
-        shared.stats.lock().unwrap().cache_hits += 1;
-        return Ok(Arc::clone(bytes));
-    }
-
-    // Cold (or follow an in-flight identical run) under a timeout. The
+    // Run cold, or follow an in-flight identical run (or one that filled
+    // the entry since `handle_verify` probed it), under a timeout. The
     // runner thread is abandoned on timeout — it still fills the cache.
     // The guard keeps the `background` count honest even if the engine
     // panics mid-run (otherwise `Server::wait` would block forever), and

@@ -541,3 +541,81 @@ fn cache_file_round_trips_across_a_restart() {
     assert_eq!(stats.engine_runs, 1, "the stale file forced a real run");
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn a_spec_that_fails_to_lower_is_422_every_time_and_never_cached() {
+    let server = start(ServeOptions::default());
+    let addr = server.addr();
+    // Parses (so it has a fingerprint) but fails to lower: `accept` names
+    // an undeclared state.
+    let spec = QUICK_SPEC.replace("accept acc", "accept nowhere");
+    for _ in 0..2 {
+        let resp = client::verify(&addr, &spec, None, None).expect("request");
+        assert_eq!(resp.status, 422, "{}", resp.body);
+        assert!(
+            resp.body.contains("\"code\":\"spec-error\""),
+            "{}",
+            resp.body
+        );
+        assert!(resp.body.contains("nowhere"), "{}", resp.body);
+    }
+    let resp = client::stats(&addr).expect("stats");
+    for counter in [
+        "\"cache_hits\": 0",
+        "\"engine_runs\": 0",
+        "\"cache_entries\": 0",
+        "\"spec_errors\": 2",
+    ] {
+        assert!(resp.body.contains(counter), "{counter}: {}", resp.body);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_repeated_spec_replays_identical_bytes_without_running() {
+    let server = start(ServeOptions::default());
+    let addr = server.addr();
+    let first = client::verify(&addr, QUICK_SPEC, None, None).expect("cold");
+    assert_eq!(first.status, 200, "{}", first.body);
+    let cold = server.stats();
+    assert_eq!((cold.engine_runs, cold.cache_hits), (1, 0));
+    for n in 1..=3 {
+        let again = client::verify(&addr, QUICK_SPEC, None, None).expect("hit");
+        assert_eq!(again.status, 200, "{}", again.body);
+        assert_eq!(again.body, first.body, "a hit replays the cached bytes");
+        let stats = server.stats();
+        assert_eq!((stats.engine_runs, stats.cache_hits), (1, n));
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.verifications, 4);
+}
+
+#[test]
+fn an_old_format_cache_file_is_discarded_on_start() {
+    let path = std::env::temp_dir().join(format!("dds-serve-cache-old-{}.bin", std::process::id()));
+    // A well-formed file under format version 1 (whose keys were computed
+    // differently), holding a bogus body under QUICK_SPEC's current key:
+    // replaying it would prove the file was trusted.
+    let key = VerifyRequest::new(QUICK_SPEC).parse().unwrap().fingerprint;
+    let body = "stale";
+    std::fs::write(
+        &path,
+        format!(
+            "dds-serve-cache 1 schema={}\n{key:032x} {}\n{body}\n",
+            render::SCHEMA_VERSION,
+            body.len()
+        ),
+    )
+    .unwrap();
+    let server = start(ServeOptions {
+        cache_file: Some(path.to_str().unwrap().to_owned()),
+        ..ServeOptions::default()
+    });
+    assert_eq!(server.cache_entries(), 0, "old-format cache file discarded");
+    let resp = client::verify(&server.addr(), QUICK_SPEC, None, None).expect("cold");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_ne!(resp.body, body);
+    let stats = server.shutdown();
+    assert_eq!(stats.engine_runs, 1, "the old file forced a real run");
+    let _ = std::fs::remove_file(&path);
+}

@@ -183,6 +183,11 @@ impl AmalgamClass for HomClass {
 
     /// Each set of the template's nullary facts: they are the
     /// color-compatible tuples on no elements.
+    ///
+    /// # Panics
+    ///
+    /// When the template holds 64 or more nullary facts, whose subsets a
+    /// `u64` mask cannot count.
     fn empty_members(&self) -> Vec<Structure> {
         let held: Vec<SymbolId> = self
             .sigma
@@ -190,7 +195,11 @@ impl AmalgamClass for HomClass {
             .copied()
             .filter(|&r| self.internal.arity(r) == 0 && self.template.holds(r, &[]))
             .collect();
-        (0u64..1 << held.len())
+        let subsets = u32::try_from(held.len())
+            .ok()
+            .and_then(|n| 1u64.checked_shl(n))
+            .unwrap_or_else(|| panic!("too many nullary facts in the template ({})", held.len()));
+        (0..subsets)
             .map(|mask| {
                 let mut s = Structure::new(self.internal.clone(), 0);
                 for (i, &r) in held.iter().enumerate() {
@@ -381,6 +390,33 @@ mod tests {
         s3.add_fact(c0, &[Element(0)]).unwrap();
         s3.add_fact(c1, &[Element(0)]).unwrap();
         assert!(!class.is_member(&s3));
+    }
+
+    /// A template on no elements holding the nullary facts `P0()..P{n-1}()`.
+    fn nullary_template(n: usize) -> Structure {
+        let mut sc = Schema::new();
+        let rels: Vec<_> = (0..n)
+            .map(|i| sc.add_relation(&format!("P{i}"), 0).unwrap())
+            .collect();
+        let mut h = Structure::new(sc.finish(), 0);
+        for r in rels {
+            h.add_fact(r, &[]).unwrap();
+        }
+        h
+    }
+
+    #[test]
+    fn every_subset_of_held_nullary_facts_is_a_member() {
+        assert_eq!(HomClass::new(nullary_template(3)).empty_members().len(), 8);
+    }
+
+    /// At 64 held facts the subset count overflows a `u64`. A wrapped
+    /// count would leave one member without facts, and the class would
+    /// answer `empty` for reachable states.
+    #[test]
+    #[should_panic(expected = "too many nullary facts in the template (64)")]
+    fn sixty_four_held_nullary_facts_fail_loudly() {
+        HomClass::new(nullary_template(64)).empty_members();
     }
 
     #[test]
