@@ -41,10 +41,11 @@
 
 use crate::api::{fingerprint, RunError};
 use crate::ast::{ClassDecl, FactDecl, ReadsDecl};
-use crate::lower::{AnyClass, Lowered, Task};
+use crate::lower::{Lowered, Task};
 use crate::runner::RunOptions;
 use dds_core::product::{self, BisimOutcome, Product, Side};
 use dds_core::{Engine, EngineOptions, EngineStats, SymbolicClass, TargetStatus, Trace};
+use dds_gen::with_symbolic_class;
 use dds_structure::{Schema, SymbolKind};
 use dds_system::System;
 use std::fmt;
@@ -341,7 +342,11 @@ impl EquivRequest {
                 }
             })?;
             let t0 = Instant::now();
-            let mut pair = dispatch_pair(&lowered_a.class, &prod, sys_a, sys_b, self);
+            let mut pair = with_symbolic_class!(
+                &lowered_a.class,
+                |c| run_pair(c, &prod, sys_a, sys_b, self),
+                else unreachable!("counter classes have no reach properties")
+            );
             pair.name = pa.name.clone();
             pair.wall_ns = t0.elapsed().as_nanos();
             pairs.push(pair);
@@ -561,63 +566,13 @@ fn render_side_trace<Cfg>(
     t
 }
 
-/// A pair outcome, independent of the configuration type.
-struct PairRun {
-    a_outcome: String,
-    b_outcome: String,
-    verdict: String,
-    witness_side: Option<String>,
-    trace: Option<String>,
-    witness_db: Option<String>,
-    witness_run: Option<String>,
-    detail: Option<String>,
-    configs_explored: u64,
-    stats: Option<EngineStats>,
-}
-
-fn dispatch_pair(
-    class: &AnyClass,
-    prod: &Product,
-    sys_a: &System,
-    sys_b: &System,
-    req: &EquivRequest,
-) -> PairReport {
-    let run = match class {
-        AnyClass::Free(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::Hom(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::Order(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::Equiv(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::Words(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::Trees(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::DataFree(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::DataHom(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::DataOrder(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::DataEquiv(c) => run_pair(c, prod, sys_a, sys_b, req),
-        AnyClass::Counter(_) => unreachable!("counter classes are rejected before dispatch"),
-    };
-    PairReport {
-        name: String::new(),
-        a_outcome: run.a_outcome,
-        b_outcome: run.b_outcome,
-        verdict: run.verdict,
-        witness_side: run.witness_side,
-        trace: run.trace,
-        witness_db: run.witness_db,
-        witness_run: run.witness_run,
-        detail: run.detail,
-        wall_ns: 0,
-        configs_explored: run.configs_explored,
-        stats: run.stats,
-    }
-}
-
 fn run_pair<C: SymbolicClass>(
     class: &C,
     prod: &Product,
     sys_a: &System,
     sys_b: &System,
     req: &EquivRequest,
-) -> PairRun {
+) -> PairReport {
     if req.bisim {
         bisim_pair(class, prod, sys_a, sys_b, req.options.max_configs)
     } else {
@@ -632,13 +587,14 @@ fn reach_pair<C: SymbolicClass>(
     sys_a: &System,
     sys_b: &System,
     eo: EngineOptions,
-) -> PairRun {
+) -> PairReport {
     let out = Engine::new(class, prod.system())
         .with_options(eo)
         .run_multi(&[prod.a_targets().to_vec(), prod.b_targets().to_vec()]);
     let a_outcome = out.targets[0].keyword().to_owned();
     let b_outcome = out.targets[1].keyword().to_owned();
-    let mut run = PairRun {
+    let mut run = PairReport {
+        name: String::new(),
         a_outcome,
         b_outcome,
         verdict: String::new(),
@@ -647,6 +603,7 @@ fn reach_pair<C: SymbolicClass>(
         witness_db: None,
         witness_run: None,
         detail: None,
+        wall_ns: 0,
         configs_explored: out.stats.configs_explored as u64,
         stats: Some(out.stats),
     };
@@ -697,9 +654,10 @@ fn bisim_pair<C: SymbolicClass>(
     sys_a: &System,
     sys_b: &System,
     max_configs: usize,
-) -> PairRun {
+) -> PairReport {
     let check = product::bisim(class, prod, max_configs);
-    let mut run = PairRun {
+    let mut run = PairReport {
+        name: String::new(),
         a_outcome: String::new(),
         b_outcome: String::new(),
         verdict: String::new(),
@@ -708,6 +666,7 @@ fn bisim_pair<C: SymbolicClass>(
         witness_db: None,
         witness_run: None,
         detail: None,
+        wall_ns: 0,
         configs_explored: check.configs_explored as u64,
         stats: None,
     };

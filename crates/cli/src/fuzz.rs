@@ -37,8 +37,7 @@ use crate::runner::RunOptions;
 use crate::SpecError;
 use dds_core::{Engine, EngineOptions, EngineStats, SymbolicClass};
 use dds_gen::diff::{self, DiffOptions, DiffReport};
-use dds_gen::scenario::BuiltClass;
-use dds_gen::{generate_seeded, ClassKind, Mutation, Scenario};
+use dds_gen::{generate_seeded, with_symbolic_class, ClassKind, Mutation, Scenario};
 use dds_system::System;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -393,7 +392,11 @@ fn base_outcome(sc: &Scenario, max_configs: usize) -> Result<&'static str, Strin
         return Err(format!("base property is not reach: {:?}", property.task));
     };
     let eo = EngineOptions::default().max_configs(max_configs);
-    Ok(lowered_engine_kind(&lowered.class, system, eo).0)
+    Ok(with_symbolic_class!(
+        &lowered.class,
+        |c| engine_kind(c, system, eo).0,
+        else unreachable!("counter classes have no reach properties")
+    ))
 }
 
 /// The mutation-label oracle for one pair. `Ok` carries the verdict;
@@ -547,8 +550,17 @@ fn round_trip(
         .first()
         .ok_or("round-trip: lowered spec has no properties")?;
 
+    // An `Order`/`Equiv` swap can pass the behavioural comparison below on
+    // a trivial system, so the variant must match too.
+    if std::mem::discriminant(&built.class) != std::mem::discriminant(&lowered.class) {
+        return Err(format!(
+            "round-trip: class drifted: built `{}`, lowered `{}`",
+            built.class.describe(),
+            lowered.class.describe()
+        ));
+    }
     match (&built.class, &lowered.class) {
-        (BuiltClass::Counter(machine), AnyClass::Counter(lowered_machine)) => {
+        (AnyClass::Counter(machine), AnyClass::Counter(lowered_machine)) => {
             if machine != lowered_machine {
                 return Err(format!(
                     "round-trip: counter program drifted:\n  built   {machine:?}\n  lowered {lowered_machine:?}"
@@ -562,7 +574,6 @@ fn round_trip(
                 other => Err(format!("round-trip: property drifted: {other:?}")),
             }
         }
-        (BuiltClass::Counter(_), other) => Err(format!("round-trip: counter lowered as {other:?}")),
         (_, lowered_class) => {
             let system = built
                 .system
@@ -579,8 +590,11 @@ fn round_trip(
             let built_stats = diff
                 .engine_stats
                 .ok_or("round-trip: diff report has no engine leg for this class")?;
-            let (lowered_kind, lowered_stats) =
-                lowered_engine_kind(lowered_class, lowered_system, eo);
+            let (lowered_kind, lowered_stats) = with_symbolic_class!(
+                lowered_class,
+                |c| engine_kind(c, lowered_system, eo),
+                else unreachable!("counter handled before engine comparison")
+            );
             if lowered_kind != diff.outcome || lowered_stats != built_stats {
                 return Err(format!(
                     "round-trip: engine drift between built and lowered class: {} {built_stats:?} vs {lowered_kind} {lowered_stats:?}",
@@ -638,26 +652,6 @@ fn engine_kind<C: SymbolicClass>(
 ) -> (&'static str, EngineStats) {
     let outcome = Engine::new(class, system).with_options(eo).run();
     (outcome.keyword(), *outcome.stats())
-}
-
-fn lowered_engine_kind(
-    class: &AnyClass,
-    system: &System,
-    eo: EngineOptions,
-) -> (&'static str, EngineStats) {
-    match class {
-        AnyClass::Free(c) => engine_kind(c, system, eo),
-        AnyClass::Hom(c) => engine_kind(c, system, eo),
-        AnyClass::Order(c) => engine_kind(c, system, eo),
-        AnyClass::Equiv(c) => engine_kind(c, system, eo),
-        AnyClass::Words(c) => engine_kind(c, system, eo),
-        AnyClass::Trees(c) => engine_kind(c, system, eo),
-        AnyClass::DataFree(c) => engine_kind(c, system, eo),
-        AnyClass::DataHom(c) => engine_kind(c, system, eo),
-        AnyClass::DataOrder(c) => engine_kind(c, system, eo),
-        AnyClass::DataEquiv(c) => engine_kind(c, system, eo),
-        AnyClass::Counter(_) => unreachable!("counter handled before engine comparison"),
-    }
 }
 
 use dds_gen::ScenarioClass;
@@ -849,6 +843,25 @@ mod tests {
             round_trip(&sc, &built, &diff, &diff_opts)
                 .unwrap_or_else(|e| panic!("{kind:?}: {e}\n{}", sc.render()));
         }
+        // A linear-order system whose guard never mentions `<` behaves the
+        // same over equivalence relations; only the class variant tells the
+        // swap apart.
+        let order = Scenario {
+            name: "swap".into(),
+            class: ScenarioClass::LinearOrder,
+            registers: vec!["x".into()],
+            states: vec![("s".into(), true), ("t".into(), false)],
+            accept: vec!["t".into()],
+            rules: vec![("s".into(), "t".into(), "x_old = x_new".into())],
+        };
+        let built = order.build().unwrap();
+        let diff = diff::check_built(&order, &built, &diff_opts).unwrap();
+        let equiv = Scenario {
+            class: ScenarioClass::Equivalence,
+            ..order.clone()
+        };
+        let err = round_trip(&equiv, &built, &diff, &diff_opts).unwrap_err();
+        assert!(err.contains("class drifted"), "{err}");
     }
 
     #[test]

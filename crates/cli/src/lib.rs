@@ -14,12 +14,15 @@
 //! properties. The pipeline is:
 //!
 //! 1. [`parse::parse_spec`] — concrete syntax to [`ast::Spec`];
-//! 2. [`lower::lower`] — AST to an [`lower::AnyClass`] and one
+//! 2. [`lower::lower`] — AST to an [`AnyClass`] and one
 //!    [`dds_system::System`] per property (the *same* `System` values the
-//!    programmatic builders produce — pinned by `tests/cli_cross_validation.rs`);
-//! 3. [`runner::run_spec`] — dispatch to [`dds_core::Engine`] (or the Fact 2
-//!    eliminator, the Lemma 14 pointer closure, the Fact 15 bounded search)
-//!    and collect [`runner::SpecReport`]s;
+//!    programmatic builders produce — pinned by `tests/cli_cross_validation.rs`).
+//!    `AnyClass` is defined in `dds_gen`, whose generator builds the same
+//!    values, and re-exported here;
+//! 3. [`runner::run_spec`] — dispatch to [`dds_core::Engine`] through
+//!    [`dds_gen::with_symbolic_class!`] (or the Fact 2 eliminator, the
+//!    Lemma 14 pointer closure, the Fact 15 bounded search) and collect
+//!    [`runner::SpecReport`]s;
 //! 4. [`render`] — human-readable text or JSON records in the
 //!    `BENCH_E1_E10.json` shape.
 //!

@@ -25,79 +25,9 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, SpecError> {
     })
 }
 
-/// The structure class a spec verifies over, with every engine-supported
-/// combination spelled out (the [`dds_core::Engine`] is generic; the CLI
-/// dispatches through this enum).
-#[derive(Debug)]
-pub enum AnyClass {
-    /// All finite databases over the declared schema.
-    Free(FreeRelationalClass),
-    /// `HOM(H)` via the colored lift (Theorem 4).
-    Hom(HomClass),
-    /// Finite strict linear orders (Example 3), `⊙ ⟨ℚ,<⟩` over the empty
-    /// free class.
-    Order(DataClass<FreeRelationalClass>),
-    /// Finite equivalence relations (Example 3), `⊗ ⟨ℕ,=⟩` over the empty
-    /// free class.
-    Equiv(DataClass<FreeRelationalClass>),
-    /// Regular word languages (Theorem 10).
-    Words(WordClass),
-    /// Regular tree languages (Theorem 3).
-    Trees(TreeClass),
-    /// Data product over the free class (Proposition 1).
-    DataFree(DataClass<FreeRelationalClass>),
-    /// Data product over `HOM(H)` (Corollary 8).
-    DataHom(DataClass<HomClass>),
-    /// Data product over linear orders.
-    DataOrder(DataClass<DataClass<FreeRelationalClass>>),
-    /// Data product over equivalence relations.
-    DataEquiv(DataClass<DataClass<FreeRelationalClass>>),
-    /// A §6 two-counter machine (no symbolic class; `bounded-halt` only).
-    Counter(CounterMachine),
-}
-
-impl AnyClass {
-    /// The public schema guards are written against (`None` for counter
-    /// machines, which have no guards).
-    pub fn schema(&self) -> Option<&Arc<Schema>> {
-        use dds_core::SymbolicClass as _;
-        match self {
-            AnyClass::Free(c) => Some(c.schema()),
-            AnyClass::Hom(c) => Some(c.schema()),
-            AnyClass::Order(c) => Some(c.schema()),
-            AnyClass::Equiv(c) => Some(c.schema()),
-            AnyClass::Words(c) => Some(c.schema()),
-            AnyClass::Trees(c) => Some(c.schema()),
-            AnyClass::DataFree(c) => Some(c.schema()),
-            AnyClass::DataHom(c) => Some(c.schema()),
-            AnyClass::DataOrder(c) => Some(c.schema()),
-            AnyClass::DataEquiv(c) => Some(c.schema()),
-            AnyClass::Counter(_) => None,
-        }
-    }
-
-    /// Short description for report headers.
-    pub fn describe(&self) -> String {
-        match self {
-            AnyClass::Free(_) => "free".into(),
-            AnyClass::Hom(c) => format!("hom (template size {})", c.template().size()),
-            AnyClass::Order(_) => "linear-order".into(),
-            AnyClass::Equiv(_) => "equivalence".into(),
-            AnyClass::Words(_) => "words".into(),
-            AnyClass::Trees(_) => "trees".into(),
-            AnyClass::DataFree(_) => "data over free".into(),
-            AnyClass::DataHom(c) => {
-                format!(
-                    "data over hom (template size {})",
-                    c.inner().template().size()
-                )
-            }
-            AnyClass::DataOrder(_) => "data over linear-order".into(),
-            AnyClass::DataEquiv(_) => "data over equivalence".into(),
-            AnyClass::Counter(m) => format!("counter machine ({} instructions)", m.program.len()),
-        }
-    }
-}
+/// The structure class a spec verifies over; defined next to the generator
+/// that builds the same values, so lowering and `dds fuzz` share one type.
+pub use dds_gen::AnyClass;
 
 /// What one property asks the runner to execute.
 #[derive(Clone, Debug)]

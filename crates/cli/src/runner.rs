@@ -2,6 +2,7 @@
 
 use crate::lower::{AnyClass, Lowered, Task};
 use dds_core::{Engine, EngineOptions, EngineStats, Outcome, SymbolicClass};
+use dds_gen::with_symbolic_class;
 use dds_reductions::words_succ;
 use dds_system::{eliminate_existentials, System};
 use dds_trees::pointers::{blowup_ratio, run_pointers};
@@ -105,60 +106,41 @@ impl SpecReport {
     }
 }
 
-/// Outcome of a reach task, independent of the configuration type.
-struct ReachResult {
-    outcome: String,
-    stats: EngineStats,
-    trace: Option<String>,
-    witness_db: Option<String>,
-    witness_run: Option<String>,
-}
-
-fn reach<C: SymbolicClass>(class: &C, system: &System, eo: EngineOptions) -> ReachResult {
+/// Runs a reach task: Theorem 5 emptiness of `system`'s accepting states.
+fn reach<C: SymbolicClass>(
+    class: &C,
+    system: &System,
+    eo: EngineOptions,
+    id: String,
+    expect: Option<String>,
+) -> PropertyReport {
     let outcome = Engine::new(class, system).with_options(eo).run();
     let stats = *outcome.stats();
-    let keyword = outcome.keyword();
-    match outcome {
-        Outcome::Empty { .. } | Outcome::ResourceLimit { .. } => ReachResult {
-            outcome: keyword.into(),
-            stats,
-            trace: None,
-            witness_db: None,
-            witness_run: None,
-        },
-        Outcome::NonEmpty { trace, witness, .. } => {
-            let mut t = String::new();
-            for step in &trace.steps {
-                match step.rule {
-                    None => t.push_str(system.state_name(step.state)),
-                    Some(r) => t.push_str(&format!(" -[r{r}]-> {}", system.state_name(step.state))),
-                }
-            }
-            ReachResult {
-                outcome: "nonempty".into(),
-                stats,
-                trace: Some(t),
-                witness_db: witness.as_ref().map(|(db, _)| db.to_string()),
-                witness_run: witness.as_ref().map(|(_, run)| run.to_string()),
+    let mut report = PropertyReport {
+        id,
+        outcome: outcome.keyword().into(),
+        expect,
+        pass: None,
+        wall_ns: 0,
+        configs_explored: stats.configs_explored as u64,
+        stats: Some(stats),
+        trace: None,
+        witness_db: None,
+        witness_run: None,
+    };
+    if let Outcome::NonEmpty { trace, witness, .. } = outcome {
+        let mut t = String::new();
+        for step in &trace.steps {
+            match step.rule {
+                None => t.push_str(system.state_name(step.state)),
+                Some(r) => t.push_str(&format!(" -[r{r}]-> {}", system.state_name(step.state))),
             }
         }
+        report.trace = Some(t);
+        report.witness_db = witness.as_ref().map(|(db, _)| db.to_string());
+        report.witness_run = witness.as_ref().map(|(_, run)| run.to_string());
     }
-}
-
-fn dispatch_reach(class: &AnyClass, system: &System, eo: EngineOptions) -> ReachResult {
-    match class {
-        AnyClass::Free(c) => reach(c, system, eo),
-        AnyClass::Hom(c) => reach(c, system, eo),
-        AnyClass::Order(c) => reach(c, system, eo),
-        AnyClass::Equiv(c) => reach(c, system, eo),
-        AnyClass::Words(c) => reach(c, system, eo),
-        AnyClass::Trees(c) => reach(c, system, eo),
-        AnyClass::DataFree(c) => reach(c, system, eo),
-        AnyClass::DataHom(c) => reach(c, system, eo),
-        AnyClass::DataOrder(c) => reach(c, system, eo),
-        AnyClass::DataEquiv(c) => reach(c, system, eo),
-        AnyClass::Counter(_) => unreachable!("lowering rejects reach over counter machines"),
-    }
+    report
 }
 
 /// Runs every property of a lowered spec.
@@ -168,21 +150,11 @@ pub fn run_spec(path: &str, lowered: &Lowered, opts: &RunOptions) -> SpecReport 
         let id = format!("{}::{}", lowered.name, p.name);
         let t0 = Instant::now();
         let mut report = match &p.task {
-            Task::Reach(system) => {
-                let r = dispatch_reach(&lowered.class, system, opts.engine_options());
-                PropertyReport {
-                    id,
-                    outcome: r.outcome,
-                    expect: p.expect.clone(),
-                    pass: None,
-                    wall_ns: 0,
-                    configs_explored: r.stats.configs_explored as u64,
-                    stats: Some(r.stats),
-                    trace: r.trace,
-                    witness_db: r.witness_db,
-                    witness_run: r.witness_run,
-                }
-            }
+            Task::Reach(system) => with_symbolic_class!(
+                &lowered.class,
+                |c| reach(c, system, opts.engine_options(), id, p.expect.clone()),
+                else unreachable!("lowering rejects reach over counter machines")
+            ),
             Task::Elim(system) => {
                 let compiled = eliminate_existentials(system)
                     .expect("builder-accepted guards are existential");

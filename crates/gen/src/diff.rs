@@ -15,7 +15,8 @@
 //! No claim is made on `resource-limit` outcomes beyond four-way equality —
 //! the engine is undecided there, and the baselines stay sound either way.
 
-use crate::scenario::{Built, BuiltClass, Scenario, ScenarioClass};
+use crate::scenario::{Built, Scenario, ScenarioClass};
+use crate::AnyClass;
 use dds_core::amalgam::point_patterns;
 use dds_core::data::DataKind;
 use dds_core::{DataSpec, Engine, EngineOptions, Outcome, SymbolicClass};
@@ -81,7 +82,7 @@ pub fn check(sc: &Scenario, opts: &DiffOptions) -> Result<DiffReport, String> {
 /// Runs every differential check against an already-built scenario.
 pub fn check_built(sc: &Scenario, built: &Built, opts: &DiffOptions) -> Result<DiffReport, String> {
     match &built.class {
-        BuiltClass::Counter(m) => {
+        AnyClass::Counter(m) => {
             let ScenarioClass::Counter { bound, .. } = &sc.class else {
                 return Err("counter class without a bounded-halt bound".into());
             };
@@ -93,25 +94,25 @@ pub fn check_built(sc: &Scenario, built: &Built, opts: &DiffOptions) -> Result<D
                 .as_ref()
                 .ok_or("non-counter scenario without a system")?;
             match class {
-                BuiltClass::Free(c) => {
+                AnyClass::Free(c) => {
                     let four = four_way(c, system, opts)?;
                     finish_relational(four, system, opts, |_| true)
                 }
-                BuiltClass::Hom(c) => {
+                AnyClass::Hom(c) => {
                     let four = four_way(c, system, opts)?;
                     finish_relational(four, system, opts, |db| c.maps_into_template(db))
                 }
-                BuiltClass::Equiv(c) | BuiltClass::Order(c) => {
+                AnyClass::Equiv(c) | AnyClass::Order(c) => {
                     let four = four_way(c, system, opts)?;
                     let members = example3_members(system.schema(), c.spec(), opts.db_bound);
                     finish_members(four, system, members, |db| is_data_relation(c.spec(), db))
                 }
-                BuiltClass::Words(c) => {
+                AnyClass::Words(c) => {
                     let four = four_way(c, system, opts)?;
                     let oracle = dds_words::baseline::bounded_emptiness(c, system, opts.word_bound);
                     finish_with_oracle(four, system, oracle.is_some(), |_| true)
                 }
-                BuiltClass::Trees(c) => {
+                AnyClass::Trees(c) => {
                     let four = four_way(c, system, opts)?;
                     let oracle = dds_trees::baseline::bounded_emptiness(
                         c.automaton(),
@@ -120,17 +121,20 @@ pub fn check_built(sc: &Scenario, built: &Built, opts: &DiffOptions) -> Result<D
                     );
                     finish_with_oracle(four, system, oracle.is_some(), |_| true)
                 }
-                BuiltClass::DataFree(c) => {
+                AnyClass::DataFree(c) => {
                     let four = four_way(c, system, opts)?;
                     finish_relational(four, system, opts, |db| is_data_relation(c.spec(), db))
                 }
-                BuiltClass::DataEquiv(c) | BuiltClass::DataOrder(c) => {
+                AnyClass::DataEquiv(c) | AnyClass::DataOrder(c) => {
                     let four = four_way(c, system, opts)?;
                     finish_relational(four, system, opts, |db| {
                         is_data_relation(c.spec(), db) && is_data_relation(c.inner().spec(), db)
                     })
                 }
-                BuiltClass::Counter(_) => unreachable!("handled above"),
+                AnyClass::DataHom(_) => {
+                    Err("data over hom is never generated and has no baseline".into())
+                }
+                AnyClass::Counter(_) => unreachable!("handled above"),
             }
         }
     }

@@ -17,7 +17,12 @@
 //!   products, §6 counter machines);
 //! * [`scenario::Scenario`] — the generated system as plain data, with
 //!   [`scenario::Scenario::render`] emitting `.dds` text and
-//!   [`scenario::Scenario::build`] producing engine inputs;
+//!   [`scenario::Scenario::build`] producing engine inputs: an [`AnyClass`]
+//!   plus the system;
+//! * [`AnyClass`] — every class the engine runs over, shared with the
+//!   `.dds` lowering in `dds-cli`, and
+//!   [`with_symbolic_class!`](crate::with_symbolic_class), the one dispatch
+//!   that makes the same generic call on each symbolic class;
 //! * [`diff::check`] — four-way engine agreement (1 vs N threads, certify
 //!   vs no-certify) plus brute-force baselines and witness replay;
 //! * [`shrink::minimize`] — greedy minimization of failing scenarios.
@@ -28,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+pub mod class;
 pub mod diff;
 pub mod generate;
 pub mod macro_gen;
@@ -36,9 +42,10 @@ pub mod rng;
 pub mod scenario;
 pub mod shrink;
 
+pub use class::AnyClass;
 pub use diff::{check, DiffOptions, DiffReport};
 pub use generate::generate_seeded;
 pub use macro_gen::{macro_suite, MacroScenario};
 pub use mutate::Mutation;
 pub use rng::FuzzRng;
-pub use scenario::{Built, BuiltClass, ClassKind, DataValuesKind, Scenario, ScenarioClass};
+pub use scenario::{Built, ClassKind, DataValuesKind, Scenario, ScenarioClass};

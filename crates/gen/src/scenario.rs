@@ -5,15 +5,16 @@
 //! class block, registers, states, guarded rules — as plain data. Two
 //! consumers read it:
 //!
-//! * [`Scenario::build`] constructs the engine inputs directly (the class
-//!   value and the [`System`] via [`SystemBuilder`], the same entry point
-//!   the CLI lowering and the programmatic examples use);
+//! * [`Scenario::build`] constructs the engine inputs directly (the
+//!   [`AnyClass`] value and the [`System`] via [`SystemBuilder`], the same
+//!   entry points the CLI lowering and the programmatic examples use);
 //! * [`Scenario::render`] emits the scenario as `.dds` text.
 //!
 //! The fuzz harness in `dds-cli` closes the loop: rendering, re-parsing and
 //! lowering a scenario must reproduce [`Scenario::build`]'s system
 //! rule-for-rule (the round-trip property).
 
+use crate::AnyClass;
 use dds_core::{DataClass, DataSpec, FreeRelationalClass, HomClass};
 use dds_reductions::counter::{CounterMachine, Instr};
 use dds_structure::{Element, Schema, Structure};
@@ -273,39 +274,13 @@ pub struct Scenario {
     pub rules: Vec<(String, String, String)>,
 }
 
-/// The engine-ready value of a scenario's class (the `dds-gen` analogue of
-/// the CLI's `AnyClass`, restricted to the combinations the generator
-/// emits).
-#[derive(Debug)]
-pub enum BuiltClass {
-    /// Free relational.
-    Free(FreeRelationalClass),
-    /// `HOM(H)`.
-    Hom(HomClass),
-    /// Equivalence relations ([`DataClass::equivalence`]).
-    Equiv(DataClass<FreeRelationalClass>),
-    /// Linear orders ([`DataClass::linear_order`]).
-    Order(DataClass<FreeRelationalClass>),
-    /// Word languages.
-    Words(WordClass),
-    /// Tree languages.
-    Trees(TreeClass),
-    /// Data over free.
-    DataFree(DataClass<FreeRelationalClass>),
-    /// Data over equivalence.
-    DataEquiv(DataClass<DataClass<FreeRelationalClass>>),
-    /// Data over linear orders.
-    DataOrder(DataClass<DataClass<FreeRelationalClass>>),
-    /// A counter machine (no symbolic class).
-    Counter(CounterMachine),
-}
-
 /// A fully built scenario: class value plus the system (absent for counter
 /// machines, whose `bounded-halt` check needs no guards).
 #[derive(Debug)]
 pub struct Built {
-    /// The class.
-    pub class: BuiltClass,
+    /// The class (never [`AnyClass::DataHom`]: the generator does not
+    /// emit data products over `HOM(H)`).
+    pub class: AnyClass,
     /// The system, built through [`SystemBuilder`].
     pub system: Option<System>,
 }
@@ -315,17 +290,17 @@ impl Scenario {
     /// shrink candidate that went too far, never a generator output).
     pub fn build(&self) -> Result<Built, String> {
         let class = self.build_class(&self.class)?;
-        let system = match &class {
-            BuiltClass::Counter(_) => None,
-            _ => Some(self.build_system(schema_of(&class))?),
+        let system = match class.schema() {
+            Some(schema) => Some(self.build_system(schema)?),
+            None => None,
         };
         Ok(Built { class, system })
     }
 
-    fn build_class(&self, decl: &ScenarioClass) -> Result<BuiltClass, String> {
+    fn build_class(&self, decl: &ScenarioClass) -> Result<AnyClass, String> {
         Ok(match decl {
             ScenarioClass::Free { relations } => {
-                BuiltClass::Free(FreeRelationalClass::new(declared_schema(relations)?))
+                AnyClass::Free(FreeRelationalClass::new(declared_schema(relations)?))
             }
             ScenarioClass::Hom {
                 relations,
@@ -351,24 +326,24 @@ impl Scenario {
                     h.add_fact(sym, &tuple)
                         .map_err(|e| format!("bad template fact: {e:?}"))?;
                 }
-                BuiltClass::Hom(HomClass::new(h))
+                AnyClass::Hom(HomClass::new(h))
             }
-            ScenarioClass::Equivalence => BuiltClass::Equiv(DataClass::equivalence()),
-            ScenarioClass::LinearOrder => BuiltClass::Order(DataClass::linear_order()),
-            ScenarioClass::Words(decl) => BuiltClass::Words(WordClass::new(
+            ScenarioClass::Equivalence => AnyClass::Equiv(DataClass::equivalence()),
+            ScenarioClass::LinearOrder => AnyClass::Order(DataClass::linear_order()),
+            ScenarioClass::Words(decl) => AnyClass::Words(WordClass::new(
                 decl.build().ok_or("generated word language is empty")?,
             )),
-            ScenarioClass::Trees(decl) => BuiltClass::Trees(TreeClass::new(decl.build())),
+            ScenarioClass::Trees(decl) => AnyClass::Trees(TreeClass::new(decl.build())),
             ScenarioClass::Data { values, inner } => {
                 let spec = values.spec();
                 match self.build_class(inner)? {
-                    BuiltClass::Free(c) => BuiltClass::DataFree(DataClass::new(c, spec)),
-                    BuiltClass::Equiv(c) => BuiltClass::DataEquiv(DataClass::new(c, spec)),
-                    BuiltClass::Order(c) => BuiltClass::DataOrder(DataClass::new(c, spec)),
+                    AnyClass::Free(c) => AnyClass::DataFree(DataClass::new(c, spec)),
+                    AnyClass::Equiv(c) => AnyClass::DataEquiv(DataClass::new(c, spec)),
+                    AnyClass::Order(c) => AnyClass::DataOrder(DataClass::new(c, spec)),
                     other => return Err(format!("data product over unsupported class {other:?}")),
                 }
             }
-            ScenarioClass::Counter { program, bound: _ } => BuiltClass::Counter(CounterMachine {
+            ScenarioClass::Counter { program, bound: _ } => AnyClass::Counter(CounterMachine {
                 program: program.clone(),
             }),
         })
@@ -438,23 +413,6 @@ impl Scenario {
         }
         let _ = writeln!(w, "}}");
         out
-    }
-}
-
-/// The public schema of a built class (what guards are written against).
-pub fn schema_of(class: &BuiltClass) -> &Arc<Schema> {
-    use dds_core::SymbolicClass as _;
-    match class {
-        BuiltClass::Free(c) => c.schema(),
-        BuiltClass::Hom(c) => c.schema(),
-        BuiltClass::Equiv(c) => c.schema(),
-        BuiltClass::Order(c) => c.schema(),
-        BuiltClass::Words(c) => c.schema(),
-        BuiltClass::Trees(c) => c.schema(),
-        BuiltClass::DataFree(c) => c.schema(),
-        BuiltClass::DataEquiv(c) => c.schema(),
-        BuiltClass::DataOrder(c) => c.schema(),
-        BuiltClass::Counter(_) => unreachable!("counter machines have no guard schema"),
     }
 }
 

@@ -27,14 +27,16 @@ use dds_system::{Run, System};
 use std::collections::HashSet;
 use std::sync::Arc;
 
+/// Node budget for certifying a `NonEmpty` answer through the bounded
+/// baseline.
+const CERTIFY_NODES: usize = 9;
+
 /// The tree class `Treedb(L)` for the language of a [`TreeAutomaton`].
 #[derive(Clone, Debug)]
 pub struct TreeClass {
     aut: TreeAutomaton,
     schema: Arc<Schema>,
     label_syms: Vec<SymbolId>,
-    /// Node budget for certification via the bounded baseline.
-    certify_nodes: usize,
     /// Node cap for initial-pattern enumeration.
     initial_cap: usize,
 }
@@ -48,7 +50,6 @@ impl TreeClass {
             aut,
             schema,
             label_syms,
-            certify_nodes: 9,
             initial_cap: 8,
         }
     }
@@ -56,12 +57,6 @@ impl TreeClass {
     /// The automaton.
     pub fn automaton(&self) -> &TreeAutomaton {
         &self.aut
-    }
-
-    /// Overrides the certification node budget.
-    pub fn with_certify_nodes(mut self, nodes: usize) -> Self {
-        self.certify_nodes = nodes;
-        self
     }
 
     /// Enumerates valid patterns with at most `cap` nodes generated by `k`
@@ -511,7 +506,7 @@ impl SymbolicClass for TreeClass {
     fn concretize(&self, system: &System, _trace: &Trace<TreePattern>) -> Option<(Structure, Run)> {
         // Certification through the bounded baseline: an actual accepted
         // tree driving an accepting run. (The engine re-validates.)
-        bounded_emptiness(&self.aut, system, self.certify_nodes)
+        bounded_emptiness(&self.aut, system, CERTIFY_NODES)
     }
 }
 

@@ -137,10 +137,12 @@ impl WordClass {
     fn glue_outcomes(&self, cfg: &WordConfig, guard: &Formula, k_new: usize) -> Vec<Glue> {
         let m = cfg.len();
         let mut results = Vec::new();
-        let mut seen: HashSet<(Vec<NfaStateId>, Vec<Prov>, Vec<u32>)> = HashSet::new();
 
         // Recursive choice of each new point: an old position or a fresh
-        // insertion (state × slot).
+        // insertion (state × slot). Each choice sequence yields a distinct
+        // `(union, prov, new_points)`: a fresh position is the point of the
+        // first register that names it, and the final order fixes the slot
+        // it was inserted at.
         #[allow(clippy::too_many_arguments)]
         fn choose(
             class: &WordClass,
@@ -151,11 +153,10 @@ impl WordClass {
             union: &mut Vec<NfaStateId>,
             prov: &mut Vec<Prov>,
             new_points: &mut Vec<u32>,
-            seen: &mut HashSet<(Vec<NfaStateId>, Vec<Prov>, Vec<u32>)>,
             results: &mut Vec<Glue>,
         ) {
             if reg == k {
-                class.complete_glue(cfg, guard, union, prov, new_points, seen, results);
+                class.complete_glue(cfg, guard, union, prov, new_points, results);
                 return;
             }
             // (a) an existing position (old or previously inserted fresh).
@@ -170,7 +171,6 @@ impl WordClass {
                     union,
                     prov,
                     new_points,
-                    seen,
                     results,
                 );
                 new_points.pop();
@@ -199,7 +199,6 @@ impl WordClass {
                             union,
                             prov,
                             new_points,
-                            seen,
                             results,
                         );
                         new_points.pop();
@@ -227,7 +226,6 @@ impl WordClass {
             &mut union,
             &mut prov,
             &mut new_points,
-            &mut seen,
             &mut results,
         );
         results
@@ -235,7 +233,6 @@ impl WordClass {
 
     /// Validates a candidate amalgam, evaluates the guard and extracts the
     /// successor configuration.
-    #[allow(clippy::too_many_arguments)]
     fn complete_glue(
         &self,
         cfg: &WordConfig,
@@ -243,13 +240,8 @@ impl WordClass {
         union: &[NfaStateId],
         prov: &[Prov],
         new_points: &[u32],
-        seen: &mut HashSet<(Vec<NfaStateId>, Vec<Prov>, Vec<u32>)>,
         results: &mut Vec<Glue>,
     ) {
-        let key = (union.to_vec(), prov.to_vec(), new_points.to_vec());
-        if !seen.insert(key) {
-            return;
-        }
         let span = component_span(&self.nfa, union);
         // Frozen pointers: the old configuration's first/last occurrences
         // must remain global ones. Fresh insertions were restricted to the
@@ -559,6 +551,38 @@ mod tests {
         // The witness word has at least 3 a-positions (strictly decreasing).
         let a_sym = class.schema().lookup("a").unwrap();
         assert!(db.rel_len(a_sym) >= 3);
+    }
+
+    #[test]
+    fn glue_outcomes_are_pairwise_distinct() {
+        // Every choice sequence of `glue_outcomes` yields its own
+        // `(union, prov, new_points)` triple, so no gluing is built twice.
+        let class = WordClass::new(ab_plus());
+        let mut cfgs = Vec::new();
+        class.unpointed_configs(&mut Vec::new(), &mut cfgs);
+        cfgs.push(WordConfig {
+            states: vec![NfaStateId(0), NfaStateId(1)],
+            points: vec![0],
+        });
+        for cfg in &cfgs {
+            for k in 1..=2 {
+                let outcomes = class.glue_outcomes(cfg, &Formula::True, k);
+                assert!(!outcomes.is_empty());
+                let mut seen = HashSet::new();
+                for g in outcomes {
+                    let new_points: Vec<usize> = g
+                        .next
+                        .points
+                        .iter()
+                        .map(|&p| g.next_map[p as usize])
+                        .collect();
+                    assert!(
+                        seen.insert((g.union.clone(), g.prov.clone(), new_points)),
+                        "duplicate gluing of {cfg:?} at k={k}: {g:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
