@@ -28,52 +28,58 @@
 //! subset masks in increasing order; [`Family::for_each`] builds each in
 //! turn, which is what replay and the tests use ([`for_each_candidate`]).
 //!
-//! Successor computation walks the masks without building them
-//! ([`Family::for_each_passing`]). A quantifier-free guard over variables
-//! sees only the facts on the old and new points (the paper's locality
-//! argument), so it is decided on the family where it can be. It is
-//! evaluated once with every optional fact absent; when that reads no
-//! optional fact — always for a conjunction of literals, whose relation
-//! literals are forced facts fixed before the walk — its value holds for
-//! every mask, and the family is skipped or every mask passes with no
-//! further evaluation ([`eval_with`]). A guard that does read one, or is
-//! not quantifier-free, is evaluated on each candidate built in turn. A
-//! guard-passing mask whose tag hits the memo (below) is resolved without
-//! touching the buffer; on a miss the buffer moves to the mask by adding
-//! and removing just the facts that differ, and only then is the candidate
-//! read. From it `successors` writes only the canonical key words of the
-//! substructure the new points generate ([`encode_generated_relational`]:
-//! the schemas here are relational, so that substructure is induced on the
-//! new points). The
-//! words are probed against the search's interner and then against the
-//! successors this call already built; only a key absent from both becomes
-//! a configuration ([`RelConfig::generated_by`]). The initial
-//! configurations are resolved the same way against an empty interner,
-//! so each distinct one is built once. The engine interns every initial
-//! configuration — every `k`-generated member — before it expands
+//! Successor computation first specialises the guard to the base
+//! configuration ([`residual`]): atoms over old registers only become their
+//! values there and the constants fold. The amalgams freeze the base, so
+//! the residual holds on a candidate exactly when the guard does. A
+//! residual `false` has no successors; otherwise each interned
+//! configuration keeps a successor memo from residual to successor ids
+//! ([`Interner::memo`]), so guard classes that differ only in what the
+//! configuration decides share one resolution. A list is kept there only
+//! when every entry is an interned id, and a base the interner lacks
+//! (`transitions`) has no memo.
+//!
+//! On a miss the enumeration runs with the residual's hints and walks the
+//! masks without building them ([`Family::for_each_passing`]). A
+//! quantifier-free guard over variables sees only the facts on the old and
+//! new points (the paper's locality argument), so it is decided on the
+//! family where it can be ([`Family::decide`]). It is evaluated once with
+//! every optional fact absent; when that reads no optional fact — always
+//! for a conjunction of literals, whose relation literals are forced facts
+//! fixed before the walk — its value holds for every mask, and the family
+//! is skipped or every mask passes with no further evaluation
+//! ([`eval_with`]). A guard that does read one, or is not quantifier-free,
+//! is evaluated on each candidate built in turn.
+//!
+//! A guard-passing candidate is named by the *packed key* of the
+//! configuration it generates ([`crate::class::packed_key`]). The schemas
+//! here are relational, so that configuration is the substructure induced
+//! on the new points, numbered by first occurrence: the equality pattern
+//! of the new registers and the facts among the distinct new points fix
+//! it, whatever the base. [`FamilyKeys`] computes the keys once per family
+//! — the pattern plus the facts of the empty subset, and one bit per
+//! optional fact (none for a fact with an element outside the new points)
+//! — and every [`RelConfig`] carries its own, under which the interner
+//! files it. One probe of the search's interner thus resolves a candidate
+//! without touching the buffer. A candidate whose layout does not fit in 64
+//! bits moves the buffer to its mask by adding and removing just the facts
+//! that differ, and `successors` writes the canonical key words of the
+//! generated substructure ([`encode_generated_relational`]) and probes with
+//! those. Either key is then probed against the successors this call
+//! already built; only a key absent from both becomes a configuration
+//! ([`RelConfig::generated_by`]). Debug builds build every packed hit in a
+//! separate buffer, re-encode it and assert that the interned
+//! configuration has the same key words; the family's buffer moves
+//! exactly as in release.
+//!
+//! The initial configurations are resolved the same way against an empty
+//! interner, so each distinct one is built once. The engine interns every
+//! initial configuration — every `k`-generated member — before it expands
 //! anything, so its calls build no configuration at all; `transitions`,
 //! against an empty interner, builds each distinct successor once. Replay
 //! evaluates the guard on each candidate, compares key words the same way,
 //! stops at the first candidate matching the trace step and clones only
 //! that one.
-//!
-//! The engine expands a configuration once per guard class, and the
-//! successor an amalgam generates does not depend on the guard. So every
-//! candidate carries a *tag*: a `u64` naming it within its base,
-//! independently of the hints — the placement index, then the class's
-//! extension choice (the free class: a mask of the facts among the new
-//! points; `HOM`: the fresh coloring and that mask; data products: the
-//! data extension over the inner tag). Within a family the tag of a subset
-//! is the empty subset's XOR one bit per optional fact it has. Equal tags
-//! within one base name the same new points and generate equal key words.
-//! Each interned configuration keeps a successor memo from tag to id
-//! ([`Interner::memo`]); `successors` looks a guard-passing candidate's tag
-//! up there first, and only on a miss encodes the key and probes, recording
-//! the id it finds. A candidate whose tag would not fit in 64 bits has none
-//! and is always resolved by key, and a base the interner lacks
-//! (`transitions`) has no memo. Debug builds build every hit in a separate
-//! buffer, re-encode it and assert that the probe gives the memo's id; the
-//! family's buffer moves exactly as in release.
 //!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
@@ -93,8 +99,8 @@
 //! hence successor lists, traces and witnesses — are exactly those of the
 //! unpruned enumeration.
 
-use crate::class::{Pointed, RelConfig, SymbolicClass, Trace};
-use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved, SuccessorMemo};
+use crate::class::{point_numbers, PackedLayout, Pointed, RelConfig, SymbolicClass, Trace};
+use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved};
 use dds_logic::eval::{eval, eval_with, is_local};
 use dds_logic::transform::{forced_literals, Literal};
 use dds_logic::{Formula, Term, Var};
@@ -106,7 +112,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 /// All placements of `k` points into a base of a given size, shared by
 /// reference between the memo and its borrowers.
@@ -137,81 +143,79 @@ pub struct Family<'a> {
     pub new_points: &'a [Element],
     /// The optional facts: sorted, distinct, at most 24.
     pub optional: &'a [Fact],
-    /// The tag of the empty subset and one tag bit per optional fact: a
-    /// subset's tag is the empty subset's XOR the bits of its facts (see
-    /// [`AmalgamClass::for_each_amalgam`]). `None` when the family's
-    /// candidates have no tag.
-    pub tags: Option<(u64, &'a [u64])>,
 }
 
 impl<'a> Family<'a> {
     /// The family of the one candidate `cand`.
-    pub fn single(cand: &'a mut Structure, new_points: &'a [Element], tag: Option<u64>) -> Self {
+    pub fn single(cand: &'a mut Structure, new_points: &'a [Element]) -> Self {
         Family {
             cand,
             new_points,
             optional: &[],
-            tags: tag.map(|tag| (tag, &[][..])),
         }
     }
 
-    /// Visits every candidate with its tag, in increasing mask order,
+    /// Visits every candidate with its mask, in increasing mask order,
     /// editing `cand` in place: consecutive masks differ by one added fact
     /// and the removal of the facts below it.
     pub fn for_each(
         &mut self,
-        mut f: impl FnMut(&Structure, Option<u64>) -> ControlFlow<()>,
+        mut f: impl FnMut(&Structure, u64) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let mut at = 0;
-        for (mask, tag) in mask_steps(self.cand, self.optional, self.tags) {
+        for mask in masks(self.cand, self.optional) {
             move_to(self.cand, self.optional, at, mask);
             at = mask;
-            f(self.cand, tag)?;
+            f(self.cand, mask)?;
         }
         ControlFlow::Continue(())
     }
 
-    /// Visits the candidates that satisfy `guard` under `val`, in
-    /// [`Family::for_each`]'s order, lending each with its tag as a
-    /// [`Candidate`] that builds the structure only when asked.
+    /// The value of `guard` under `val` on every candidate, when one
+    /// evaluation decides it; `None` when each candidate needs its own.
     ///
     /// A [local](is_local) guard sees only the atoms over old and new
-    /// points, so it is first evaluated on the family: once on the empty
-    /// subset, answering optional tuples `false`. If that evaluation read
-    /// no optional fact, its value holds for every subset (it follows the
-    /// same path through the same answers), so the family is skipped or
-    /// every mask passes without another evaluation. Otherwise, and for a
-    /// guard that is not local, the guard is evaluated on each candidate
-    /// built in turn.
+    /// points, so it is evaluated once on the empty subset, answering
+    /// optional tuples `false`. If that evaluation read no optional fact,
+    /// its value holds for every subset (it follows the same path through
+    /// the same answers). A guard that reads one, or is not local, decides
+    /// nothing here.
+    pub fn decide(&self, guard: &Formula, local: bool, val: &[Element]) -> Option<bool> {
+        if !local {
+            return None;
+        }
+        let (cand, optional) = (&*self.cand, self.optional);
+        let mut reads = false;
+        let value = eval_with(guard, val, |r, t| {
+            let opt = optional
+                .binary_search_by(|(or, ot)| or.cmp(&r).then_with(|| ot.as_slice().cmp(t)))
+                .is_ok();
+            reads |= opt;
+            !opt && cand.holds(r, t)
+        });
+        (!reads).then(|| value.unwrap_or(false))
+    }
+
+    /// Visits the candidates that satisfy `guard` under `val`, in
+    /// [`Family::for_each`]'s order, lending each with its mask as a
+    /// [`Candidate`] that builds the structure only when asked. `decided`
+    /// is [`Family::decide`]'s answer: `Some(false)` visits nothing,
+    /// `Some(true)` every mask without evaluating, and `None` evaluates the
+    /// guard on each candidate built in turn.
     pub fn for_each_passing(
         &mut self,
         guard: &Formula,
-        local: bool,
+        decided: Option<bool>,
         val: &[Element],
-        mut visit: impl FnMut(Option<u64>, &mut Candidate<'_>) -> ControlFlow<()>,
+        mut visit: impl FnMut(u64, &mut Candidate<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let optional = self.optional;
-        let mut decided = false;
-        if local {
-            let cand = &*self.cand;
-            let mut reads = false;
-            let empty = eval_with(guard, val, |r, t| {
-                let opt = optional
-                    .binary_search_by(|(or, ot)| or.cmp(&r).then_with(|| ot.as_slice().cmp(t)))
-                    .is_ok();
-                reads |= opt;
-                !opt && cand.holds(r, t)
-            });
-            if !reads {
-                if !empty.unwrap_or(false) {
-                    return ControlFlow::Continue(());
-                }
-                decided = true;
-            }
+        if decided == Some(false) {
+            return ControlFlow::Continue(());
         }
+        let optional = self.optional;
         let mut at = 0;
-        for (mask, tag) in mask_steps(self.cand, optional, self.tags) {
-            if !decided {
+        for mask in masks(self.cand, optional) {
+            if decided.is_none() {
                 move_to(self.cand, optional, at, mask);
                 at = mask;
                 if !eval(guard, self.cand, val).unwrap_or(false) {
@@ -219,7 +223,7 @@ impl<'a> Family<'a> {
                 }
             }
             visit(
-                tag,
+                mask,
                 &mut Candidate {
                     buf: &mut *self.cand,
                     optional,
@@ -267,30 +271,14 @@ impl Candidate<'_> {
     }
 }
 
-/// The subset masks over a family's optional facts in increasing order,
-/// each with its tag: the empty subset's XOR the bits of its facts, stepped
-/// by the bits that change between consecutive masks. `cand` and `optional`
-/// are only checked against [`Family`]'s invariants.
-fn mask_steps<'t>(
-    cand: &Structure,
-    optional: &[Fact],
-    tags: Option<(u64, &'t [u64])>,
-) -> impl Iterator<Item = (u64, Option<u64>)> + 't {
+/// The subset masks over a family's optional facts, in increasing order.
+/// `cand` and `optional` are only checked against [`Family`]'s invariants.
+fn masks(cand: &Structure, optional: &[Fact]) -> std::ops::Range<u64> {
     let n = optional.len();
     assert!(n <= 24, "too many optional facts in one family ({n})");
     debug_assert!(optional.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(optional.iter().all(|(rel, t)| !cand.holds(*rel, t)));
-    debug_assert!(tags.map_or(true, |(_, bits)| bits.len() == n));
-    let mut tag = tags.map(|(empty, _)| empty);
-    (0u64..1 << n).map(move |mask| {
-        if let (Some(tag), Some((_, bits))) = (&mut tag, tags.filter(|_| mask > 0)) {
-            // From `mask - 1` to `mask`: the lowest set bit of `mask` turns
-            // on and every bit below it turns off.
-            let low = mask.trailing_zeros() as usize;
-            *tag ^= bits[..=low].iter().fold(0, |acc, b| acc ^ b);
-        }
-        (mask, tag)
-    })
+    0..1 << n
 }
 
 /// Moves `cand` from the subset `from` of `optional` to the subset `to`:
@@ -307,6 +295,62 @@ fn move_to(cand: &mut Structure, optional: &[Fact], from: u64, to: u64) {
             cand.remove_fact(*rel, t)
         }
         .expect("optional facts are valid");
+    }
+}
+
+/// The packed keys ([`crate::class::packed_key`]) of the configurations a family's
+/// candidates generate: the *head* — the new points' pattern and the facts
+/// the empty subset holds among them — plus one bit per optional fact, 0
+/// for a fact with an element outside the new points. The key does not
+/// depend on the base, so it names the successor in the whole search.
+#[derive(Debug)]
+pub struct FamilyKeys {
+    /// Per number of distinct new points, the layout (`None`: too wide).
+    layouts: Vec<Option<PackedLayout>>,
+    numbered: Vec<Element>,
+    head: u64,
+    bits: Vec<u64>,
+}
+
+impl FamilyKeys {
+    /// For families over `schema` with `k` new points.
+    pub fn new(schema: &Schema, k: usize) -> FamilyKeys {
+        FamilyKeys {
+            layouts: (0..=k).map(|n| PackedLayout::new(schema, k, n)).collect(),
+            numbered: Vec::new(),
+            head: 0,
+            bits: Vec::new(),
+        }
+    }
+
+    /// Computes the keys of `family`'s candidates; `false` when their
+    /// layout does not fit in 64 bits.
+    pub fn prepare(&mut self, family: &Family<'_>) -> bool {
+        debug_assert_eq!(self.layouts.len(), family.new_points.len() + 1);
+        point_numbers(family.new_points, &mut self.numbered);
+        let Some(Some(layout)) = self.layouts.get(self.numbered.len()) else {
+            return false;
+        };
+        self.head = layout.key(family.cand, family.new_points, &self.numbered);
+        self.bits.clear();
+        self.bits.extend(
+            family
+                .optional
+                .iter()
+                .map(|(r, t)| layout.fact_bit(*r, t, &self.numbered)),
+        );
+        true
+    }
+
+    /// The key of the candidate with subset `mask`, after a successful
+    /// [`FamilyKeys::prepare`].
+    pub fn key(&self, mask: u64) -> u64 {
+        let (mut key, mut rest) = (self.head, mask);
+        while rest != 0 {
+            key |= self.bits[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
+        }
+        key
     }
 }
 
@@ -353,14 +397,6 @@ pub trait AmalgamClass: Sync {
     /// [`placements`] order, then the class's own extension order). Returns
     /// `Break` as soon as `f` does, `Continue` once every candidate has been
     /// visited.
-    ///
-    /// Each candidate comes with a *tag*, a name for it that does not depend
-    /// on the hints: within one `base`, two candidates with equal tags have
-    /// the same new points and generate configurations with equal key
-    /// words, whatever the guards their hints came from. The classes here
-    /// pack the placement index and their own extension choices into
-    /// fixed-width fields ([`field_bits`], [`tag_field`]). A candidate
-    /// whose tag would not fit in 64 bits gets `None`.
     fn for_each_amalgam(
         &self,
         base: &Pointed,
@@ -531,11 +567,6 @@ pub struct ForcedFacts {
 }
 
 impl ForcedFacts {
-    /// The facts every guard-satisfying candidate contains.
-    pub fn on(&self) -> &[Fact] {
-        &self.on
-    }
-
     /// Fixes the forced facts before a subset enumeration: removes every
     /// forced fact from `optional` and adds the forced-on ones to `cand`.
     /// Returns `false`, leaving `cand` untouched, when a forced-on fact is
@@ -730,92 +761,6 @@ pub fn internal_new_tuples(
     }
 }
 
-/// Bits that hold any value below `count` (0 when `count <= 1`): the width
-/// of a tag field with `count` possible values.
-pub fn field_bits(count: usize) -> u32 {
-    usize::BITS - count.saturating_sub(1).leading_zeros()
-}
-
-/// The tag `low | high << shift`: field `high` stored above the `shift` bits
-/// of `low` (which must fit in them), or `None` when `high` does not fit in
-/// the bits left.
-pub fn tag_field(low: u64, shift: u32, high: u64) -> Option<u64> {
-    if high == 0 {
-        Some(low)
-    } else if shift < 64 && high.leading_zeros() >= shift {
-        Some(low | high << shift)
-    } else {
-        None
-    }
-}
-
-/// The fact-mask field of the free and `HOM` tags: one bit per tuple over a
-/// placement's new points, set when the candidate has the fact. Facts with
-/// an element outside the new points do not survive into the successor and
-/// get no bit. Buffers are reused across placements.
-#[derive(Debug, Default)]
-pub struct FactMask {
-    /// Per relation (by symbol index), the rank of its first tuple;
-    /// `u64::MAX` for a relation outside the mask.
-    offsets: Vec<u64>,
-    bits: Vec<u64>,
-}
-
-impl FactMask {
-    /// Prepares one placement's mask over `ranked` (relations of `schema`)
-    /// and returns a [`Family`]'s tags: the tag of the empty subset — `head` plus the bits of the `forced_on` facts —
-    /// and the tag bit of each `optional` fact. `head` must fit in `shift`
-    /// bits, above which the mask goes. `universe` is the sorted,
-    /// deduplicated new points. `None` when the mask does not fit in the
-    /// bits left.
-    ///
-    /// A tuple's rank is arithmetic over `universe`: the relation's offset
-    /// plus the tuple's positions read as a base-`|universe|` number, so no
-    /// tuple list is built or searched.
-    pub fn tags(
-        &mut self,
-        schema: &Schema,
-        ranked: impl IntoIterator<Item = SymbolId>,
-        universe: &[Element],
-        (head, shift): (u64, u32),
-        forced_on: &[Fact],
-        optional: &[Fact],
-    ) -> Option<(u64, &[u64])> {
-        let u = universe.len() as u64;
-        self.offsets.clear();
-        self.offsets.resize(schema.len(), u64::MAX);
-        let mut width = 0u64;
-        for r in ranked {
-            self.offsets[r.index()] = width;
-            width = u
-                .checked_pow(schema.arity(r) as u32)
-                .and_then(|n| width.checked_add(n))?;
-        }
-        if width > u64::from(64 - shift.min(64)) {
-            return None;
-        }
-        let offsets = &self.offsets;
-        let bit = |(rel, t): &Fact| {
-            let offset = offsets[rel.index()];
-            if offset == u64::MAX {
-                return 0;
-            }
-            let mut rank = 0;
-            for e in t {
-                match universe.binary_search(e) {
-                    Ok(pos) => rank = rank * u + pos as u64,
-                    Err(_) => return 0,
-                }
-            }
-            1 << (shift as u64 + offset + rank)
-        };
-        let empty = forced_on.iter().fold(head, |tag, fact| tag | bit(fact));
-        self.bits.clear();
-        self.bits.extend(optional.iter().map(bit));
-        Some((empty, &self.bits))
-    }
-}
-
 /// Restricted-growth strings of length `k`: all set partitions of `k` points
 /// (the patterns of which registers share a value).
 pub fn point_patterns(k: usize) -> Vec<Vec<usize>> {
@@ -869,7 +814,7 @@ pub fn replay_trace<T: AmalgamClass>(
         let base = Pointed::new(db, points);
         let mut found = None;
         let k = base.points.len();
-        let _ = for_each_candidate(class, &base, k, &hints, |s, new_points, _| {
+        let _ = for_each_candidate(class, &base, k, &hints, |s, new_points| {
             fill_combined(&mut combined, &base.points, new_points);
             if eval(&guard, s, &combined).unwrap_or(false)
                 && encode_generated_relational(s, new_points, &mut key) == step.config.key_hash()
@@ -906,7 +851,7 @@ impl<T: AmalgamClass> SymbolicClass for T {
             .into_iter()
             .flat_map(|s| {
                 let base = Pointed::new(s, Vec::new());
-                resolve_amalgams(self, &base, k, &Formula::True, None, &none)
+                resolve_amalgams(self, &base, k, &Formula::True, &none)
             })
             .map(|entry| match entry {
                 Resolved::Fresh(cfg, _) => *cfg,
@@ -925,24 +870,44 @@ impl<T: AmalgamClass> SymbolicClass for T {
             .collect()
     }
 
-    /// Resolves each guard-passing candidate against `known`: by its tag in
-    /// `cfg`'s successor memo ([`Interner::memo`]) when `known` holds `cfg`,
-    /// else by its canonical key words ([`encode_generated_relational`])
-    /// against `known` (filling the memo when found), then against the
-    /// fresh successors this call already built; only a key absent from
-    /// both becomes a [`RelConfig`]. Entries keep first-occurrence order.
+    /// Specialises `guard` to `cfg` ([`residual`]) and answers a residual
+    /// `false` with no successors. When `known` holds `cfg`, a list its
+    /// successor memo ([`Interner::memo`]) keeps under the residual is the
+    /// answer. Otherwise each candidate that satisfies the residual is
+    /// resolved by its packed key ([`FamilyKeys`]) or else its key words,
+    /// and a list made only of interned ids goes into the memo.
     fn successors(
         &self,
         cfg: &RelConfig,
         guard: &Formula,
         known: &Interner<RelConfig>,
     ) -> Vec<Resolved<RelConfig>> {
-        let guard = translate_formula(guard, self.public_schema(), self.internal_schema());
-        let memo = known
-            .lookup_prehashed(cfg, Interner::hash_value(cfg))
-            .map(|id| known.memo(id));
+        let guard = residual(
+            translate_formula(guard, self.public_schema(), self.internal_schema()),
+            &cfg.pointed,
+        );
+        if guard == Formula::False {
+            return Vec::new();
+        }
+        let id = known.lookup_prehashed(cfg, Interner::hash_value(cfg));
+        if let Some(ids) = id.and_then(|id| known.memo(id).get(&guard).cloned()) {
+            return ids.iter().map(|&id| Resolved::Interned(id)).collect();
+        }
         let k = cfg.pointed.points.len();
-        resolve_amalgams(self, &cfg.pointed, k, &guard, memo, known)
+        let out = resolve_amalgams(self, &cfg.pointed, k, &guard, known);
+        if let Some(id) = id {
+            let ids: Option<Arc<[ConfigId]>> = out
+                .iter()
+                .map(|entry| match entry {
+                    Resolved::Interned(id) => Some(*id),
+                    Resolved::Fresh(..) => None,
+                })
+                .collect();
+            if let Some(ids) = ids {
+                known.memo(id).insert(guard, ids);
+            }
+        }
+        out
     }
 
     fn materialize(&self, cfg: &RelConfig) -> Pointed {
@@ -957,21 +922,65 @@ impl<T: AmalgamClass> SymbolicClass for T {
     }
 }
 
+/// `guard` specialised to the configuration `cfg` it is evaluated over:
+/// every atom whose variables are all old registers becomes its value on
+/// `cfg`'s points, `v = v` becomes `true`, and the constants fold through
+/// [`Formula::and`], [`Formula::or`] and [`Formula::negate`]. The amalgams
+/// of `cfg` freeze its structure, so the residual holds on a candidate
+/// exactly when `guard` does.
+///
+/// Only a [local](is_local) guard whose variables are registers
+/// (`0..2k`) is specialised: `eval` answers the others with an error or
+/// reads a domain, which folding could change.
+pub fn residual(guard: Formula, cfg: &Pointed) -> Formula {
+    fn fold(f: Formula, cfg: &Pointed) -> Formula {
+        let old = |t: &Term| match t {
+            Term::Var(v) if v.index() % 2 == 0 => Some(cfg.points[v.index() / 2]),
+            _ => None,
+        };
+        let constant = |value: bool| if value { Formula::True } else { Formula::False };
+        match f {
+            Formula::Eq(a, b) if a == b => Formula::True,
+            Formula::Eq(a, b) => match (old(&a), old(&b)) {
+                (Some(x), Some(y)) => constant(x == y),
+                _ => Formula::Eq(a, b),
+            },
+            Formula::Rel(r, args) => match args.iter().map(old).collect::<Option<Vec<_>>>() {
+                Some(tuple) => constant(cfg.structure.holds(r, &tuple)),
+                None => Formula::Rel(r, args),
+            },
+            Formula::Not(inner) => Formula::negate(fold(*inner, cfg)),
+            Formula::And(fs) => Formula::and(fs.into_iter().map(|f| fold(f, cfg)).collect()),
+            Formula::Or(fs) => Formula::or(fs.into_iter().map(|f| fold(f, cfg)).collect()),
+            other => other,
+        }
+    }
+    let registers = 2 * cfg.points.len();
+    if is_local(&guard) && guard.free_vars().iter().all(|v| v.index() < registers) {
+        fold(guard, cfg)
+    } else {
+        guard
+    }
+}
+
 /// The key-first resolution behind [`SymbolicClass::successors`] and
 /// [`SymbolicClass::initial_configs`]: the configurations the `k_new` new
 /// points generate in the candidates over `base` that satisfy `guard`
-/// (over the internal schema), resolved against `known` and `memo` (the
-/// successor memo of `base` when `known` holds it).
+/// (over the internal schema), resolved against `known`. A candidate is
+/// probed by its packed key ([`FamilyKeys`]) when it has one, else by its
+/// canonical key words; then against the fresh successors this call already
+/// built. Only a key absent from both becomes a [`RelConfig`]. Entries keep
+/// first-occurrence order.
 fn resolve_amalgams<T: AmalgamClass + ?Sized>(
     class: &T,
     base: &Pointed,
     k_new: usize,
     guard: &Formula,
-    mut memo: Option<MutexGuard<'_, SuccessorMemo>>,
     known: &Interner<RelConfig>,
 ) -> Vec<Resolved<RelConfig>> {
     let hints = GuardHints::of(guard);
     let mut key = KeyScratch::default();
+    let mut keys = FamilyKeys::new(class.internal_schema(), k_new);
     // Bitmap over `known`'s ids of the ones already in `out`.
     let mut seen_ids = vec![0u64; known.len().div_ceil(64)];
     let mut push_id = |out: &mut Vec<Resolved<RelConfig>>, id: ConfigId| {
@@ -986,78 +995,79 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
     let mut out = Vec::new();
     let mut combined = Vec::new();
     let local = is_local(guard);
-    // Debug builds re-check memo hits on a copy, so the family's buffer
+    // Debug builds re-check packed hits on a copy, so the family's buffer
     // moves exactly as in release.
-    let mut recheck = None;
+    let (mut recheck, mut recheck_key) = (None, KeyScratch::default());
     let _ = class.for_each_amalgam(base, k_new, &hints, &mut |family| {
         fill_combined(&mut combined, &base.points, family.new_points);
+        let decided = family.decide(guard, local, &combined);
+        if decided == Some(false) {
+            return ControlFlow::Continue(());
+        }
+        let has_keys = keys.prepare(family);
         let new_points = family.new_points;
-        family.for_each_passing(guard, local, &combined, |tag, cand| {
-                let memo_slot = memo.as_mut().zip(tag);
-                if let Some((memo, tag)) = &memo_slot {
-                    if let Some(&id) = memo.get(tag) {
-                        debug_assert_eq!(
-                            known.lookup_with(
-                                probe_hash(&encode_generated_relational(
-                                    cand.copy_into(&mut recheck),
-                                    new_points,
-                                    &mut key
-                                )),
-                                |c| c.key().as_words() == key.words()
-                            ),
-                            Some(id),
-                            "amalgam tag {tag:#x} of {base:?} names two configurations"
+        family.for_each_passing(guard, decided, &combined, |mask, cand| {
+            // `RelConfig` hashes as its packed key, or else its key hash
+            // (see its `Hash` impl).
+            let (hash, packed) = if has_keys {
+                let packed = keys.key(mask);
+                (probe_hash(&packed), Some(packed))
+            } else {
+                let hash = encode_generated_relational(cand.get(), new_points, &mut key);
+                (probe_hash(&hash), None)
+            };
+            let same = |c: &RelConfig| match packed {
+                Some(packed) => c.packed() == Some(packed) && c.pointed.points.len() == k_new,
+                None => c.key().as_words() == key.words(),
+            };
+            if let Some(id) = known.lookup_with(hash, same) {
+                debug_assert!(
+                    packed.is_none() || {
+                        encode_generated_relational(
+                            cand.copy_into(&mut recheck),
+                            new_points,
+                            &mut recheck_key,
                         );
-                        push_id(&mut out, id);
-                        return ControlFlow::Continue(());
-                    }
-                }
-                let s = cand.get();
-                // `RelConfig` hashes as its key hash (see its `Hash` impl).
-                let hash = probe_hash(&encode_generated_relational(s, new_points, &mut key));
-                let words = key.words();
-                let same_key = |c: &RelConfig| c.key().as_words() == words;
-                if let Some(id) = known.lookup_with(hash, same_key) {
-                    if let Some((memo, tag)) = memo_slot {
-                        memo.insert(tag, id);
-                    }
-                    push_id(&mut out, id);
-                    return ControlFlow::Continue(());
-                }
-                let is_fresh_dup = |entry: &Resolved<RelConfig>| {
-                    matches!(entry, Resolved::Fresh(c, h) if *h == hash && same_key(c))
-                };
-                let dup = match fresh_at.get(&hash) {
-                    None => false,
-                    // A different key under the same hash is a collision:
-                    // fall back to scanning every fresh entry.
-                    Some(&at) => is_fresh_dup(&out[at]) || out.iter().any(is_fresh_dup),
-                };
-                if !dup {
-                    fresh_at.entry(hash).or_insert(out.len());
-                    out.push(Resolved::Fresh(
-                        Box::new(RelConfig::generated_by(s, new_points)),
-                        hash,
-                    ));
-                }
-                ControlFlow::Continue(())
-            })
+                        known.get(id).key().as_words() == recheck_key.words()
+                    },
+                    "packed key {packed:?} over {base:?} names two configurations"
+                );
+                push_id(&mut out, id);
+                return ControlFlow::Continue(());
+            }
+            let is_fresh_dup = |entry: &Resolved<RelConfig>| {
+                matches!(entry, Resolved::Fresh(c, h) if *h == hash && same(c))
+            };
+            let dup = match fresh_at.get(&hash) {
+                None => false,
+                // A different key under the same hash is a collision:
+                // fall back to scanning every fresh entry.
+                Some(&at) => is_fresh_dup(&out[at]) || out.iter().any(is_fresh_dup),
+            };
+            if !dup {
+                let next = RelConfig::generated_by(cand.get(), new_points);
+                debug_assert_eq!(next.packed(), packed, "{next:?}");
+                fresh_at.entry(hash).or_insert(out.len());
+                out.push(Resolved::Fresh(Box::new(next), hash));
+            }
+            ControlFlow::Continue(())
+        })
     });
     out
 }
 
 /// Visits the candidates of [`AmalgamClass::for_each_amalgam`] one at a
-/// time ([`Family::for_each`]), each with its new points and tag.
+/// time ([`Family::for_each`]), each with its new points.
 pub fn for_each_candidate<C: AmalgamClass + ?Sized>(
     class: &C,
     base: &Pointed,
     k_new: usize,
     hints: &GuardHints,
-    mut f: impl FnMut(&Structure, &[Element], Option<u64>) -> ControlFlow<()>,
+    mut f: impl FnMut(&Structure, &[Element]) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     class.for_each_amalgam(base, k_new, hints, &mut |family| {
         let new_points = family.new_points;
-        family.for_each(|s, tag| f(s, new_points, tag))
+        family.for_each(|s, _| f(s, new_points))
     })
 }
 
@@ -1070,7 +1080,7 @@ pub(crate) fn collect_amalgams<C: AmalgamClass>(
     hints: &GuardHints,
 ) -> Vec<Pointed> {
     let mut out = Vec::new();
-    let _ = for_each_candidate(class, base, base.points.len(), hints, |s, points, _| {
+    let _ = for_each_candidate(class, base, base.points.len(), hints, |s, points| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });

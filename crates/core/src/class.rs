@@ -3,7 +3,7 @@
 use crate::intern::{Interner, Resolved};
 use dds_structure::{
     canonicalize_generated_relational, canonicalize_pointed, CanonicalKey, Element, Schema,
-    Structure,
+    Structure, SymbolId,
 };
 use dds_system::{Run, StateId, System};
 use std::fmt;
@@ -59,25 +59,28 @@ impl Pointed {
 
 /// A canonical small configuration over a relational-style class: the
 /// canonical representative of a pointed structure (over the class's
-/// *internal* schema, e.g. the colored lift for `HOM`), hashed by canonical
-/// key.
+/// *internal* schema, e.g. the colored lift for `HOM`), hashed by its
+/// packed key when it has one and by its canonical key otherwise.
 #[derive(Clone)]
 pub struct RelConfig {
     /// Canonical representative (elements renumbered canonically).
     pub pointed: Pointed,
     key: CanonicalKey,
+    packed: Option<u64>,
 }
 
 impl RelConfig {
     /// Canonicalizes a pointed structure (must be generated by its points).
     pub fn canonical(p: &Pointed) -> RelConfig {
         let (s, points, key) = canonicalize_pointed(&p.structure, &p.points);
+        let packed = packed_key(&s, &points);
         RelConfig {
             pointed: Pointed {
                 structure: s,
                 points,
             },
             key,
+            packed,
         }
     }
 
@@ -90,12 +93,14 @@ impl RelConfig {
     /// Panics when the schema has function symbols.
     pub fn generated_by(s: &Structure, points: &[Element]) -> RelConfig {
         let (s, points, key) = canonicalize_generated_relational(s, points);
+        let packed = packed_key(&s, &points);
         RelConfig {
             pointed: Pointed {
                 structure: s,
                 points,
             },
             key,
+            packed,
         }
     }
 
@@ -109,6 +114,12 @@ impl RelConfig {
     pub fn key_hash(&self) -> u64 {
         self.key.hash64()
     }
+
+    /// The packed key ([`packed_key`]), when the configuration's layout fits
+    /// in 64 bits.
+    pub fn packed(&self) -> Option<u64> {
+        self.packed
+    }
 }
 
 impl PartialEq for RelConfig {
@@ -118,12 +129,109 @@ impl PartialEq for RelConfig {
 }
 impl Eq for RelConfig {}
 impl Hash for RelConfig {
-    /// Feeds the key hash as a single `u64`, so the interner's probe hash
-    /// of a configuration equals that of its [`RelConfig::key_hash`] —
-    /// which is how successors are probed before they are built.
+    /// Feeds one `u64`, the packed key or else the key hash, so the
+    /// interner's probe hash of a configuration is that of the word — which
+    /// is how successors are probed before they are built. Whether a
+    /// configuration has a packed key depends only on its register count,
+    /// its number of distinct points and its schema, so every candidate
+    /// generating it is probed the same way.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key_hash().hash(state);
+        self.packed.unwrap_or_else(|| self.key_hash()).hash(state);
     }
+}
+
+/// Where a packed key keeps its fields, for configurations over one schema
+/// with `k` points of which `n` are distinct (see [`packed_key`]).
+#[derive(Clone, Debug)]
+pub(crate) struct PackedLayout {
+    /// Bits per register in the pattern field.
+    pattern_bits: u32,
+    /// Per relation (by symbol index), the bit of its first tuple.
+    offsets: Vec<u32>,
+    n: u64,
+}
+
+impl PackedLayout {
+    /// The layout, or `None` when it does not fit in 64 bits or the schema
+    /// has function symbols.
+    pub(crate) fn new(schema: &Schema, k: usize, n: usize) -> Option<PackedLayout> {
+        if !schema.is_relational() {
+            return None;
+        }
+        let pattern_bits = usize::BITS - k.saturating_sub(1).leading_zeros();
+        let mut width = u64::from(pattern_bits) * k as u64;
+        let mut offsets = Vec::with_capacity(schema.len());
+        for r in schema.relations() {
+            offsets.push(width as u32);
+            width = (n as u64)
+                .checked_pow(u32::try_from(schema.arity(r)).ok()?)
+                .and_then(|tuples| width.checked_add(tuples))
+                .filter(|&w| w <= 64)?;
+        }
+        Some(PackedLayout {
+            pattern_bits,
+            offsets,
+            n: n as u64,
+        })
+    }
+
+    /// The packed key of the configuration `points` generate in `s`, where
+    /// `numbered` lists the distinct points ([`point_numbers`]).
+    pub(crate) fn key(&self, s: &Structure, points: &[Element], numbered: &[Element]) -> u64 {
+        let mut key = 0;
+        for (i, p) in points.iter().enumerate() {
+            let num = numbered.iter().position(|u| u == p).expect("a point");
+            key |= (num as u64) << (i as u32 * self.pattern_bits);
+        }
+        for r in s.schema().relations() {
+            for t in s.rel_tuples(r) {
+                key |= self.fact_bit(r, t, numbered);
+            }
+        }
+        key
+    }
+
+    /// The bit of the fact `rel(tuple)`: the tuple's rank among `rel`'s
+    /// tuples, its elements' positions in `numbered` read as a base-`n`
+    /// number. 0 when an element of the tuple is not numbered.
+    pub(crate) fn fact_bit(&self, rel: SymbolId, tuple: &[Element], numbered: &[Element]) -> u64 {
+        let mut rank = 0;
+        for e in tuple {
+            match numbered.iter().position(|u| u == e) {
+                Some(num) => rank = rank * self.n + num as u64,
+                None => return 0,
+            }
+        }
+        1 << (u64::from(self.offsets[rel.index()]) + rank)
+    }
+}
+
+/// The distinct elements of `points` in first-occurrence order: an
+/// element's position is its number in a packed key.
+pub(crate) fn point_numbers(points: &[Element], out: &mut Vec<Element>) {
+    out.clear();
+    for &p in points {
+        if !out.contains(&p) {
+            out.push(p);
+        }
+    }
+}
+
+/// The *packed key* of the configuration `points` generate in the
+/// relational structure `s`: the substructure induced on the points, with
+/// each point numbered by its first occurrence among them. A pattern field
+/// holds each register's number, and one bit per tuple over the numbers
+/// (per relation, in schema order) tells whether the fact holds. `None`
+/// when that does not fit in 64 bits.
+///
+/// Two configurations with the same number of points have equal packed
+/// keys exactly when they are equal: the numbering is forced by the
+/// points, so the key is a canonical form.
+pub fn packed_key(s: &Structure, points: &[Element]) -> Option<u64> {
+    let mut numbered = Vec::with_capacity(points.len());
+    point_numbers(points, &mut numbered);
+    let layout = PackedLayout::new(s.schema(), points.len(), numbered.len())?;
+    Some(layout.key(s, points, &numbered))
 }
 impl fmt::Debug for RelConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -278,15 +386,18 @@ mod tests {
     }
 
     #[test]
-    fn rel_config_probe_hash_is_that_of_its_key_hash() {
+    fn rel_config_probe_hash_is_that_of_its_packed_key() {
         let mut s = Schema::new();
         let e = s.add_relation("E", 2).unwrap();
         let mut g = Structure::new(s.finish(), 2);
         g.add_fact(e, &[Element(1), Element(0)]).unwrap();
         let cfg = RelConfig::generated_by(&g, &[Element(1), Element(0)]);
+        // Pattern `[0, 1]` (one bit per register), then `E` over numbers
+        // `{0, 1}`: the fact `E(0, 1)` of the renumbered points is tuple 1.
+        assert_eq!(cfg.packed(), Some(0b10 | 1 << (2 + 1)));
         assert_eq!(
             Interner::hash_value(&cfg),
-            crate::intern::probe_hash(&cfg.key_hash())
+            crate::intern::probe_hash(&cfg.packed().unwrap())
         );
         // Boxing `Fresh` keeps resolved successor lists compact.
         assert_eq!(std::mem::size_of::<Resolved<RelConfig>>(), 16);

@@ -31,8 +31,8 @@
 //! block extensions and the interleavings of fresh elements into the chain.
 
 use crate::amalgam::{
-    field_bits, for_each_candidate, project_structure, reset_extended, tag_field, AmalgamClass,
-    AmalgamVisitor, Family, GuardHints,
+    for_each_candidate, project_structure, reset_extended, AmalgamClass, AmalgamVisitor, Family,
+    GuardHints,
 };
 use crate::class::Pointed;
 use crate::free::FreeRelationalClass;
@@ -378,13 +378,6 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         // The data extensions of the old classes by `extra` fresh elements,
         // computed once per `extra` (at most `k_new`).
         let mut extensions: Vec<Option<Vec<Vec<usize>>>> = vec![None; k_new + 1];
-        // Tag: the inner tag, then the data extension, in the low `dbits`
-        // bits. Each fresh element ties with or goes next to one of at most
-        // `m_old + k_new` classes, so an extension index stays below
-        // `(2 (m_old + k_new) + 1)^k_new`.
-        let dbits = (2 * (m_old + k_new) + 1)
-            .checked_pow(k_new as u32)
-            .map_or(u64::BITS, field_bits);
         // The base is a member and both coordinates freeze the old elements,
         // so `with_data(inner, classes)` is the base plus the inner and data
         // facts that involve a fresh element. `lifted` holds the base plus
@@ -396,7 +389,7 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
             &base_inner,
             k_new,
             &inner_hints,
-            |inner, points, inner_tag| {
+            |inner, points| {
                 let extra = inner.size() - m_old;
                 reset_extended(&mut lifted, &base.structure, extra);
                 for r in inner.schema().relations() {
@@ -409,13 +402,10 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
                 }
                 let extensions =
                     extensions[extra].get_or_insert_with(|| self.extensions(&old_classes, extra));
-                for (di, classes) in extensions.iter().enumerate() {
+                for classes in extensions.iter() {
                     cand.clone_from(&lifted);
                     self.add_data_facts(&mut cand, classes, m_old);
-                    let tag = inner_tag
-                        .filter(|_| field_bits(di + 1) <= dbits)
-                        .and_then(|inner_tag| tag_field(di as u64, dbits, inner_tag));
-                    f(&mut Family::single(&mut cand, points, tag))?;
+                    f(&mut Family::single(&mut cand, points))?;
                 }
                 ControlFlow::Continue(())
             },

@@ -62,11 +62,11 @@
 //!   a known id or a fresh configuration with its precomputed hash, and
 //!   the relational classes build a configuration only for a key the
 //!   interner lacks. The interner also carries one successor memo per
-//!   configuration (amalgam tag → id, [`Interner::memo`]), each behind its
-//!   own mutex, so workers expanding one configuration under different
-//!   guards share its resolutions; an entry is a pure function of the
-//!   configuration and the tag, so which worker fills it first cannot
-//!   change a list. The coordinator's merge interns the fresh entries in
+//!   configuration (residual guard → successor ids, [`Interner::memo`]),
+//!   each behind its own mutex, so workers expanding one configuration
+//!   under guards that differ only in what it decides share one list; an
+//!   entry is a pure function of the configuration and the residual, so
+//!   which worker fills it first cannot change a list. The coordinator's merge interns the fresh entries in
 //!   list order and probes the visited bitmaps with the resulting ids,
 //!   exactly as it does inline. Because the merge replays tasks in arena
 //!   order and ids are assigned at insertion, the id sequence — and

@@ -22,8 +22,8 @@
 //! walks as masks.
 
 use crate::amalgam::{
-    field_bits, fill_combined, hint_tuples, internal_new_tuples, placement_contexts,
-    reset_extended, AmalgamClass, AmalgamVisitor, FactMask, Family, GuardHints,
+    fill_combined, hint_tuples, internal_new_tuples, placement_contexts, reset_extended,
+    AmalgamClass, AmalgamVisitor, Family, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::enumerate::StructureIter;
@@ -72,10 +72,8 @@ impl AmalgamClass for FreeRelationalClass {
     ) -> ControlFlow<()> {
         let mut cand = base.structure.clone();
         let placements = placement_contexts(base.structure.size(), k_new);
-        let pbits = field_bits(placements.len());
-        let mut mask = FactMask::default();
         let (mut combined, mut np_universe, mut optional) = (Vec::new(), Vec::new(), Vec::new());
-        for (pi, ctx) in placements.iter().enumerate() {
+        for ctx in placements.iter() {
             fill_combined(&mut combined, &base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
@@ -100,21 +98,10 @@ impl AmalgamClass for FreeRelationalClass {
             optional.dedup();
             reset_extended(&mut cand, &base.structure, ctx.fresh.len());
             if forced.apply(&mut optional, &mut cand) {
-                // Tag: the placement, then which facts among the new points
-                // the candidate has.
-                let tags = mask.tags(
-                    &self.schema,
-                    self.schema.relations(),
-                    &np_universe,
-                    (pi as u64, pbits),
-                    forced.on(),
-                    &optional,
-                );
                 f(&mut Family {
                     cand: &mut cand,
                     new_points: &ctx.new_points,
                     optional: &optional,
-                    tags,
                 })?;
             }
         }

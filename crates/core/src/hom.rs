@@ -23,8 +23,8 @@
 //! homomorphism search of `dds-structure`).
 
 use crate::amalgam::{
-    field_bits, fill_combined, hint_tuples, internal_new_tuples, placement_contexts,
-    reset_extended, tag_field, AmalgamClass, AmalgamVisitor, FactMask, Family, GuardHints,
+    fill_combined, hint_tuples, internal_new_tuples, placement_contexts, reset_extended,
+    AmalgamClass, AmalgamVisitor, Family, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -228,14 +228,12 @@ impl AmalgamClass for HomClass {
             .collect();
         let mut cand = base.structure.clone();
         let placements = placement_contexts(base.structure.size(), k_new);
-        let pbits = field_bits(placements.len());
-        let mut mask = FactMask::default();
         // The colorings of `j` fresh elements, computed once per `j`.
         let mut colorings_of: Vec<Option<Vec<Vec<usize>>>> = vec![None; k_new + 1];
         let mut colors = base_colors.clone();
         let (mut combined, mut np_universe) = (Vec::new(), Vec::new());
         let (mut sigma_tuples, mut optional) = (Vec::new(), Vec::new());
-        for (pi, ctx) in placements.iter().enumerate() {
+        for ctx in placements.iter() {
             fill_combined(&mut combined, &base.points, &ctx.new_points);
             if !hints.placement_allows(&combined) {
                 continue;
@@ -262,8 +260,7 @@ impl AmalgamClass for HomClass {
             sigma_tuples.dedup();
             let colorings = colorings_of[ctx.fresh.len()]
                 .get_or_insert_with(|| color_vectors(ctx.fresh.len(), nh));
-            let cbits = field_bits(colorings.len());
-            for (ci, fresh_colors) in colorings.iter().enumerate() {
+            for fresh_colors in colorings.iter() {
                 colors.truncate(base_colors.len());
                 colors.extend_from_slice(fresh_colors);
                 // Optional facts: only color-compatible σ-tuples (others can
@@ -283,23 +280,10 @@ impl AmalgamClass for HomClass {
                 // A forced-on fact missing from `optional` is
                 // color-incompatible: no member of this coloring has it.
                 if forced.apply(&mut optional, &mut cand) {
-                    // Tag: the placement, the fresh coloring, then which
-                    // σ-facts among the new points the candidate has.
-                    let tags = tag_field(pi as u64, pbits, ci as u64).and_then(|head| {
-                        mask.tags(
-                            &self.internal,
-                            self.sigma.iter().copied(),
-                            &np_universe,
-                            (head, pbits + cbits),
-                            forced.on(),
-                            &optional,
-                        )
-                    });
                     f(&mut Family {
                         cand: &mut cand,
                         new_points: &ctx.new_points,
                         optional: &optional,
-                        tags,
                     })?;
                 }
             }

@@ -17,32 +17,38 @@
 //! Ids are assigned in insertion order, so the same stream of values always
 //! yields the same ids, whichever entry points interned them.
 //!
-//! Hashes are computed once per configuration with the standard library's
-//! [`DefaultHasher`] (`probe_hash`), which is deterministic for a fixed
-//! Rust release (and [`crate::RelConfig`] feeds it a single precomputed word
-//! from [`dds_structure::CanonicalKey::hash64`], so the per-probe cost is
-//! flat). [`Interner::lookup_with`] probes by hash and predicate, so a class
-//! can ask whether a successor is interned before it builds the value; the
-//! answer comes back as a [`Resolved`] entry, and the `*_prehashed` entry
-//! points intern the fresh ones without re-hashing. Lookups take `&self`,
-//! so many threads may probe the same interner at once.
+//! Hashes are computed once per configuration (`probe_hash`): a value that
+//! hashes as one `u64` word — [`crate::RelConfig`] feeds its packed key, or
+//! else the precomputed [`dds_structure::CanonicalKey::hash64`] — gets that
+//! word through a multiply-xorshift finalizer, anything else the standard
+//! library's [`DefaultHasher`], which is deterministic for a fixed Rust
+//! release. [`Interner::lookup_with`] probes by hash and predicate, so a
+//! class can ask whether a successor is interned before it builds the
+//! value, by nothing more than its packed key; the answer comes back as a
+//! [`Resolved`] entry, and the `*_prehashed` entry points intern the fresh
+//! ones without re-hashing. Lookups take `&self`, so many threads may probe
+//! the same interner at once.
 //!
 //! Next to each value sits its *successor memo* ([`Interner::memo`]): a map
-//! from a guard-independent amalgam tag to the id of the successor that
-//! amalgam of the value resolves to (see [`crate::amalgam`]). It lives
-//! here, not in the class or the engine, because its entries are ids of
-//! this interner: it is created with the value, lives exactly as long as
-//! the search, and moves into a parallel layer's epoch with the interner.
-//! Each memo sits behind its own [`Mutex`], so workers resolving different
-//! configurations never contend, and an entry is a pure function of the
-//! value and the tag, so any fill order yields the same lookups.
+//! from a guard specialised to the value (its residual, see
+//! [`crate::amalgam::residual`]) to the ids of the value's successors under
+//! it. It lives here, not in the class or the engine, because its entries
+//! are ids of this interner: it is created with the value, lives exactly
+//! as long as the search, and moves into a parallel layer's epoch with the
+//! interner. A successor computation takes its list once, before it
+//! enumerates anything, and keeps a list only when every successor was
+//! already interned. Each memo sits behind its own [`Mutex`], so workers
+//! resolving different configurations never contend, and an entry is a
+//! pure function of the value and the residual, so any fill order yields
+//! the same lookups.
 //!
 //! [`DefaultHasher`]: std::collections::hash_map::DefaultHasher
 
+use dds_logic::Formula;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Dense identifier of an interned configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,19 +75,70 @@ pub enum Resolved<Cfg> {
     Fresh(Box<Cfg>, u64),
 }
 
-/// The deterministic 64-bit hash the interner files a value under: the
-/// standard library's [`DefaultHasher`] over the value's [`Hash`] input.
-/// A value that hashes as a single `u64` (such as [`crate::RelConfig`],
-/// which feeds its key hash) gets the hash of that word, so callers holding
-/// only the word can compute the probe hash without the value.
+/// The deterministic 64-bit hash the interner files a value under. A value
+/// that hashes as a single `u64` (such as [`crate::RelConfig`], which feeds
+/// its packed key or key hash) gets that word through a multiply-xorshift
+/// finalizer, so callers holding only the word can compute the probe hash
+/// without the value, in a few instructions. Any other input goes through
+/// the standard library's [`DefaultHasher`].
 pub(crate) fn probe_hash<V: Hash + ?Sized>(value: &V) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = ProbeHasher::default();
     value.hash(&mut h);
     h.finish()
 }
 
-/// A cheap hasher for keys that are already one machine word (amalgam tags,
-/// probe hashes): a multiply and a fold, deterministic on every platform.
+/// [`probe_hash`]'s hasher: holds a first `u64` word and starts a
+/// [`DefaultHasher`] only when more input follows.
+#[derive(Default)]
+struct ProbeHasher {
+    word: Option<u64>,
+    sip: Option<DefaultHasher>,
+}
+
+impl ProbeHasher {
+    fn sip(&mut self) -> &mut DefaultHasher {
+        let word = self.word.take();
+        self.sip.get_or_insert_with(|| {
+            let mut sip = DefaultHasher::new();
+            if let Some(word) = word {
+                sip.write_u64(word);
+            }
+            sip
+        })
+    }
+}
+
+impl Hasher for ProbeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.sip().write(bytes);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        if self.word.is_none() && self.sip.is_none() {
+            self.word = Some(x);
+        } else {
+            self.sip().write_u64(x);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        match (&self.sip, self.word) {
+            (Some(sip), _) => sip.finish(),
+            (None, Some(mut x)) => {
+                // MurmurHash3's 64-bit finalizer.
+                x ^= x >> 33;
+                x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+                x ^= x >> 33;
+                x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+                x ^ x >> 33
+            }
+            (None, None) => DefaultHasher::new().finish(),
+        }
+    }
+}
+
+/// A cheap hasher for keys that are already one machine word (probe
+/// hashes): a multiply and a fold, deterministic on every platform.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WordHasher(u64);
 
@@ -105,9 +162,9 @@ impl Hasher for WordHasher {
 /// [`std::collections::HashMap`] state for [`WordHasher`].
 pub type BuildWordHasher = BuildHasherDefault<WordHasher>;
 
-/// A value's successor memo: amalgam tag → id of the successor that amalgam
-/// resolves to (see the module docs).
-pub type SuccessorMemo = HashMap<u64, ConfigId, BuildWordHasher>;
+/// A value's successor memo: residual guard → the ids of the value's
+/// successors under it (see the module docs).
+pub type SuccessorMemo = HashMap<Formula, Arc<[ConfigId]>>;
 
 const EMPTY: u32 = u32::MAX;
 
@@ -333,19 +390,77 @@ mod tests {
         assert_eq!(it.lookup_with(7, |v| v == "gamma"), None);
     }
 
+    /// Guards that differ only in atoms over old registers have one
+    /// residual on a configuration, so they share its memo entry; a guard
+    /// the configuration falsifies keeps nothing; and the memo stays with
+    /// its value while the table grows.
     #[test]
-    fn each_value_has_its_own_memo() {
-        let mut it: Interner<u64> = Interner::new();
-        let (a, _) = it.intern(10);
-        let (b, _) = it.intern(20);
-        it.memo(a).insert(3, b);
-        assert_eq!(it.memo(a).get(&3), Some(&b));
-        assert!(it.memo(b).is_empty());
-        // Growing the table keeps every memo with its value.
-        for v in 0..100u64 {
-            it.intern(v);
+    fn guards_with_one_residual_share_a_memo_entry() {
+        use crate::class::{RelConfig, SymbolicClass};
+        use crate::free::FreeRelationalClass;
+        use dds_structure::{Element, Schema, Structure};
+        use dds_system::{new_var, old_var};
+
+        let mut sc = Schema::new();
+        let e = sc.add_relation("E", 2).unwrap();
+        let class = FreeRelationalClass::new(sc.finish());
+        let mut known: Interner<RelConfig> = Interner::new();
+        for cfg in class.initial_configs(1) {
+            known.intern(cfg);
         }
-        assert_eq!(it.memo(a).get(&3), Some(&b));
+        let (bare, looped) = {
+            let mut ids = known
+                .iter()
+                .map(|(id, c)| (c.pointed.structure.fact_count(), id));
+            let (a, b) = (ids.next().unwrap(), ids.next().unwrap());
+            if a.0 == 0 {
+                (a.1, b.1)
+            } else {
+                (b.1, a.1)
+            }
+        };
+        let cfg = known.get(bare).clone();
+        let ids = |guard: &Formula| -> Vec<ConfigId> {
+            class
+                .successors(&cfg, guard, &known)
+                .into_iter()
+                .map(|entry| match entry {
+                    Resolved::Interned(id) => id,
+                    Resolved::Fresh(..) => panic!("every 1-generated configuration is interned"),
+                })
+                .collect()
+        };
+        let edge = Formula::rel_vars(e, &[old_var(0), new_var(0)]);
+        let self_loop = Formula::rel_vars(e, &[old_var(0), old_var(0)]);
+        let first = ids(&edge);
+        assert_eq!(first.len(), 2);
+        assert_eq!(known.memo(bare).len(), 1);
+        assert_eq!(
+            known.memo(bare).get(&edge).map(|l| l.to_vec()),
+            Some(first.clone())
+        );
+        // `E(x_old, x_old)` is false on `bare`: the disjunction's residual
+        // is `edge`, answered from its entry.
+        assert_eq!(
+            ids(&Formula::or(vec![self_loop.clone(), edge.clone()])),
+            first
+        );
+        assert_eq!(known.memo(bare).len(), 1);
+        // The conjunction's residual is `false`: no successors, no entry.
+        assert!(ids(&Formula::and(vec![self_loop, edge.clone()])).is_empty());
+        assert_eq!(known.memo(bare).len(), 1);
+        assert!(known.memo(looped).is_empty());
+        // Growing the table keeps every memo with its value.
+        let points: Vec<Element> = (0..7).map(Element::from_index).collect();
+        for v in 0..100u64 {
+            let mut g = Structure::new(cfg.pointed.structure.schema().clone(), 7);
+            for &p in points.iter().filter(|p| v >> p.index() & 1 == 1) {
+                g.add_fact(e, &[p, p]).unwrap();
+            }
+            known.intern(RelConfig::generated_by(&g, &points));
+        }
+        assert_eq!(known.len(), 102);
+        assert_eq!(known.memo(bare).get(&edge).map(|l| l.to_vec()), Some(first));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::scenario::{Built, Scenario, ScenarioClass};
 use crate::AnyClass;
-use dds_core::amalgam::point_patterns;
+use dds_core::amalgam::{point_patterns, project_structure};
 use dds_core::data::DataKind;
 use dds_core::{DataSpec, Engine, EngineOptions, Outcome, SymbolicClass};
 use dds_reductions::words_succ;
@@ -131,8 +131,13 @@ pub fn check_built(sc: &Scenario, built: &Built, opts: &DiffOptions) -> Result<D
                         is_data_relation(c.spec(), db) && is_data_relation(c.inner().spec(), db)
                     })
                 }
-                AnyClass::DataHom(_) => {
-                    Err("data over hom is never generated and has no baseline".into())
+                AnyClass::DataHom(c) => {
+                    let four = four_way(c, system, opts)?;
+                    let sigma = c.inner().template().schema();
+                    finish_relational(four, system, opts, |db| {
+                        is_data_relation(c.spec(), db)
+                            && c.inner().maps_into_template(&project_structure(db, sigma))
+                    })
                 }
                 AnyClass::Counter(_) => unreachable!("handled above"),
             }

@@ -385,10 +385,11 @@ fn gen_trees(rng: &mut FuzzRng) -> ScenarioClass {
 }
 
 fn gen_data(rng: &mut FuzzRng) -> ScenarioClass {
-    let inner = match rng.below(3) {
+    let inner = match rng.below(4) {
         0 => gen_free(rng),
         1 => ScenarioClass::Equivalence,
-        _ => ScenarioClass::LinearOrder,
+        2 => ScenarioClass::LinearOrder,
+        _ => gen_hom(rng),
     };
     // `⊗/⊙ ⟨ℕ,=⟩` compares with `~`, which the equivalence class already
     // claims for itself — only the rational-order products compose with it.

@@ -223,7 +223,7 @@ pub enum ScenarioClass {
     Words(WordsDecl),
     /// Regular tree languages.
     Trees(TreesDecl),
-    /// A data product over an inner class (free / equivalence /
+    /// A data product over an inner class (free / `HOM` / equivalence /
     /// linear-order).
     Data {
         /// The homogeneous value structure.
@@ -278,8 +278,7 @@ pub struct Scenario {
 /// machines, whose `bounded-halt` check needs no guards).
 #[derive(Debug)]
 pub struct Built {
-    /// The class (never [`AnyClass::DataHom`]: the generator does not
-    /// emit data products over `HOM(H)`).
+    /// The class.
     pub class: AnyClass,
     /// The system, built through [`SystemBuilder`].
     pub system: Option<System>,
@@ -338,6 +337,7 @@ impl Scenario {
                 let spec = values.spec();
                 match self.build_class(inner)? {
                     AnyClass::Free(c) => AnyClass::DataFree(DataClass::new(c, spec)),
+                    AnyClass::Hom(c) => AnyClass::DataHom(DataClass::new(c, spec)),
                     AnyClass::Equiv(c) => AnyClass::DataEquiv(DataClass::new(c, spec)),
                     AnyClass::Order(c) => AnyClass::DataOrder(DataClass::new(c, spec)),
                     other => return Err(format!("data product over unsupported class {other:?}")),

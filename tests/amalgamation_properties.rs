@@ -4,13 +4,17 @@
 //! oracles pin the streaming successor path to the plain definition: the
 //! one-pass canonicalization and the words-only key encoder against
 //! `generated()` + `RelConfig::canonical`; `transitions` and the
-//! interner-resolving `successors` (cold, and against warm successor memos)
-//! against a reference built from those over the spec corpora; and the
-//! amalgam tag contract — equal tags, equal key words — over the same
-//! corpora. A fourth pins the guard evaluator the successor search decides
-//! families with (`eval_with`) to `eval`.
+//! interner-resolving `successors` (cold, seeded, warm, from the
+//! per-configuration memo, and under the residual guard) against a
+//! reference built from those under the original guard over the spec
+//! corpora; and the packed-key contract — a candidate's per-family packed
+//! key is that of the configuration it generates — over the same corpora.
+//! A fourth pins the guard evaluator the successor search decides families
+//! with (`eval_with`) to `eval`.
 
-use dds::core::amalgam::{combined_valuation, for_each_candidate, translate_formula, GuardHints};
+use dds::core::amalgam::{
+    combined_valuation, for_each_candidate, residual, translate_formula, FamilyKeys, GuardHints,
+};
 use dds::core::intern::Resolved;
 use dds::core::{AmalgamClass, Interner, Pointed, RelConfig};
 use dds::logic::eval::{eval, eval_with, is_local};
@@ -28,7 +32,7 @@ use std::path::{Path, PathBuf};
 fn amalgams<C: AmalgamClass>(class: &C, base: &Pointed) -> Vec<Pointed> {
     let mut out = Vec::new();
     let k = base.points.len();
-    let _ = for_each_candidate(class, base, k, &GuardHints::default(), |s, points, _| {
+    let _ = for_each_candidate(class, base, k, &GuardHints::default(), |s, points| {
         out.push(Pointed::new(s.clone(), points.to_vec()));
         ControlFlow::Continue(())
     });
@@ -264,7 +268,7 @@ fn reference_transitions<C: AmalgamClass>(
     let mut seen = HashSet::new();
     let mut out = Vec::new();
     let k = cfg.pointed.points.len();
-    let _ = for_each_candidate(class, &cfg.pointed, k, &hints, |s, points, _| {
+    let _ = for_each_candidate(class, &cfg.pointed, k, &hints, |s, points| {
         let combined = combined_valuation(&cfg.pointed.points, points);
         if dds::logic::eval::eval(&guard, s, &combined).unwrap_or(false) {
             let next = RelConfig::canonical(&Pointed::new(s.clone(), points.to_vec()).generated());
@@ -294,46 +298,43 @@ fn unresolve(entries: Vec<Resolved<RelConfig>>, known: &Interner<RelConfig>) -> 
         .collect()
 }
 
-/// Checks the amalgam tag contract on `cfg`: over the default hints and
-/// the hints of every guard in `guards`, candidates with equal tags have
-/// the same new points and equal key words. Returns how many candidates
-/// had no tag.
-fn check_tags<C: AmalgamClass>(
+/// Checks the packed-key contract on `cfg`: over the default hints and
+/// the hints of every guard in `guards` and of its residual on `cfg`, each
+/// candidate's packed key, as the successor search computes it per family
+/// ([`FamilyKeys`]), is the packed key of the configuration it generates,
+/// and is missing exactly when that one has none. Returns how many
+/// candidates of the default and guard hints had no packed key.
+fn check_packed_keys<C: AmalgamClass>(
     class: &C,
     cfg: &RelConfig,
     guards: &[Formula],
     label: &str,
 ) -> usize {
-    let mut named: HashMap<u64, (Vec<Element>, Vec<u64>)> = HashMap::new();
-    let mut untagged = 0;
-    let mut key = KeyScratch::default();
-    let hints = std::iter::once(GuardHints::default()).chain(guards.iter().map(|g| {
-        GuardHints::of(&translate_formula(
-            g,
-            class.public_schema(),
-            class.internal_schema(),
-        ))
-    }));
+    let mut unpacked = 0;
     let k = cfg.pointed.points.len();
-    for hints in hints {
-        let _ = for_each_candidate(class, &cfg.pointed, k, &hints, |s, points, tag| {
-            let Some(tag) = tag else {
-                untagged += 1;
-                return ControlFlow::Continue(());
-            };
-            encode_generated_relational(s, points, &mut key);
-            let first = named
-                .entry(tag)
-                .or_insert_with(|| (points.to_vec(), key.words().to_vec()));
-            assert_eq!(
-                (first.0.as_slice(), first.1.as_slice()),
-                (points, key.words()),
-                "{label}: tag {tag:#x} of {cfg:?} names two candidates"
-            );
-            ControlFlow::Continue(())
+    let mut keys = FamilyKeys::new(class.internal_schema(), k);
+    let internal = guards.iter().flat_map(|g| {
+        let g = translate_formula(g, class.public_schema(), class.internal_schema());
+        [(residual(g.clone(), &cfg.pointed), false), (g, true)]
+    });
+    for (guard, counted) in std::iter::once((Formula::True, true)).chain(internal) {
+        let _ = class.for_each_amalgam(&cfg.pointed, k, &GuardHints::of(&guard), &mut |family| {
+            let packed = keys.prepare(family);
+            let new_points = family.new_points;
+            family.for_each(|s, mask| {
+                let next = RelConfig::generated_by(s, new_points);
+                let key = packed.then(|| keys.key(mask));
+                assert_eq!(
+                    key,
+                    next.packed(),
+                    "{label}: packed key of a candidate over {cfg:?} generating {next:?}"
+                );
+                unpacked += usize::from(counted && key.is_none());
+                ControlFlow::Continue(())
+            })
         });
     }
-    untagged
+    unpacked
 }
 
 /// What [`check_transitions`] checked.
@@ -341,8 +342,8 @@ fn check_tags<C: AmalgamClass>(
 struct Checked {
     /// `(configuration, guard)` pairs.
     pairs: usize,
-    /// Candidates without a tag.
-    untagged: usize,
+    /// Candidates without a packed key ([`check_packed_keys`]).
+    unpacked: usize,
     /// Families whose guard, evaluated on the empty subset, reads one of
     /// their optional facts: the successor search evaluates the guard on
     /// each of their candidates instead of once per family.
@@ -350,13 +351,16 @@ struct Checked {
 }
 
 /// How many of the families `successors` visits for `cfg` under `guard`
-/// have a guard that reads an optional fact on the empty subset.
+/// have a residual guard that reads an optional fact on the empty subset.
 fn families_reading_optional<C: AmalgamClass>(
     class: &C,
     cfg: &RelConfig,
     guard: &Formula,
 ) -> usize {
-    let guard = translate_formula(guard, class.public_schema(), class.internal_schema());
+    let guard = residual(
+        translate_formula(guard, class.public_schema(), class.internal_schema()),
+        &cfg.pointed,
+    );
     let mut reading = 0;
     let (k, hints) = (cfg.pointed.points.len(), GuardHints::of(&guard));
     let _ = class.for_each_amalgam(&cfg.pointed, k, &hints, &mut |family| {
@@ -374,16 +378,19 @@ fn families_reading_optional<C: AmalgamClass>(
 }
 
 /// For every initial configuration × compiled rule guard of one reach
-/// system, checks against [`reference_transitions`]: `transitions`, and
-/// `successors` resolved against an empty interner, against one seeded
-/// with the initial configurations that are not successors plus every
-/// other reference successor (in reverse, so ids and list positions
-/// disagree), which mixes `Interned` and `Fresh` entries, and against one
-/// interner seeded with every initial configuration, as the engine seeds
-/// its own, that every pair resolves against in turn, so each
-/// configuration's successor memo is warm from the guards before. Lists
-/// must match in order. Also checks the tag contract ([`check_tags`]) on
-/// every initial configuration.
+/// system, checks against [`reference_transitions`] under the guard:
+/// `transitions`; `successors` under the guard resolved against an empty
+/// interner, against one seeded with the initial configurations that are
+/// not successors plus every other reference successor (in reverse, so ids
+/// and list positions disagree), which mixes `Interned` and `Fresh`
+/// entries, and against one interner seeded with every initial
+/// configuration, as the engine seeds its own; and `successors` under the
+/// guard's residual on the configuration. The warm interner is resolved
+/// against three times per pair, interning the fresh successors after the
+/// first as the engine's merge does, so the second call keeps its list in
+/// the configuration's successor memo and the third answers from it.
+/// Lists must match in order. Also checks the packed-key contract
+/// ([`check_packed_keys`]) on every initial configuration.
 fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -> Checked {
     let engine = Engine::new(class, system);
     let compiled = engine.compiled_system();
@@ -395,7 +402,7 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
     }
     let mut checked = Checked::default();
     for cfg in &initial {
-        checked.untagged += check_tags(class, cfg, &guards, label);
+        checked.unpacked += check_packed_keys(class, cfg, &guards, label);
         for guard in &guards {
             let reference = reference_transitions(class, cfg, guard);
             let keys = |v: &[RelConfig]| {
@@ -403,6 +410,10 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
                     .map(|c| (c.key().as_words().to_vec(), c.pointed.clone()))
                     .collect::<Vec<_>>()
             };
+            let internal = translate_formula(guard, class.public_schema(), class.internal_schema());
+            let specialised = residual(internal, &cfg.pointed);
+            let public =
+                translate_formula(&specialised, class.internal_schema(), class.public_schema());
             let empty = Interner::new();
             let mut seeded = Interner::new();
             for unrelated in initial.iter().rev().filter(|c| !reference.contains(c)) {
@@ -410,6 +421,10 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
             }
             for succ in reference.iter().skip(1).step_by(2).rev() {
                 seeded.intern(succ.clone());
+            }
+            let cold = unresolve(class.successors(cfg, guard, &warm), &warm);
+            for succ in &cold {
+                warm.intern(succ.clone());
             }
             for (how, got) in [
                 ("transitions", class.transitions(cfg, guard)),
@@ -421,9 +436,18 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
                     "successors (seeded interner)",
                     unresolve(class.successors(cfg, guard, &seeded), &seeded),
                 ),
+                ("successors (warm interner)", cold),
                 (
-                    "successors (warm memos)",
+                    "successors (warm interner, filling the memo)",
                     unresolve(class.successors(cfg, guard, &warm), &warm),
+                ),
+                (
+                    "successors (warm interner, from the memo)",
+                    unresolve(class.successors(cfg, guard, &warm), &warm),
+                ),
+                (
+                    "successors under the residual",
+                    unresolve(class.successors(cfg, &public, &empty), &empty),
                 ),
             ] {
                 assert_eq!(
@@ -432,6 +456,12 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
                     "{label}: {how} of {cfg:?} under {guard:?} differ",
                 );
             }
+            let id = warm.lookup(cfg).expect("an initial configuration");
+            assert_eq!(
+                warm.memo(id).contains_key(&specialised),
+                specialised != Formula::False,
+                "{label}: memo of {cfg:?} under {specialised:?}"
+            );
             checked.pairs += 1;
             checked.reading += families_reading_optional(class, cfg, guard);
         }
@@ -502,12 +532,15 @@ macro_rules! with_relational_class {
 
 /// Corpus oracle: over every relational-class spec in `specs/` and
 /// `specs/fuzz/`, `transitions` and `successors` (against an empty, a
-/// seeded and a warm interner) return exactly the reference successor
-/// list, in the same order, and equal amalgam tags name equal keys.
+/// seeded and a warm interner, from the memo, and under the residual
+/// guard) return exactly the reference successor list, in the same order,
+/// and each candidate's packed key is that of its successor.
 ///
-/// The free disjunctive-guard spec must reach the per-candidate guard
-/// evaluation of a local guard: some family of it has a guard that reads
-/// an optional fact.
+/// Every guard-passing candidate of these specs has a packed key: wider
+/// layouts are pinned by [`high_arity_relations_verify`]. The free
+/// disjunctive-guard spec must reach the per-candidate guard evaluation of
+/// a local guard: some family of it has a residual guard that reads an
+/// optional fact.
 #[test]
 fn corpus_transitions_match_the_reference() {
     let mut pairs = 0;
@@ -515,6 +548,10 @@ fn corpus_transitions_match_the_reference() {
     let specs = for_each_relational_spec(&["specs", "specs/fuzz"], |class, system, label| {
         let checked = with_relational_class!(class, |c| check_transitions(c, system, label));
         pairs += checked.pairs;
+        assert_eq!(
+            checked.unpacked, 0,
+            "{label}: candidates without a packed key"
+        );
         if checked.reading > 0 {
             reading.insert(label.rsplit('/').next().unwrap().to_owned());
         }
@@ -599,8 +636,8 @@ fn initial_key_hashes_are_distinct() {
 }
 
 /// Relations of arity 5 and 6 go through the successor oracle and verify
-/// end to end, with a certified witness; their candidates over two new
-/// points have no tag. The class is `HOM` so that the
+/// end to end, with a certified witness; their candidates over two
+/// distinct new points have no packed key. The class is `HOM` so that the
 /// initial configurations stay few: the free class would enumerate every
 /// `R/6` structure on two elements.
 #[test]
@@ -638,11 +675,17 @@ property reach {
     let Task::Reach(system) = &lowered.properties[0].task else {
         panic!("reach property expected");
     };
-    // Two new points span 2^6 + 2^5 tuples of `R` and `Q`, more than a
-    // 64-bit tag holds, so those candidates are resolved by key.
+    // Two distinct new points span 2^6 + 2^5 tuples of `R` and `Q`, more
+    // than a packed key holds, so those candidates are resolved by key
+    // words: at most the 258 candidates the earlier per-base tags left
+    // without one.
     let checked = check_transitions(class, system, "wide_arity");
     assert!(checked.pairs > 0);
-    assert!(checked.untagged > 0, "every candidate had a tag");
+    assert!(
+        (1..=258).contains(&checked.unpacked),
+        "{} candidates without a packed key",
+        checked.unpacked
+    );
     let outcome = Engine::new(class, system).run();
     assert!(outcome.is_nonempty(), "{outcome:?}");
     assert!(outcome.witness().is_some(), "witness not certified");

@@ -369,9 +369,9 @@ fn assert_macro_spec_deterministic(name: &str, expect_nonempty: bool) {
 
 /// `HOM` and data-product macro specs on the epoch path: workers resolving
 /// the guard classes of one configuration fill its successor memo
-/// concurrently, with the tags of those classes (colorings; data
-/// extensions over free-class tags), and the lists must not depend on who
-/// filled it first.
+/// concurrently, and resolve candidates by packed keys over the internal
+/// schemas of those classes (colors; data facts over the free class), and
+/// the lists must not depend on who filled it first.
 #[test]
 fn hom_and_data_macro_specs_bit_identical() {
     assert_macro_spec_deterministic("hom_chain_k5", true);

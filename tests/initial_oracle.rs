@@ -85,7 +85,6 @@ impl Reference for HomClass {
                     cand: &mut base,
                     new_points: &points,
                     optional: &optional,
-                    tags: None,
                 };
                 let _ = family.for_each(|s, _| {
                     out.push(Pointed::new(s.clone(), points.clone()));
