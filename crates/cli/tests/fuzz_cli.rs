@@ -1,6 +1,7 @@
 //! Golden coverage for the `dds fuzz` subcommand at the binary level:
 //! help text, the deterministic seeded run summary, the unknown-subcommand
-//! exit path, and the pinned minimized-repro file format.
+//! exit path, and the pinned minimized-repro file format. Also the spec
+//! error `dds check` and `dds verify` give for a guard nested too deep.
 //!
 //! Snapshots live in `tests/golden/` next to this file; refresh after an
 //! intentional change with:
@@ -100,6 +101,27 @@ fn unknown_subcommand_exits_2_with_usage() {
         &stderr_of(&out),
         "unknown-subcommand diagnostic",
     );
+}
+
+/// A guard nested 20,000 parentheses deep is a spec error with exit 2
+/// from `dds check` and `dds verify`, not a stack overflow.
+#[test]
+fn deep_guard_is_a_spec_error() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for command in ["check", "verify"] {
+        let out = dds()
+            .current_dir(&root)
+            .args([command, "specs/adversarial/deep_guard.dds"])
+            .output()
+            .unwrap();
+        assert_eq!(out_code(&out), 2, "dds {command}");
+        assert!(stdout_of(&out).is_empty(), "dds {command}");
+        compare(
+            &golden_dir().join(format!("deep_guard.{command}.txt")),
+            &stderr_of(&out),
+            &format!("dds {command} diagnostic"),
+        );
+    }
 }
 
 #[test]

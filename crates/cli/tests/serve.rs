@@ -1,8 +1,8 @@
 //! Integration tests for `dds serve`: the single-flight cache, structured
-//! failure responses, graceful drain, byte-identity with the CLI's
-//! `--json` output for the whole `specs/` corpus, and the keep-alive wire
-//! layer — pipelining, framing errors, idle/cap closes, and cache
-//! persistence across restarts.
+//! failure responses (a deeply nested guard included), graceful drain,
+//! byte-identity with the CLI's `--json` output for the whole `specs/`
+//! corpus, and the keep-alive wire layer — pipelining, framing errors,
+//! idle/cap closes, and cache persistence across restarts.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -122,6 +122,31 @@ fn a_panicking_run_is_a_500_and_the_server_survives() {
     );
 
     let resp = client::health(&addr).expect("health after the panic");
+    assert_eq!(resp.status, 200);
+    assert!(resp.body.contains("\"status\": \"ok\""), "{}", resp.body);
+    server.shutdown();
+}
+
+/// A guard nested 5,000 parentheses deep fits in a request, and its
+/// recursive parse once overflowed a worker's stack and aborted the
+/// daemon. It is a structured spec error now, and the daemon keeps
+/// serving.
+#[test]
+fn a_deeply_nested_guard_is_a_422_and_the_server_survives() {
+    let server = start(ServeOptions::default());
+    let addr = server.addr();
+    let deep = format!("{}E(x_old, x_new){}", "(".repeat(5_000), ")".repeat(5_000));
+    let spec = QUICK_SPEC.replace("E(x_old, x_new)", &deep);
+    let resp = client::verify(&addr, &spec, None, None).expect("request");
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(
+        resp.body.contains("\"code\":\"spec-error\""),
+        "{}",
+        resp.body
+    );
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+
+    let resp = client::health(&addr).expect("health after the deep guard");
     assert_eq!(resp.status, 200);
     assert!(resp.body.contains("\"status\": \"ok\""), "{}", resp.body);
     server.shutdown();

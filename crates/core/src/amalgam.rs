@@ -51,35 +51,35 @@
 //! ([`eval_with`]). A guard that does read one, or is not quantifier-free,
 //! is evaluated on each candidate built in turn.
 //!
-//! A guard-passing candidate is named by the *packed key* of the
-//! configuration it generates ([`crate::class::packed_key`]). The schemas
-//! here are relational, so that configuration is the substructure induced
-//! on the new points, numbered by first occurrence: the equality pattern
-//! of the new registers and the facts among the distinct new points fix
-//! it, whatever the base. [`FamilyKeys`] computes the keys once per family
-//! — the pattern plus the facts of the empty subset, and one bit per
-//! optional fact (none for a fact with an element outside the new points)
-//! — and every [`RelConfig`] carries its own, under which the interner
-//! files it. One probe of the search's interner thus resolves a candidate
-//! without touching the buffer. A candidate whose layout does not fit in 64
-//! bits moves the buffer to its mask by adding and removing just the facts
-//! that differ, and `successors` writes the canonical key words of the
-//! generated substructure ([`encode_generated_relational`]) and probes with
-//! those. Either key is then probed against the successors this call
-//! already built; only a key absent from both becomes a configuration
-//! ([`RelConfig::generated_by`]). Debug builds build every packed hit in a
-//! separate buffer, re-encode it and assert that the interned
-//! configuration has the same key words; the family's buffer moves
-//! exactly as in release.
+//! A guard-passing candidate is named by the configuration it generates.
+//! The schemas here are relational, so that configuration is the
+//! substructure induced on the new points, numbered by first occurrence
+//! ([`RelConfig::generated_by`]), and its *packed key*
+//! ([`RelConfig::packed`]) — the equality pattern of the new registers and
+//! one bit per fact among the distinct new points — is its probe word
+//! whenever the layout fits in 64 bits, whatever the base. [`FamilyKeys`]
+//! computes the keys once per family — the pattern plus the facts of the
+//! empty subset, and one bit per optional fact (none for a fact with an
+//! element outside the new points) — and the interner files every
+//! configuration with a packed key under that word. One probe thus
+//! resolves such a candidate without touching the buffer. A candidate
+//! whose layout is wider moves the buffer to its mask by adding and
+//! removing just the facts that differ, and its configuration is built
+//! there and probed as a value, as every fresh successor is built. Each
+//! candidate is probed against the interner, then against the fresh
+//! successors the call already built, and only one absent from both is
+//! built. Debug builds rebuild every packed hit in a separate buffer and
+//! assert that it is the interned configuration; the family's buffer
+//! moves exactly as in release.
 //!
 //! The initial configurations are resolved the same way against an empty
 //! interner, so each distinct one is built once. The engine interns every
 //! initial configuration — every `k`-generated member — before it expands
 //! anything, so its calls build no configuration at all; `transitions`,
 //! against an empty interner, builds each distinct successor once. Replay
-//! evaluates the guard on each candidate, compares key words the same way,
-//! stops at the first candidate matching the trace step and clones only
-//! that one.
+//! evaluates the guard on each candidate, checks in place whether its new
+//! points generate the trace step ([`RelConfig::is_generated_by`]), stops
+//! at the first that does and clones only that one.
 //!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
@@ -104,9 +104,7 @@ use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved};
 use dds_logic::eval::{eval, eval_with, is_local};
 use dds_logic::transform::{forced_literals, Literal};
 use dds_logic::{Formula, Term, Var};
-use dds_structure::{
-    encode_generated_relational, Element, KeyScratch, Schema, Structure, SymbolId,
-};
+use dds_structure::{Element, Schema, Structure, SymbolId};
 use dds_system::{Run, System};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -298,7 +296,7 @@ fn move_to(cand: &mut Structure, optional: &[Fact], from: u64, to: u64) {
     }
 }
 
-/// The packed keys ([`crate::class::packed_key`]) of the configurations a family's
+/// The packed keys ([`RelConfig::packed`]) of the configurations a family's
 /// candidates generate: the *head* — the new points' pattern and the facts
 /// the empty subset holds among them — plus one bit per optional fact, 0
 /// for a fact with an element outside the new points. The key does not
@@ -805,7 +803,7 @@ pub fn replay_trace<T: AmalgamClass>(
     let mut states = vec![first.state];
     let mut vals = vec![points.clone()];
     let mut combined = Vec::new();
-    let mut key = KeyScratch::default();
+    let mut numbered = Vec::new();
 
     for step in &trace.steps[1..] {
         let rule = &system.rules()[step.rule?];
@@ -817,8 +815,7 @@ pub fn replay_trace<T: AmalgamClass>(
         let _ = for_each_candidate(class, &base, k, &hints, |s, new_points| {
             fill_combined(&mut combined, &base.points, new_points);
             if eval(&guard, s, &combined).unwrap_or(false)
-                && encode_generated_relational(s, new_points, &mut key) == step.config.key_hash()
-                && key.words() == step.config.key().as_words()
+                && step.config.is_generated_by(s, new_points, &mut numbered)
             {
                 found = Some((s.clone(), new_points.to_vec()));
                 return ControlFlow::Break(());
@@ -861,7 +858,7 @@ impl<T: AmalgamClass> SymbolicClass for T {
     }
 
     fn transitions(&self, cfg: &RelConfig, guard: &Formula) -> Vec<RelConfig> {
-        self.successors(cfg, guard, &Interner::new())
+        self.successors(cfg, None, guard, &Interner::new())
             .into_iter()
             .map(|entry| match entry {
                 Resolved::Fresh(next, _) => *next,
@@ -871,17 +868,19 @@ impl<T: AmalgamClass> SymbolicClass for T {
     }
 
     /// Specialises `guard` to `cfg` ([`residual`]) and answers a residual
-    /// `false` with no successors. When `known` holds `cfg`, a list its
-    /// successor memo ([`Interner::memo`]) keeps under the residual is the
-    /// answer. Otherwise each candidate that satisfies the residual is
-    /// resolved by its packed key ([`FamilyKeys`]) or else its key words,
-    /// and a list made only of interned ids goes into the memo.
+    /// `false` with no successors. Given `cfg`'s id, a list its successor
+    /// memo ([`Interner::memo`]) keeps under the residual is the answer.
+    /// Otherwise each candidate that satisfies the residual is resolved by
+    /// its packed key or else as a built value (see the module docs), and a
+    /// list made only of interned ids goes into the memo.
     fn successors(
         &self,
         cfg: &RelConfig,
+        id: Option<ConfigId>,
         guard: &Formula,
         known: &Interner<RelConfig>,
     ) -> Vec<Resolved<RelConfig>> {
+        debug_assert!(id.map_or(true, |id| known.get(id) == cfg));
         let guard = residual(
             translate_formula(guard, self.public_schema(), self.internal_schema()),
             &cfg.pointed,
@@ -889,7 +888,6 @@ impl<T: AmalgamClass> SymbolicClass for T {
         if guard == Formula::False {
             return Vec::new();
         }
-        let id = known.lookup_prehashed(cfg, Interner::hash_value(cfg));
         if let Some(ids) = id.and_then(|id| known.memo(id).get(&guard).cloned()) {
             return ids.iter().map(|&id| Resolved::Interned(id)).collect();
         }
@@ -963,14 +961,45 @@ pub fn residual(guard: Formula, cfg: &Pointed) -> Formula {
     }
 }
 
+/// A set of interned ids: a bitmap in pages of 2,048 ids. The first page
+/// is inline, and every other is allocated, zeroed, when its first id
+/// arrives. A set thus costs the pages its entries touch, plus a word per
+/// page below its largest entry, not a bit per id of the interner.
+#[derive(Default)]
+struct IdSet {
+    first: [u64; 32],
+    rest: Vec<Option<Box<[u64; 32]>>>,
+}
+
+impl IdSet {
+    /// Inserts `id`; `false` when it was there already.
+    fn insert(&mut self, id: ConfigId) -> bool {
+        let page = match id.index() >> 11 {
+            0 => &mut self.first,
+            page => {
+                if page > self.rest.len() {
+                    self.rest.resize(page, None);
+                }
+                self.rest[page - 1].get_or_insert_with(Box::default)
+            }
+        };
+        let (bits, bit) = (&mut page[id.index() >> 6 & 31], 1 << (id.0 & 63));
+        let fresh = *bits & bit == 0;
+        *bits |= bit;
+        fresh
+    }
+}
+
 /// The key-first resolution behind [`SymbolicClass::successors`] and
 /// [`SymbolicClass::initial_configs`]: the configurations the `k_new` new
 /// points generate in the candidates over `base` that satisfy `guard`
-/// (over the internal schema), resolved against `known`. A candidate is
-/// probed by its packed key ([`FamilyKeys`]) when it has one, else by its
-/// canonical key words; then against the fresh successors this call already
-/// built. Only a key absent from both becomes a [`RelConfig`]. Entries keep
-/// first-occurrence order.
+/// (over the internal schema), resolved against `known`. A candidate with
+/// a packed key ([`FamilyKeys`]) is probed by it; one without is built and
+/// probed as a value. Each is probed against `known`, then against the
+/// fresh successors this call already built, and only a configuration
+/// absent from both is built. Entries keep first-occurrence order, and
+/// the dedup of both kinds grows with the output ([`IdSet`]), not with
+/// `known`.
 fn resolve_amalgams<T: AmalgamClass + ?Sized>(
     class: &T,
     base: &Pointed,
@@ -979,17 +1008,8 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
     known: &Interner<RelConfig>,
 ) -> Vec<Resolved<RelConfig>> {
     let hints = GuardHints::of(guard);
-    let mut key = KeyScratch::default();
     let mut keys = FamilyKeys::new(class.internal_schema(), k_new);
-    // Bitmap over `known`'s ids of the ones already in `out`.
-    let mut seen_ids = vec![0u64; known.len().div_ceil(64)];
-    let mut push_id = |out: &mut Vec<Resolved<RelConfig>>, id: ConfigId| {
-        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
-        if seen_ids[word] & bit == 0 {
-            seen_ids[word] |= bit;
-            out.push(Resolved::Interned(id));
-        }
-    };
+    let mut seen_ids = IdSet::default();
     // Probe hash → position in `out` of the first fresh entry under it.
     let mut fresh_at: HashMap<u64, usize, BuildWordHasher> = HashMap::default();
     let mut out = Vec::new();
@@ -997,7 +1017,7 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
     let local = is_local(guard);
     // Debug builds re-check packed hits on a copy, so the family's buffer
     // moves exactly as in release.
-    let (mut recheck, mut recheck_key) = (None, KeyScratch::default());
+    let mut recheck = None;
     let _ = class.for_each_amalgam(base, k_new, &hints, &mut |family| {
         fill_combined(&mut combined, &base.points, family.new_points);
         let decided = family.decide(guard, local, &combined);
@@ -1007,32 +1027,30 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
         let has_keys = keys.prepare(family);
         let new_points = family.new_points;
         family.for_each_passing(guard, decided, &combined, |mask, cand| {
-            // `RelConfig` hashes as its packed key, or else its key hash
-            // (see its `Hash` impl).
-            let (hash, packed) = if has_keys {
+            // `Err`: the successor's packed key, which is how `RelConfig`
+            // hashes when it has one. `Ok`: the successor itself, built
+            // now because it has none.
+            let (hash, successor) = if has_keys {
                 let packed = keys.key(mask);
-                (probe_hash(&packed), Some(packed))
+                (probe_hash(&packed), Err(packed))
             } else {
-                let hash = encode_generated_relational(cand.get(), new_points, &mut key);
-                (probe_hash(&hash), None)
+                let next = RelConfig::generated_by(cand.get(), new_points);
+                (Interner::hash_value(&next), Ok(next))
             };
-            let same = |c: &RelConfig| match packed {
-                Some(packed) => c.packed() == Some(packed) && c.pointed.points.len() == k_new,
-                None => c.key().as_words() == key.words(),
+            let same = |c: &RelConfig| match &successor {
+                Ok(next) => c == next,
+                Err(packed) => c.packed() == Some(*packed) && c.pointed.points.len() == k_new,
             };
             if let Some(id) = known.lookup_with(hash, same) {
                 debug_assert!(
-                    packed.is_none() || {
-                        encode_generated_relational(
-                            cand.copy_into(&mut recheck),
-                            new_points,
-                            &mut recheck_key,
-                        );
-                        known.get(id).key().as_words() == recheck_key.words()
-                    },
-                    "packed key {packed:?} over {base:?} names two configurations"
+                    successor.is_ok()
+                        || RelConfig::generated_by(cand.copy_into(&mut recheck), new_points)
+                            == *known.get(id),
+                    "{successor:?} over {base:?} names two configurations"
                 );
-                push_id(&mut out, id);
+                if seen_ids.insert(id) {
+                    out.push(Resolved::Interned(id));
+                }
                 return ControlFlow::Continue(());
             }
             let is_fresh_dup = |entry: &Resolved<RelConfig>| {
@@ -1040,13 +1058,16 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
             };
             let dup = match fresh_at.get(&hash) {
                 None => false,
-                // A different key under the same hash is a collision:
-                // fall back to scanning every fresh entry.
+                // A different configuration under the same hash is a
+                // collision: fall back to scanning every fresh entry.
                 Some(&at) => is_fresh_dup(&out[at]) || out.iter().any(is_fresh_dup),
             };
             if !dup {
-                let next = RelConfig::generated_by(cand.get(), new_points);
-                debug_assert_eq!(next.packed(), packed, "{next:?}");
+                let next = successor.unwrap_or_else(|packed| {
+                    let next = RelConfig::generated_by(cand.get(), new_points);
+                    debug_assert_eq!(next.packed(), Some(packed), "{next:?}");
+                    next
+                });
                 fresh_at.entry(hash).or_insert(out.len());
                 out.push(Resolved::Fresh(Box::new(next), hash));
             }
@@ -1102,6 +1123,20 @@ mod tests {
         assert!(!p.contains(&vec![PointTarget::Fresh(1), PointTarget::Fresh(0)]));
         // k = 0: single empty placement.
         assert_eq!(placements(3, 0).len(), 1);
+    }
+
+    #[test]
+    fn id_sets_tell_ids_apart_across_pages() {
+        let mut set = IdSet::default();
+        let ids = [0, 63, 64, 2047, 2048, 4095, 4096, 100_000, 2049, 1];
+        for id in ids {
+            assert!(set.insert(ConfigId(id)), "{id}");
+        }
+        for id in ids {
+            assert!(!set.insert(ConfigId(id)), "{id}");
+        }
+        assert!(set.insert(ConfigId(100_001)));
+        assert!(set.insert(ConfigId(6144)));
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! The interface between the Theorem 5 engine and a (semi-)Fraïssé class.
 
-use crate::intern::{Interner, Resolved};
-use dds_structure::{
-    canonicalize_generated_relational, canonicalize_pointed, CanonicalKey, Element, Schema,
-    Structure, SymbolId,
-};
+use crate::intern::{ConfigId, Interner, Resolved};
+use dds_structure::{Element, Schema, Structure, SymbolId};
 use dds_system::{Run, StateId, System};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -58,65 +55,105 @@ impl Pointed {
 }
 
 /// A canonical small configuration over a relational-style class: the
-/// canonical representative of a pointed structure (over the class's
-/// *internal* schema, e.g. the colored lift for `HOM`), hashed by its
-/// packed key when it has one and by its canonical key otherwise.
+/// substructure a pointed structure's points generate (over the class's
+/// *internal* schema, e.g. the colored lift for `HOM`), with its points
+/// numbered by first occurrence. The schema is relational, so that
+/// substructure is the one induced on the points, and the numbering makes
+/// the representative canonical: two configurations are equal exactly when
+/// their representatives are. The packed key ([`RelConfig::packed`]) is
+/// only the representative's probe word, kept where its layout fits in 64
+/// bits.
 #[derive(Clone)]
 pub struct RelConfig {
-    /// Canonical representative (elements renumbered canonically).
+    /// Canonical representative: the points are numbered by first
+    /// occurrence, and the elements are exactly the distinct points.
     pub pointed: Pointed,
-    key: CanonicalKey,
     packed: Option<u64>,
 }
 
 impl RelConfig {
-    /// Canonicalizes a pointed structure (must be generated by its points).
-    pub fn canonical(p: &Pointed) -> RelConfig {
-        let (s, points, key) = canonicalize_pointed(&p.structure, &p.points);
-        let packed = packed_key(&s, &points);
-        RelConfig {
-            pointed: Pointed {
-                structure: s,
-                points,
-            },
-            key,
-            packed,
-        }
-    }
-
-    /// The configuration `points` generate inside a relational structure,
-    /// canonicalized in one pass: equal to (and with the same representative
-    /// as) `RelConfig::canonical(&Pointed::new(s.clone(), points).generated())`
-    /// without building the generated substructure first.
+    /// The configuration `points` generate inside a relational structure:
+    /// the points numbered by first occurrence, then the facts induced on
+    /// them copied under that numbering.
     ///
     /// # Panics
     /// Panics when the schema has function symbols.
     pub fn generated_by(s: &Structure, points: &[Element]) -> RelConfig {
-        let (s, points, key) = canonicalize_generated_relational(s, points);
-        let packed = packed_key(&s, &points);
+        assert!(s.schema().is_relational(), "generated_by: function symbols");
+        let mut order = Vec::with_capacity(points.len());
+        point_numbers(points, &mut order);
+        let number = |e| order.iter().position(|u| u == e).map(Element::from_index);
+        let mut structure = Structure::new(s.schema().clone(), order.len());
+        for r in s.schema().relations() {
+            for t in s.rel_tuples(r) {
+                if let Some(row) = t.iter().map(number).collect::<Option<Vec<_>>>() {
+                    structure.add_fact(r, &row).expect("numbers are in range");
+                }
+            }
+        }
+        let packed = PackedLayout::new(s.schema(), points.len(), order.len())
+            .map(|layout| layout.key(s, points, &order));
         RelConfig {
             pointed: Pointed {
-                structure: s,
-                points,
+                structure,
+                points: points.iter().filter_map(number).collect(),
             },
-            key,
             packed,
         }
     }
 
-    /// The canonical key.
-    pub fn key(&self) -> &CanonicalKey {
-        &self.key
+    /// Whether `points` generate this configuration in `s`: the same as
+    /// `RelConfig::generated_by(s, points) == *self`, without building
+    /// anything. `numbered` is caller-owned scratch: it holds the distinct
+    /// points and then one row, so reusing it across calls makes the check
+    /// allocation-free once it has grown.
+    pub fn is_generated_by(
+        &self,
+        s: &Structure,
+        points: &[Element],
+        numbered: &mut Vec<Element>,
+    ) -> bool {
+        let rep = &self.pointed;
+        point_numbers(points, numbered);
+        let n = numbered.len();
+        if points.len() != rep.points.len()
+            || n != rep.structure.size()
+            || points
+                .iter()
+                .zip(&rep.points)
+                .any(|(p, q)| numbered[q.index()] != *p)
+        {
+            return false;
+        }
+        // Every fact of the representative holds among the points, and as
+        // many facts lie among them as the representative has.
+        let mut inside = 0;
+        for r in s.schema().relations() {
+            for u in rep.structure.rel_tuples(r) {
+                numbered.truncate(n);
+                for e in u {
+                    numbered.push(numbered[e.index()]);
+                }
+                if !s.holds(r, &numbered[n..]) {
+                    return false;
+                }
+            }
+            let points = &numbered[..n];
+            inside += s
+                .rel_tuples(r)
+                .filter(|t| t.iter().all(|e| points.contains(e)))
+                .count();
+        }
+        inside == rep.structure.fact_count()
     }
 
-    /// The precomputed 64-bit hash of the canonical key (what the engine's
-    /// interner probes with — see [`CanonicalKey::hash64`]).
-    pub fn key_hash(&self) -> u64 {
-        self.key.hash64()
-    }
-
-    /// The packed key ([`packed_key`]), when the configuration's layout fits
-    /// in 64 bits.
+    /// The *packed key*, when it fits in 64 bits: a pattern field holds
+    /// each register's number, and one bit per tuple over the numbers (per
+    /// relation, in schema order) tells whether the fact holds. Two
+    /// configurations with the same number of points have equal packed keys
+    /// exactly when they are equal, and the key depends only on the new
+    /// points' pattern and the facts among them, so a candidate's key is
+    /// known before its configuration is built.
     pub fn packed(&self) -> Option<u64> {
         self.packed
     }
@@ -124,24 +161,36 @@ impl RelConfig {
 
 impl PartialEq for RelConfig {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+        // The packed key is a function of the representative: unequal keys
+        // settle most unequal pairs.
+        self.packed == other.packed && self.pointed == other.pointed
     }
 }
 impl Eq for RelConfig {}
 impl Hash for RelConfig {
-    /// Feeds one `u64`, the packed key or else the key hash, so the
-    /// interner's probe hash of a configuration is that of the word — which
-    /// is how successors are probed before they are built. Whether a
-    /// configuration has a packed key depends only on its register count,
-    /// its number of distinct points and its schema, so every candidate
-    /// generating it is probed the same way.
+    /// Feeds the packed key alone when there is one, so the interner's
+    /// probe hash of a configuration is that of the word — which is how
+    /// successors are probed before they are built. Whether a configuration
+    /// has a packed key depends only on its register count, its number of
+    /// distinct points and its schema, so every candidate generating it is
+    /// probed the same way. Otherwise the representative's points and rows.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.packed.unwrap_or_else(|| self.key_hash()).hash(state);
+        match self.packed {
+            Some(packed) => packed.hash(state),
+            None => {
+                let s = &self.pointed.structure;
+                self.pointed.points.hash(state);
+                for r in s.schema().relations() {
+                    s.rel_len(r).hash(state);
+                    s.rel_tuples(r).for_each(|t| t.hash(state));
+                }
+            }
+        }
     }
 }
 
 /// Where a packed key keeps its fields, for configurations over one schema
-/// with `k` points of which `n` are distinct (see [`packed_key`]).
+/// with `k` points of which `n` are distinct (see [`RelConfig::packed`]).
 #[derive(Clone, Debug)]
 pub(crate) struct PackedLayout {
     /// Bits per register in the pattern field.
@@ -217,22 +266,6 @@ pub(crate) fn point_numbers(points: &[Element], out: &mut Vec<Element>) {
     }
 }
 
-/// The *packed key* of the configuration `points` generate in the
-/// relational structure `s`: the substructure induced on the points, with
-/// each point numbered by its first occurrence among them. A pattern field
-/// holds each register's number, and one bit per tuple over the numbers
-/// (per relation, in schema order) tells whether the fact holds. `None`
-/// when that does not fit in 64 bits.
-///
-/// Two configurations with the same number of points have equal packed
-/// keys exactly when they are equal: the numbering is forced by the
-/// points, so the key is a canonical form.
-pub fn packed_key(s: &Structure, points: &[Element]) -> Option<u64> {
-    let mut numbered = Vec::with_capacity(points.len());
-    point_numbers(points, &mut numbered);
-    let layout = PackedLayout::new(s.schema(), points.len(), numbered.len())?;
-    Some(layout.key(s, points, &numbered))
-}
 impl fmt::Debug for RelConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -327,11 +360,16 @@ pub trait SymbolicClass: Sync {
     /// split, so interning the fresh entries in list order yields the ids
     /// interning `transitions` would. The default is exactly that:
     /// `transitions`, then one lookup per successor. Overrides (the
-    /// relational classes) resolve each candidate by its canonical key and
-    /// build only the configurations `known` lacks.
+    /// relational classes) resolve each candidate by its packed key where
+    /// it has one and build only the configurations `known` lacks.
+    ///
+    /// `id` is `cfg`'s id in `known` when the caller holds it (the engine
+    /// always does), and `None` otherwise; the relational classes keep
+    /// their successor memo under it.
     fn successors(
         &self,
         cfg: &Self::Config,
+        _id: Option<ConfigId>,
         guard: &dds_logic::Formula,
         known: &Interner<Self::Config>,
     ) -> Vec<Resolved<Self::Config>> {
@@ -412,10 +450,37 @@ mod tests {
         a.add_fact(e, &[Element(0), Element(1)]).unwrap();
         let mut b = Structure::new(schema, 2);
         b.add_fact(e, &[Element(1), Element(0)]).unwrap();
-        let ca = RelConfig::canonical(&Pointed::new(a.clone(), vec![Element(0), Element(1)]));
-        let cb = RelConfig::canonical(&Pointed::new(b, vec![Element(1), Element(0)]));
+        let ca = RelConfig::generated_by(&a, &[Element(0), Element(1)]);
+        let cb = RelConfig::generated_by(&b, &[Element(1), Element(0)]);
         assert_eq!(ca, cb);
-        let cc = RelConfig::canonical(&Pointed::new(a, vec![Element(1), Element(0)]));
+        let cc = RelConfig::generated_by(&a, &[Element(1), Element(0)]);
         assert_ne!(ca, cc);
+        let mut numbered = Vec::new();
+        assert!(ca.is_generated_by(&b, &[Element(1), Element(0)], &mut numbered));
+        assert!(!ca.is_generated_by(&a, &[Element(1), Element(0)], &mut numbered));
+        assert!(!ca.is_generated_by(&a, &[Element(0), Element(0)], &mut numbered));
+    }
+
+    #[test]
+    fn unpacked_configurations_hash_by_their_representative() {
+        // `R/9` over two distinct points spans 2^9 tuples: no packed key.
+        let mut s = Schema::new();
+        let r = s.add_relation("R", 9).unwrap();
+        let mut g = Structure::new(s.finish(), 3);
+        g.add_fact(r, &[Element(2); 9]).unwrap();
+        g.add_fact(r, &[Element(1); 9]).unwrap();
+        let cfg = RelConfig::generated_by(&g, &[Element(2), Element(0)]);
+        assert_eq!(cfg.packed(), None);
+        assert_eq!(cfg.pointed.points, vec![Element(0), Element(1)]);
+        assert_eq!(cfg.pointed.structure.fact_count(), 1);
+        let again = RelConfig::generated_by(&cfg.pointed.structure, &cfg.pointed.points);
+        assert_eq!(Interner::hash_value(&again), Interner::hash_value(&cfg));
+        assert_eq!(again, cfg);
+        let mut numbered = Vec::new();
+        assert!(cfg.is_generated_by(&g, &[Element(2), Element(0)], &mut numbered));
+        // Element 1 has the same fact, so it generates the same
+        // configuration; with the fact on the second point it differs.
+        assert!(cfg.is_generated_by(&g, &[Element(1), Element(0)], &mut numbered));
+        assert!(!cfg.is_generated_by(&g, &[Element(0), Element(2)], &mut numbered));
     }
 }

@@ -29,8 +29,9 @@
 //! * **Hash-consing** ([`crate::intern::Interner`]): every canonical
 //!   configuration is stored exactly once and addressed by a dense
 //!   [`crate::intern::ConfigId`]. The visited set becomes one bitmap per
-//!   control state probed by precomputed 64-bit key hashes
-//!   ([`dds_structure::CanonicalKey::hash64`]) — no clones, no re-hashing.
+//!   control state, and each configuration is hashed once, when it is
+//!   first resolved ([`crate::intern::Interner::hash_value`]) — no clones,
+//!   no re-hashing.
 //! * **Transition memoization**: successor sets depend only on the
 //!   configuration and the rule's guard, so they are cached as id slices
 //!   keyed by `(configuration id, guard class)`, where rules with
@@ -905,6 +906,7 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                 let t0 = Instant::now();
                 let entries = self.class.successors(
                     s.interner.get(cfg),
+                    Some(cfg),
                     &self.compiled.rules()[rule_idx].guard,
                     &s.interner,
                 );
@@ -943,6 +945,7 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                 let (cfg, rule_idx) = epoch.tasks[i];
                 let entries = self.class.successors(
                     epoch.interner.get(cfg),
+                    Some(cfg),
                     &self.compiled.rules()[rule_idx].guard,
                     &epoch.interner,
                 );

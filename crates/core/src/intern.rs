@@ -18,16 +18,16 @@
 //! yields the same ids, whichever entry points interned them.
 //!
 //! Hashes are computed once per configuration (`probe_hash`): a value that
-//! hashes as one `u64` word — [`crate::RelConfig`] feeds its packed key, or
-//! else the precomputed [`dds_structure::CanonicalKey::hash64`] — gets that
-//! word through a multiply-xorshift finalizer, anything else the standard
-//! library's [`DefaultHasher`], which is deterministic for a fixed Rust
-//! release. [`Interner::lookup_with`] probes by hash and predicate, so a
-//! class can ask whether a successor is interned before it builds the
-//! value, by nothing more than its packed key; the answer comes back as a
-//! [`Resolved`] entry, and the `*_prehashed` entry points intern the fresh
-//! ones without re-hashing. Lookups take `&self`, so many threads may probe
-//! the same interner at once.
+//! hashes as one `u64` word — a [`crate::RelConfig`] with a packed key
+//! feeds just that — gets that word through a multiply-xorshift finalizer,
+//! anything else (a wider `RelConfig` feeds its points and rows) the
+//! standard library's [`DefaultHasher`], which is deterministic for a
+//! fixed Rust release. [`Interner::lookup_with`] probes by hash and
+//! predicate, so a class can ask whether a successor is interned before it
+//! builds the value, by nothing more than its packed key; the answer comes
+//! back as a [`Resolved`] entry, and the `*_prehashed` entry points intern
+//! the fresh ones without re-hashing. Lookups take `&self`, so many threads
+//! may probe the same interner at once.
 //!
 //! Next to each value sits its *successor memo* ([`Interner::memo`]): a map
 //! from a guard specialised to the value (its residual, see
@@ -76,10 +76,10 @@ pub enum Resolved<Cfg> {
 }
 
 /// The deterministic 64-bit hash the interner files a value under. A value
-/// that hashes as a single `u64` (such as [`crate::RelConfig`], which feeds
-/// its packed key or key hash) gets that word through a multiply-xorshift
-/// finalizer, so callers holding only the word can compute the probe hash
-/// without the value, in a few instructions. Any other input goes through
+/// that hashes as a single `u64` (such as a [`crate::RelConfig`] with a
+/// packed key, which feeds just that) gets that word through a
+/// multiply-xorshift finalizer, so callers holding only the word can
+/// compute the probe hash without the value, in a few instructions. Any other input goes through
 /// the standard library's [`DefaultHasher`].
 pub(crate) fn probe_hash<V: Hash + ?Sized>(value: &V) -> u64 {
     let mut h = ProbeHasher::default();
@@ -422,7 +422,7 @@ mod tests {
         let cfg = known.get(bare).clone();
         let ids = |guard: &Formula| -> Vec<ConfigId> {
             class
-                .successors(&cfg, guard, &known)
+                .successors(&cfg, Some(bare), guard, &known)
                 .into_iter()
                 .map(|entry| match entry {
                     Resolved::Interned(id) => id,

@@ -1,4 +1,4 @@
-//! Property tests: hash-consing round-trips canonical keys.
+//! Property tests: hash-consing round-trips canonical configurations.
 //!
 //! The engine's interner replaces configuration clones with dense ids, so
 //! its invariants carry the visited set's correctness: interning the same
@@ -6,7 +6,7 @@
 //! the canonical representative itself, and the precomputed probe hash must
 //! agree with recomputation.
 
-use dds_core::{Interner, Pointed, RelConfig};
+use dds_core::{Interner, RelConfig};
 use dds_structure::{Element, Schema, Structure};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -25,8 +25,8 @@ fn config_of(schema: &Arc<Schema>, edges: &[(u32, u32)], points: &[u32]) -> RelC
     for &(a, b) in edges {
         let _ = g.add_fact(e, &[Element(a % 4), Element(b % 4)]);
     }
-    let pointed = Pointed::new(g, points.iter().map(|&p| Element(p % 4)).collect());
-    RelConfig::canonical(&pointed.generated())
+    let points: Vec<Element> = points.iter().map(|&p| Element(p % 4)).collect();
+    RelConfig::generated_by(&g, &points)
 }
 
 proptest! {
@@ -46,16 +46,19 @@ proptest! {
         let (id2, fresh2) = interner.intern(cfg.clone());
         prop_assert!(!fresh2);
         prop_assert_eq!(id, id2);
-        // The stored value is the configuration, key included.
+        // The stored value is the configuration, representative included.
         prop_assert_eq!(interner.get(id), &cfg);
-        prop_assert_eq!(interner.get(id).key(), cfg.key());
+        prop_assert_eq!(&interner.get(id).pointed, &cfg.pointed);
         prop_assert_eq!(interner.hash_of(id), Interner::hash_value(&cfg));
         // The canonical representative round-trips through
-        // re-canonicalization with an identical key and probe hash.
-        let again = RelConfig::canonical(&interner.get(id).pointed);
+        // re-canonicalization with an identical representative, packed key
+        // and probe hash.
+        let stored = &interner.get(id).pointed;
+        let again = RelConfig::generated_by(&stored.structure, &stored.points);
         prop_assert_eq!(&again, interner.get(id));
-        prop_assert_eq!(again.key_hash(), cfg.key_hash());
-        prop_assert_eq!(again.key(), cfg.key());
+        prop_assert_eq!(&again.pointed, &cfg.pointed);
+        prop_assert_eq!(again.packed(), cfg.packed());
+        prop_assert_eq!(Interner::hash_value(&again), Interner::hash_value(&cfg));
     }
 
     #[test]

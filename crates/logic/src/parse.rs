@@ -21,11 +21,22 @@
 //! `exists` introduces fresh variable indices starting at the caller-chosen
 //! base (systems pass `2k` so quantified variables never clash with register
 //! variables).
+//!
+//! Parentheses, `!`, `exists` bodies and function arguments may nest at most
+//! [`MAX_NESTING`] levels deep; deeper input is a parse error. Every
+//! recursive walk over a parsed formula (translation, elimination,
+//! evaluation, even dropping it) recurses as deep as the formula nests, so
+//! the bound limits their depth too. Formulas built in code, without the
+//! parser, are not bounded.
 
 use crate::error::LogicError;
 use crate::formula::Formula;
 use crate::term::{Term, Var};
 use dds_structure::{Schema, SymbolKind};
+
+/// How deep parentheses, `!`, `exists` bodies and function arguments may
+/// nest in one parsed formula (see the module docs).
+pub const MAX_NESTING: usize = 256;
 
 /// Tokens of the guard language.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,6 +145,8 @@ struct Parser<'a, R: Fn(&str) -> Option<Var>> {
     /// Stack of (name, var) for quantifier-bound names.
     scope: Vec<(String, Var)>,
     next_fresh: u32,
+    /// Nesting levels entered so far (at most [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a, R: Fn(&str) -> Option<Var>> Parser<'a, R> {
@@ -172,6 +185,20 @@ impl<'a, R: Fn(&str) -> Option<Var>> Parser<'a, R> {
         })
     }
 
+    /// Parses with `inner` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, LogicError>,
+    ) -> Result<T, LogicError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
     fn formula(&mut self) -> Result<Formula, LogicError> {
         let mut parts = vec![self.and_expr()?];
         while self.peek() == Some(&Tok::Or) {
@@ -194,7 +221,7 @@ impl<'a, R: Fn(&str) -> Option<Var>> Parser<'a, R> {
         match self.peek() {
             Some(Tok::Not) => {
                 self.bump();
-                Ok(Formula::negate(self.unary()?))
+                Ok(Formula::negate(self.nested(Self::unary)?))
             }
             Some(Tok::Ident(name)) if name == "exists" => {
                 self.bump();
@@ -215,7 +242,7 @@ impl<'a, R: Fn(&str) -> Option<Var>> Parser<'a, R> {
                     self.scope.push((n, v));
                     vars.push(v);
                 }
-                let body = self.formula()?;
+                let body = self.nested(Self::formula)?;
                 self.scope.truncate(depth);
                 Ok(Formula::Exists(vars, Box::new(body)))
             }
@@ -235,7 +262,7 @@ impl<'a, R: Fn(&str) -> Option<Var>> Parser<'a, R> {
             }
             Some(Tok::LParen) => {
                 self.bump();
-                let f = self.formula()?;
+                let f = self.nested(Self::formula)?;
                 self.expect(&Tok::RParen, "closing `)`")?;
                 Ok(f)
             }
@@ -325,7 +352,7 @@ impl<'a, R: Fn(&str) -> Option<Var>> Parser<'a, R> {
                 Err(_) => return Err(LogicError::Unresolved(name)),
             };
             self.bump();
-            let args = self.term_list()?;
+            let args = self.nested(Self::term_list)?;
             self.expect(&Tok::RParen, "closing `)`")?;
             let want = self.schema.arity(f);
             if args.len() != want {
@@ -388,6 +415,7 @@ pub fn parse_formula(
         resolve,
         scope: Vec::new(),
         next_fresh: quantifier_base,
+        depth: 0,
     };
     let f = p.formula()?;
     if p.pos != p.toks.len() {
@@ -535,5 +563,31 @@ mod tests {
         .unwrap();
         let val = [Element(0), Element(0), Element(1), Element(1)];
         assert!(eval(&f, &g, &val).unwrap());
+    }
+
+    /// Each nesting construct is accepted up to [`MAX_NESTING`] levels and
+    /// rejected one level deeper, and input far deeper than that is an
+    /// error, not a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let schema = graph_schema();
+        let parse = |src: &str| parse_formula(src, &schema, vars, 8);
+        let nestings: [fn(usize) -> String; 4] = [
+            |n| format!("{}x_old = x_new{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("{}x_old = x_new", "!".repeat(n)),
+            |n| format!("{}x_old = x_new", "exists z . ".repeat(n)),
+            |n| format!("{}x_old{} = x_new", "cca(x_old, ".repeat(n), ")".repeat(n)),
+        ];
+        for nested in nestings {
+            assert!(parse(&nested(MAX_NESTING)).is_ok(), "{}", nested(1));
+            let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+            assert!(
+                err.to_string()
+                    .ends_with(&format!("nesting deeper than {MAX_NESTING} levels")),
+                "{}: {err}",
+                nested(1)
+            );
+        }
+        assert!(parse(&nestings[0](20_000)).is_err());
     }
 }

@@ -16,9 +16,8 @@
 //!   substructure generated by a seed set, §4.1 "n-generated");
 //! * morphisms — homomorphism / embedding / isomorphism checks and
 //!   backtracking search ([`morphism`]);
-//! * canonical forms for *pointed* structures ([`canon`]), the key to turning
-//!   the paper's nondeterministic small-configuration algorithm (Theorem 5)
-//!   into a deterministic search;
+//! * a brute-force canonical key for *pointed* structures ([`canon`]), the
+//!   reference the engine's canonical configurations are tested against;
 //! * exhaustive enumeration of small structures ([`enumerate`]), used by the
 //!   brute-force baselines that cross-validate the symbolic algorithms.
 //!
@@ -26,7 +25,8 @@
 //! manipulates structures generated by at most `2k` register values), so the
 //! representation favours determinism and clarity: relations are ordered sets
 //! of tuples, functions are ordered maps. Determinism matters because
-//! canonical keys are derived from iteration order.
+//! canonical configurations and every rendered artifact are derived from
+//! iteration order.
 
 pub mod canon;
 pub mod element;
@@ -36,10 +36,7 @@ pub mod morphism;
 pub mod schema;
 pub mod structure;
 
-pub use canon::{
-    canonical_key_general, canonical_key_pointed, canonicalize_generated_relational,
-    canonicalize_pointed, encode_generated_relational, CanonicalKey, KeyScratch,
-};
+pub use canon::canonical_key_general;
 pub use element::Element;
 pub use error::StructureError;
 pub use schema::{Schema, SymbolId, SymbolKind};

@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// tuple. Flat rows make a copy one `memcpy` per relation and let
 /// [`Rows::clone_from`] reuse the existing buffer. Membership is
 /// a binary search over row indices; iteration is `chunks_exact` — both in
-/// the same lexicographic order the `BTreeSet` produced, so canonical keys
-/// and every rendered artifact are unchanged.
+/// the same lexicographic order the `BTreeSet` produced, so canonical
+/// configurations and every rendered artifact are unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Rows {
     arity: usize,

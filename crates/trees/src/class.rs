@@ -11,8 +11,9 @@
 //! on the materialized amalgam.
 //!
 //! `NonEmpty` answers are certified through the bounded baseline (an actual
-//! accepted tree plus a re-validated run); `Empty` answers are sound because
-//! the configuration space over-approximates the paper's class (see the
+//! accepted tree plus a re-validated run). `Empty` answers can be wrong: a
+//! new point's pointer nodes may lie outside both configurations, and the
+//! placements above never add such nodes, so that step is missed (see the
 //! crate docs).
 
 use crate::automaton::TreeAutomaton;

@@ -26,13 +26,16 @@
 //!   necessary conditions derived from the pointer discipline (edge
 //!   components restricted by `ancestormost` closure, linear-component
 //!   chains, per-node sibling-chain feasibility); the `leftmost_q` /
-//!   `rightmost_q` child pointers are abstracted away, making the class a
-//!   **certified over-approximation**: `Empty` answers are sound (the
-//!   abstraction explores a superset of the paper's class `C`), and
-//!   `NonEmpty` answers are certified by concretizing through the bounded
-//!   baseline and re-validating with the explicit model checker. The
-//!   cross-validation suite shows exact agreement on the evaluation
-//!   workloads. See DESIGN.md §8.
+//!   `rightmost_q` child pointers are abstracted away. `NonEmpty` answers
+//!   are certified by concretizing through the bounded baseline and
+//!   re-validating with the explicit model checker. `Empty` answers are
+//!   **not known to be sound**: each new register gets one fresh node, and
+//!   the successor is closed under the pointers computed inside that
+//!   amalgam, so a step whose new points have `ancestormost` or
+//!   `descendantmost` nodes outside both configurations is missed, and the
+//!   class can answer `Empty` for a system with an accepting run. The
+//!   cross-validation suite agrees with the bounded baseline on the
+//!   evaluation workloads, which does not rule that out. See DESIGN.md §8.
 
 pub mod automaton;
 pub mod baseline;

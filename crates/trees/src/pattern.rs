@@ -6,8 +6,9 @@
 //! `ancestormost` and `descendantmost` pointers are *determined* by the
 //! pattern (topmost / lowest same-component pattern node on the respective
 //! path — see DESIGN.md §4.3), so they are recomputed rather than stored;
-//! the `leftmost_q`/`rightmost_q` child pointers are abstracted away
-//! (the class is a certified over-approximation, see the crate docs).
+//! the `leftmost_q`/`rightmost_q` child pointers are abstracted away (the
+//! crate docs say why `Empty` answers of the class are not known to be
+//! sound).
 
 use crate::automaton::TreeAutomaton;
 use crate::tree::Tree;
@@ -129,8 +130,10 @@ impl TreePattern {
     }
 
     /// Membership check: the necessary conditions derived from the pointer
-    /// discipline (see module docs). Over-approximates the paper's class
-    /// `C`, which keeps `Empty` engine answers sound.
+    /// discipline (see module docs). These conditions alone do not make
+    /// `Empty` engine answers sound: the successor enumeration can miss
+    /// runs whose pointer nodes lie outside both configurations (see the
+    /// crate docs).
     pub fn is_valid(&self, aut: &TreeAutomaton) -> bool {
         let n = self.len();
         if n == 0 || self.parent[0].is_some() {

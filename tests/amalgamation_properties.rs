@@ -1,14 +1,15 @@
 //! Property tests for the Fraïssé-class invariants the engine's correctness
 //! rests on (§4.1): amalgams stay in the class, extend the base in place,
 //! and sub-transition successors are themselves valid configurations. Three
-//! oracles pin the streaming successor path to the plain definition: the
-//! one-pass canonicalization and the words-only key encoder against
-//! `generated()` + `RelConfig::canonical`; `transitions` and the
+//! oracles pin the streaming successor path to the plain definition:
+//! `RelConfig::generated_by` and the replay's `is_generated_by` against
+//! `generated()` renumbered by first occurrence; `transitions` and the
 //! interner-resolving `successors` (cold, seeded, warm, from the
 //! per-configuration memo, and under the residual guard) against a
-//! reference built from those under the original guard over the spec
-//! corpora; and the packed-key contract — a candidate's per-family packed
-//! key is that of the configuration it generates — over the same corpora.
+//! reference built through `generated()` under the original guard over the
+//! spec corpora; and the packed-key contract — a candidate's per-family
+//! packed key is that of the configuration it generates — over the same
+//! corpora.
 //! A fourth pins the guard evaluator the successor search decides families
 //! with (`eval_with`) to `eval`.
 
@@ -19,7 +20,6 @@ use dds::core::intern::Resolved;
 use dds::core::{AmalgamClass, Interner, Pointed, RelConfig};
 use dds::logic::eval::{eval, eval_with, is_local};
 use dds::prelude::*;
-use dds::structure::{encode_generated_relational, KeyScratch};
 use dds_cli::load_spec;
 use dds_cli::lower::{AnyClass, Task};
 use dds_gen::diff::is_data_relation;
@@ -129,13 +129,14 @@ proptest! {
         }
     }
 
-    /// The one-pass canonicalization equals `generated()` followed by
-    /// `RelConfig::canonical` — key words, representative and points — and
-    /// the words-only encoder writes the same words and returns the same
-    /// hash, over random relational structures with relations of arity
-    /// 0–6, up to 8 elements, and repeated, permuted points. The encoder's
-    /// scratch first encodes an unrelated pointing, so stale buffer contents
-    /// would show.
+    /// `RelConfig::generated_by` equals `generated()` with its elements
+    /// renumbered by first occurrence among the points, and the replay's
+    /// `is_generated_by` agrees with `generated_by` equality — on the
+    /// configuration's own points, on a second pointing, and on its own
+    /// points after one more fact among them — over random relational
+    /// structures with relations of arity 0–6, up to 8 elements, and
+    /// repeated, permuted points. The check's scratch first holds an
+    /// unrelated pointing, so stale buffer contents would show.
     #[test]
     fn one_pass_canonicalization_matches_generated(
         size in 1usize..9,
@@ -145,6 +146,8 @@ proptest! {
             0..24,
         ),
         raw_points in proptest::collection::vec(0usize..8, 0..8),
+        raw_other in proptest::collection::vec(0usize..8, 0..8),
+        extra in (0usize..3, proptest::collection::vec(0usize..8, 6..7)),
     ) {
         let mut sc = Schema::new();
         let rels: Vec<SymbolId> = arities
@@ -161,18 +164,46 @@ proptest! {
                 .collect();
             s.add_fact(rels[r], &tuple).unwrap();
         }
-        let points: Vec<Element> =
-            raw_points.iter().map(|&p| Element::from_index(p % size)).collect();
+        let element = |raw: &Vec<usize>| -> Vec<Element> {
+            raw.iter().map(|&p| Element::from_index(p % size)).collect()
+        };
+        let (points, other) = (element(&raw_points), element(&raw_other));
         let fast = RelConfig::generated_by(&s, &points);
-        let mut scratch = KeyScratch::default();
-        let reversed: Vec<Element> = points.iter().rev().copied().collect();
-        encode_generated_relational(&s, &reversed, &mut scratch);
-        let hash = encode_generated_relational(&s, &points, &mut scratch);
-        let reference = RelConfig::canonical(&Pointed::new(s, points).generated());
-        prop_assert_eq!(fast.key().as_words(), reference.key().as_words());
-        prop_assert_eq!(&fast.pointed, &reference.pointed);
-        prop_assert_eq!(scratch.words(), reference.key().as_words());
-        prop_assert_eq!(hash, reference.key().hash64());
+        let generated = Pointed::new(s.clone(), points.clone()).generated();
+        let mut perm = vec![Element(u32::MAX); generated.structure.size()];
+        let mut next = 0;
+        for p in &generated.points {
+            if perm[p.index()] == Element(u32::MAX) {
+                perm[p.index()] = Element(next);
+                next += 1;
+            }
+        }
+        let reference = Pointed {
+            structure: generated.structure.map_elements(&perm),
+            points: generated.points.iter().map(|p| perm[p.index()]).collect(),
+        };
+        prop_assert_eq!(&fast.pointed, &reference);
+        let mut scratch = Vec::new();
+        let reversed: Vec<Element> = other.iter().rev().copied().collect();
+        let _ = fast.is_generated_by(&s, &reversed, &mut scratch);
+        prop_assert!(fast.is_generated_by(&s, &points, &mut scratch));
+        prop_assert_eq!(
+            fast.is_generated_by(&s, &other, &mut scratch),
+            RelConfig::generated_by(&s, &other) == fast
+        );
+        // One more fact over the points, which may or may not be new.
+        let (r, coords) = extra;
+        let r = r % rels.len();
+        if !points.is_empty() || arities[r] == 0 {
+            let mut grown = s.clone();
+            let tuple: Vec<Element> =
+                coords[..arities[r]].iter().map(|&i| points[i % points.len()]).collect();
+            grown.add_fact(rels[r], &tuple).unwrap();
+            prop_assert_eq!(
+                fast.is_generated_by(&grown, &points, &mut scratch),
+                RelConfig::generated_by(&grown, &points) == fast
+            );
+        }
     }
 }
 
@@ -252,7 +283,8 @@ proptest! {
 
 /// The plain definition of a sub-transition: visit the candidates, keep
 /// those satisfying the guard, restrict each to the substructure its new
-/// points generate, canonicalize, and deduplicate in order. The forced
+/// points generate ([`Pointed::generated`]), canonicalize, and deduplicate
+/// in order. The forced
 /// relation literals are cleared, so the visitor enumerates every fact
 /// subset instead of fixing the forced ones first.
 fn reference_transitions<C: AmalgamClass>(
@@ -271,8 +303,9 @@ fn reference_transitions<C: AmalgamClass>(
     let _ = for_each_candidate(class, &cfg.pointed, k, &hints, |s, points| {
         let combined = combined_valuation(&cfg.pointed.points, points);
         if dds::logic::eval::eval(&guard, s, &combined).unwrap_or(false) {
-            let next = RelConfig::canonical(&Pointed::new(s.clone(), points.to_vec()).generated());
-            if seen.insert(next.key().clone()) {
+            let generated = Pointed::new(s.clone(), points.to_vec()).generated();
+            let next = RelConfig::generated_by(&generated.structure, &generated.points);
+            if seen.insert(next.clone()) {
                 out.push(next);
             }
         }
@@ -405,11 +438,6 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
         checked.unpacked += check_packed_keys(class, cfg, &guards, label);
         for guard in &guards {
             let reference = reference_transitions(class, cfg, guard);
-            let keys = |v: &[RelConfig]| {
-                v.iter()
-                    .map(|c| (c.key().as_words().to_vec(), c.pointed.clone()))
-                    .collect::<Vec<_>>()
-            };
             let internal = translate_formula(guard, class.public_schema(), class.internal_schema());
             let specialised = residual(internal, &cfg.pointed);
             let public =
@@ -422,7 +450,8 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
             for succ in reference.iter().skip(1).step_by(2).rev() {
                 seeded.intern(succ.clone());
             }
-            let cold = unresolve(class.successors(cfg, guard, &warm), &warm);
+            let id = warm.lookup(cfg);
+            let cold = unresolve(class.successors(cfg, id, guard, &warm), &warm);
             for succ in &cold {
                 warm.intern(succ.clone());
             }
@@ -430,33 +459,35 @@ fn check_transitions<C: AmalgamClass>(class: &C, system: &System, label: &str) -
                 ("transitions", class.transitions(cfg, guard)),
                 (
                     "successors (empty interner)",
-                    unresolve(class.successors(cfg, guard, &empty), &empty),
+                    unresolve(class.successors(cfg, None, guard, &empty), &empty),
                 ),
                 (
                     "successors (seeded interner)",
-                    unresolve(class.successors(cfg, guard, &seeded), &seeded),
+                    unresolve(
+                        class.successors(cfg, seeded.lookup(cfg), guard, &seeded),
+                        &seeded,
+                    ),
                 ),
                 ("successors (warm interner)", cold),
                 (
                     "successors (warm interner, filling the memo)",
-                    unresolve(class.successors(cfg, guard, &warm), &warm),
+                    unresolve(class.successors(cfg, id, guard, &warm), &warm),
                 ),
                 (
                     "successors (warm interner, from the memo)",
-                    unresolve(class.successors(cfg, guard, &warm), &warm),
+                    unresolve(class.successors(cfg, id, guard, &warm), &warm),
                 ),
                 (
                     "successors under the residual",
-                    unresolve(class.successors(cfg, &public, &empty), &empty),
+                    unresolve(class.successors(cfg, None, &public, &empty), &empty),
                 ),
             ] {
                 assert_eq!(
-                    keys(&got),
-                    keys(&reference),
+                    got, reference,
                     "{label}: {how} of {cfg:?} under {guard:?} differ",
                 );
             }
-            let id = warm.lookup(cfg).expect("an initial configuration");
+            let id = id.expect("an initial configuration");
             assert_eq!(
                 warm.memo(id).contains_key(&specialised),
                 specialised != Formula::False,
@@ -603,36 +634,40 @@ fn quantified_guards_match_the_reference() {
         nonempty += usize::from(!reference.is_empty());
         assert_eq!(class.transitions(cfg, &guard), reference, "{cfg:?}");
         for _ in 0..2 {
-            let got = unresolve(class.successors(cfg, &guard, &warm), &warm);
+            let got = unresolve(
+                class.successors(cfg, warm.lookup(cfg), &guard, &warm),
+                &warm,
+            );
             assert_eq!(got, reference, "{cfg:?}");
         }
     }
     assert!(nonempty > 0);
 }
 
-/// The key hash mixes: the distinct initial-configuration keys of every
-/// relational spec in `specs/` and `bench/macro/` have distinct
-/// [`dds::structure::CanonicalKey::hash64`]s.
+/// The probe hash mixes: the distinct initial configurations of every
+/// relational spec in `specs/` and `bench/macro/` have distinct probe
+/// hashes ([`Interner::hash_value`]).
 #[test]
 fn initial_key_hashes_are_distinct() {
-    fn hashes<C: AmalgamClass>(class: &C, system: &System) -> Vec<(u64, Vec<u64>)> {
-        class
-            .initial_configs(system.num_registers())
-            .iter()
-            .map(|c| (c.key_hash(), c.key().as_words().to_vec()))
-            .collect()
-    }
-    let mut keys = 0;
+    let mut configs = 0;
     let specs = for_each_relational_spec(&["specs", "bench/macro"], |class, system, label| {
-        let mut by_hash: HashMap<u64, Vec<u64>> = HashMap::new();
-        for (hash, words) in with_relational_class!(class, |c| hashes(c, system)) {
-            let first = by_hash.entry(hash).or_insert_with(|| words.clone());
-            assert_eq!(*first, words, "{label}: two keys share hash {hash:#x}");
-            keys += 1;
+        let initial = with_relational_class!(class, |c| c.initial_configs(system.num_registers()));
+        let mut by_hash: HashMap<u64, &RelConfig> = HashMap::new();
+        for cfg in &initial {
+            let hash = Interner::hash_value(cfg);
+            let first = by_hash.entry(hash).or_insert(cfg);
+            assert_eq!(
+                *first, cfg,
+                "{label}: two configurations share hash {hash:#x}"
+            );
+            configs += 1;
         }
     });
     assert!(specs >= 20, "only {specs} relational specs found");
-    assert!(keys >= 1000, "only {keys} initial keys checked");
+    assert!(
+        configs >= 1000,
+        "only {configs} initial configurations checked"
+    );
 }
 
 /// Relations of arity 5 and 6 go through the successor oracle and verify
@@ -676,9 +711,9 @@ property reach {
         panic!("reach property expected");
     };
     // Two distinct new points span 2^6 + 2^5 tuples of `R` and `Q`, more
-    // than a packed key holds, so those candidates are resolved by key
-    // words: at most the 258 candidates the earlier per-base tags left
-    // without one.
+    // than a packed key holds, so those candidates are built and probed as
+    // values: at most the 258 candidates the earlier per-base tags left
+    // without a key.
     let checked = check_transitions(class, system, "wide_arity");
     assert!(checked.pairs > 0);
     assert!(

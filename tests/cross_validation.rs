@@ -1,5 +1,6 @@
 //! Property-based cross-validation: the symbolic engine against brute force.
 
+use dds::core::{Pointed, RelConfig};
 use dds::prelude::*;
 use dds::system::baseline::{bounded_emptiness_relational, BaselineStats};
 use dds::words::baseline::bounded_emptiness as word_baseline;
@@ -60,20 +61,30 @@ proptest! {
     }
 
     /// Canonicalization invariance: permuting a pointed structure never
-    /// changes its canonical key.
+    /// changes the configuration its points generate
+    /// ([`RelConfig::generated_by`]), and two pointed structures generate
+    /// equal configurations exactly when the brute-force canonical keys of
+    /// their generated substructures agree.
     #[test]
     fn canonical_keys_are_permutation_invariant(
         edges in proptest::collection::vec((0u32..4, 0u32..4), 0..8),
+        other_edges in proptest::collection::vec((0u32..3, 0u32..3), 0..4),
+        raw_points in proptest::collection::vec(0u32..4, 0..4),
+        other_points in proptest::collection::vec(0u32..3, 0..4),
         perm_seed in 0usize..24,
     ) {
         let mut s = Schema::new();
         let e = s.add_relation("E", 2).unwrap();
         let schema = s.finish();
-        let mut g = Structure::new(schema, 4);
-        for (a, b) in edges {
-            g.add_fact(e, &[Element(a), Element(b)]).unwrap();
-        }
-        let points: Vec<Element> = (0..4).map(Element).collect();
+        let graph = |n: usize, edges: &[(u32, u32)]| {
+            let mut g = Structure::new(schema.clone(), n);
+            for &(a, b) in edges {
+                g.add_fact(e, &[Element(a), Element(b)]).unwrap();
+            }
+            g
+        };
+        let g = graph(4, &edges);
+        let points: Vec<Element> = raw_points.iter().map(|&p| Element(p)).collect();
         // A permutation of 4 elements from the seed.
         let mut items: Vec<u32> = (0..4).collect();
         let mut perm = Vec::new();
@@ -85,9 +96,19 @@ proptest! {
         }
         let h = g.map_elements(&perm);
         let mapped_points: Vec<Element> = points.iter().map(|p| perm[p.index()]).collect();
-        let key_g = dds::structure::canonical_key_pointed(&g, &points);
-        let key_h = dds::structure::canonical_key_pointed(&h, &mapped_points);
-        prop_assert_eq!(key_g, key_h);
+        let cfg = RelConfig::generated_by(&g, &points);
+        prop_assert_eq!(&cfg, &RelConfig::generated_by(&h, &mapped_points));
+        // Against the brute-force key, on a second small structure.
+        let general = |s: &Structure, points: &[Element]| {
+            let sub = Pointed::new(s.clone(), points.to_vec()).generated();
+            dds::structure::canonical_key_general(&sub.structure, &sub.points)
+        };
+        let other = graph(3, &other_edges);
+        let other_points: Vec<Element> = other_points.iter().map(|&p| Element(p)).collect();
+        prop_assert_eq!(
+            cfg == RelConfig::generated_by(&other, &other_points),
+            general(&g, &points) == general(&other, &other_points)
+        );
     }
 
     /// Fact 2 compilation preserves explicit-model-checking results on

@@ -20,7 +20,7 @@ use dds::words::config::{allowed_in_gap, component_span};
 use dds::words::{NfaStateId, WordConfig};
 use dds_cli::load_spec;
 use dds_cli::lower::{AnyClass, Task};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
@@ -146,21 +146,22 @@ impl<C: Reference> Reference for DataClass<C> {
 }
 
 /// Asserts that `initial_configs(k)` has no repeats and equals the
-/// reference as a set of canonical keys; returns its size.
+/// reference as a set of configurations; returns its size.
 fn check_relational<C: Reference>(class: &C, k: usize, label: &str) -> usize {
     let got = class.initial_configs(k);
-    let got_keys: BTreeSet<_> = got.iter().map(|c| c.key().clone()).collect();
+    let got_set: HashSet<&RelConfig> = got.iter().collect();
     assert_eq!(
-        got_keys.len(),
+        got_set.len(),
         got.len(),
         "{label}: repeated configurations at k={k}"
     );
-    let want: BTreeSet<_> = class
+    let want: Vec<RelConfig> = class
         .pointed_members(k)
         .iter()
-        .map(|p| RelConfig::canonical(p).key().clone())
+        .map(|p| RelConfig::generated_by(&p.structure, &p.points))
         .collect();
-    assert!(got_keys == want, "{label}: initial sets differ at k={k}");
+    let want: HashSet<&RelConfig> = want.iter().collect();
+    assert!(got_set == want, "{label}: initial sets differ at k={k}");
     got.len()
 }
 
