@@ -77,9 +77,9 @@
 //! initial configuration — every `k`-generated member — before it expands
 //! anything, so its calls build no configuration at all; `transitions`,
 //! against an empty interner, builds each distinct successor once. Replay
-//! evaluates the guard on each candidate, checks in place whether its new
-//! points generate the trace step ([`RelConfig::is_generated_by`]), stops
-//! at the first that does and clones only that one.
+//! evaluates the guard on each candidate, builds the configuration its new
+//! points generate, stops at the first that is the trace step and clones
+//! only that candidate.
 //!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
@@ -803,7 +803,6 @@ pub fn replay_trace<T: AmalgamClass>(
     let mut states = vec![first.state];
     let mut vals = vec![points.clone()];
     let mut combined = Vec::new();
-    let mut numbered = Vec::new();
 
     for step in &trace.steps[1..] {
         let rule = &system.rules()[step.rule?];
@@ -815,7 +814,7 @@ pub fn replay_trace<T: AmalgamClass>(
         let _ = for_each_candidate(class, &base, k, &hints, |s, new_points| {
             fill_combined(&mut combined, &base.points, new_points);
             if eval(&guard, s, &combined).unwrap_or(false)
-                && step.config.is_generated_by(s, new_points, &mut numbered)
+                && RelConfig::generated_by(s, new_points) == step.config
             {
                 found = Some((s.clone(), new_points.to_vec()));
                 return ControlFlow::Break(());
@@ -858,7 +857,7 @@ impl<T: AmalgamClass> SymbolicClass for T {
     }
 
     fn transitions(&self, cfg: &RelConfig, guard: &Formula) -> Vec<RelConfig> {
-        self.successors(cfg, None, guard, &Interner::new())
+        self.successors(cfg, guard, &Interner::new())
             .into_iter()
             .map(|entry| match entry {
                 Resolved::Fresh(next, _) => *next,
@@ -868,19 +867,17 @@ impl<T: AmalgamClass> SymbolicClass for T {
     }
 
     /// Specialises `guard` to `cfg` ([`residual`]) and answers a residual
-    /// `false` with no successors. Given `cfg`'s id, a list its successor
-    /// memo ([`Interner::memo`]) keeps under the residual is the answer.
-    /// Otherwise each candidate that satisfies the residual is resolved by
-    /// its packed key or else as a built value (see the module docs), and a
-    /// list made only of interned ids goes into the memo.
+    /// `false` with no successors. When `known` holds `cfg`, a list its
+    /// successor memo ([`Interner::memo`]) keeps under the residual is the
+    /// answer. Otherwise each candidate that satisfies the residual is
+    /// resolved by its packed key or else as a built value (see the module
+    /// docs), and a list made only of interned ids goes into the memo.
     fn successors(
         &self,
         cfg: &RelConfig,
-        id: Option<ConfigId>,
         guard: &Formula,
         known: &Interner<RelConfig>,
     ) -> Vec<Resolved<RelConfig>> {
-        debug_assert!(id.map_or(true, |id| known.get(id) == cfg));
         let guard = residual(
             translate_formula(guard, self.public_schema(), self.internal_schema()),
             &cfg.pointed,
@@ -888,6 +885,7 @@ impl<T: AmalgamClass> SymbolicClass for T {
         if guard == Formula::False {
             return Vec::new();
         }
+        let id = known.lookup_prehashed(cfg, Interner::hash_value(cfg));
         if let Some(ids) = id.and_then(|id| known.memo(id).get(&guard).cloned()) {
             return ids.iter().map(|&id| Resolved::Interned(id)).collect();
         }
@@ -961,35 +959,6 @@ pub fn residual(guard: Formula, cfg: &Pointed) -> Formula {
     }
 }
 
-/// A set of interned ids: a bitmap in pages of 2,048 ids. The first page
-/// is inline, and every other is allocated, zeroed, when its first id
-/// arrives. A set thus costs the pages its entries touch, plus a word per
-/// page below its largest entry, not a bit per id of the interner.
-#[derive(Default)]
-struct IdSet {
-    first: [u64; 32],
-    rest: Vec<Option<Box<[u64; 32]>>>,
-}
-
-impl IdSet {
-    /// Inserts `id`; `false` when it was there already.
-    fn insert(&mut self, id: ConfigId) -> bool {
-        let page = match id.index() >> 11 {
-            0 => &mut self.first,
-            page => {
-                if page > self.rest.len() {
-                    self.rest.resize(page, None);
-                }
-                self.rest[page - 1].get_or_insert_with(Box::default)
-            }
-        };
-        let (bits, bit) = (&mut page[id.index() >> 6 & 31], 1 << (id.0 & 63));
-        let fresh = *bits & bit == 0;
-        *bits |= bit;
-        fresh
-    }
-}
-
 /// The key-first resolution behind [`SymbolicClass::successors`] and
 /// [`SymbolicClass::initial_configs`]: the configurations the `k_new` new
 /// points generate in the candidates over `base` that satisfy `guard`
@@ -997,9 +966,7 @@ impl IdSet {
 /// a packed key ([`FamilyKeys`]) is probed by it; one without is built and
 /// probed as a value. Each is probed against `known`, then against the
 /// fresh successors this call already built, and only a configuration
-/// absent from both is built. Entries keep first-occurrence order, and
-/// the dedup of both kinds grows with the output ([`IdSet`]), not with
-/// `known`.
+/// absent from both is built. Entries keep first-occurrence order.
 fn resolve_amalgams<T: AmalgamClass + ?Sized>(
     class: &T,
     base: &Pointed,
@@ -1009,7 +976,15 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
 ) -> Vec<Resolved<RelConfig>> {
     let hints = GuardHints::of(guard);
     let mut keys = FamilyKeys::new(class.internal_schema(), k_new);
-    let mut seen_ids = IdSet::default();
+    // Bitmap over `known`'s ids of the ones already in `out`.
+    let mut seen_ids = vec![0u64; known.len().div_ceil(64)];
+    let mut push_id = |out: &mut Vec<Resolved<RelConfig>>, id: ConfigId| {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if seen_ids[word] & bit == 0 {
+            seen_ids[word] |= bit;
+            out.push(Resolved::Interned(id));
+        }
+    };
     // Probe hash → position in `out` of the first fresh entry under it.
     let mut fresh_at: HashMap<u64, usize, BuildWordHasher> = HashMap::default();
     let mut out = Vec::new();
@@ -1027,30 +1002,28 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
         let has_keys = keys.prepare(family);
         let new_points = family.new_points;
         family.for_each_passing(guard, decided, &combined, |mask, cand| {
-            // `Err`: the successor's packed key, which is how `RelConfig`
-            // hashes when it has one. `Ok`: the successor itself, built
-            // now because it has none.
-            let (hash, successor) = if has_keys {
+            // A successor with a packed key is probed by it, which is how
+            // `RelConfig` hashes then; one without is built now and probed
+            // as a value.
+            let (hash, packed, built) = if has_keys {
                 let packed = keys.key(mask);
-                (probe_hash(&packed), Err(packed))
+                (probe_hash(&packed), Some(packed), None)
             } else {
                 let next = RelConfig::generated_by(cand.get(), new_points);
-                (Interner::hash_value(&next), Ok(next))
+                (Interner::hash_value(&next), None, Some(next))
             };
-            let same = |c: &RelConfig| match &successor {
-                Ok(next) => c == next,
-                Err(packed) => c.packed() == Some(*packed) && c.pointed.points.len() == k_new,
+            let same = |c: &RelConfig| match &built {
+                Some(next) => c == next,
+                None => c.packed() == packed && c.pointed.points.len() == k_new,
             };
             if let Some(id) = known.lookup_with(hash, same) {
                 debug_assert!(
-                    successor.is_ok()
+                    built.is_some()
                         || RelConfig::generated_by(cand.copy_into(&mut recheck), new_points)
                             == *known.get(id),
-                    "{successor:?} over {base:?} names two configurations"
+                    "packed key {packed:?} over {base:?} names two configurations"
                 );
-                if seen_ids.insert(id) {
-                    out.push(Resolved::Interned(id));
-                }
+                push_id(&mut out, id);
                 return ControlFlow::Continue(());
             }
             let is_fresh_dup = |entry: &Resolved<RelConfig>| {
@@ -1063,9 +1036,9 @@ fn resolve_amalgams<T: AmalgamClass + ?Sized>(
                 Some(&at) => is_fresh_dup(&out[at]) || out.iter().any(is_fresh_dup),
             };
             if !dup {
-                let next = successor.unwrap_or_else(|packed| {
+                let next = built.unwrap_or_else(|| {
                     let next = RelConfig::generated_by(cand.get(), new_points);
-                    debug_assert_eq!(next.packed(), Some(packed), "{next:?}");
+                    debug_assert_eq!(next.packed(), packed, "{next:?}");
                     next
                 });
                 fresh_at.entry(hash).or_insert(out.len());
@@ -1123,20 +1096,6 @@ mod tests {
         assert!(!p.contains(&vec![PointTarget::Fresh(1), PointTarget::Fresh(0)]));
         // k = 0: single empty placement.
         assert_eq!(placements(3, 0).len(), 1);
-    }
-
-    #[test]
-    fn id_sets_tell_ids_apart_across_pages() {
-        let mut set = IdSet::default();
-        let ids = [0, 63, 64, 2047, 2048, 4095, 4096, 100_000, 2049, 1];
-        for id in ids {
-            assert!(set.insert(ConfigId(id)), "{id}");
-        }
-        for id in ids {
-            assert!(!set.insert(ConfigId(id)), "{id}");
-        }
-        assert!(set.insert(ConfigId(100_001)));
-        assert!(set.insert(ConfigId(6144)));
     }
 
     #[test]

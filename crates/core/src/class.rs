@@ -1,6 +1,6 @@
 //! The interface between the Theorem 5 engine and a (semi-)Fraïssé class.
 
-use crate::intern::{ConfigId, Interner, Resolved};
+use crate::intern::{Interner, Resolved};
 use dds_structure::{Element, Schema, Structure, SymbolId};
 use dds_system::{Run, StateId, System};
 use std::fmt;
@@ -100,51 +100,6 @@ impl RelConfig {
             },
             packed,
         }
-    }
-
-    /// Whether `points` generate this configuration in `s`: the same as
-    /// `RelConfig::generated_by(s, points) == *self`, without building
-    /// anything. `numbered` is caller-owned scratch: it holds the distinct
-    /// points and then one row, so reusing it across calls makes the check
-    /// allocation-free once it has grown.
-    pub fn is_generated_by(
-        &self,
-        s: &Structure,
-        points: &[Element],
-        numbered: &mut Vec<Element>,
-    ) -> bool {
-        let rep = &self.pointed;
-        point_numbers(points, numbered);
-        let n = numbered.len();
-        if points.len() != rep.points.len()
-            || n != rep.structure.size()
-            || points
-                .iter()
-                .zip(&rep.points)
-                .any(|(p, q)| numbered[q.index()] != *p)
-        {
-            return false;
-        }
-        // Every fact of the representative holds among the points, and as
-        // many facts lie among them as the representative has.
-        let mut inside = 0;
-        for r in s.schema().relations() {
-            for u in rep.structure.rel_tuples(r) {
-                numbered.truncate(n);
-                for e in u {
-                    numbered.push(numbered[e.index()]);
-                }
-                if !s.holds(r, &numbered[n..]) {
-                    return false;
-                }
-            }
-            let points = &numbered[..n];
-            inside += s
-                .rel_tuples(r)
-                .filter(|t| t.iter().all(|e| points.contains(e)))
-                .count();
-        }
-        inside == rep.structure.fact_count()
     }
 
     /// The *packed key*, when it fits in 64 bits: a pattern field holds
@@ -362,14 +317,9 @@ pub trait SymbolicClass: Sync {
     /// `transitions`, then one lookup per successor. Overrides (the
     /// relational classes) resolve each candidate by its packed key where
     /// it has one and build only the configurations `known` lacks.
-    ///
-    /// `id` is `cfg`'s id in `known` when the caller holds it (the engine
-    /// always does), and `None` otherwise; the relational classes keep
-    /// their successor memo under it.
     fn successors(
         &self,
         cfg: &Self::Config,
-        _id: Option<ConfigId>,
         guard: &dds_logic::Formula,
         known: &Interner<Self::Config>,
     ) -> Vec<Resolved<Self::Config>> {
@@ -455,10 +405,6 @@ mod tests {
         assert_eq!(ca, cb);
         let cc = RelConfig::generated_by(&a, &[Element(1), Element(0)]);
         assert_ne!(ca, cc);
-        let mut numbered = Vec::new();
-        assert!(ca.is_generated_by(&b, &[Element(1), Element(0)], &mut numbered));
-        assert!(!ca.is_generated_by(&a, &[Element(1), Element(0)], &mut numbered));
-        assert!(!ca.is_generated_by(&a, &[Element(0), Element(0)], &mut numbered));
     }
 
     #[test]
@@ -476,11 +422,9 @@ mod tests {
         let again = RelConfig::generated_by(&cfg.pointed.structure, &cfg.pointed.points);
         assert_eq!(Interner::hash_value(&again), Interner::hash_value(&cfg));
         assert_eq!(again, cfg);
-        let mut numbered = Vec::new();
-        assert!(cfg.is_generated_by(&g, &[Element(2), Element(0)], &mut numbered));
         // Element 1 has the same fact, so it generates the same
         // configuration; with the fact on the second point it differs.
-        assert!(cfg.is_generated_by(&g, &[Element(1), Element(0)], &mut numbered));
-        assert!(!cfg.is_generated_by(&g, &[Element(0), Element(2)], &mut numbered));
+        assert_eq!(RelConfig::generated_by(&g, &[Element(1), Element(0)]), cfg);
+        assert_ne!(RelConfig::generated_by(&g, &[Element(0), Element(2)]), cfg);
     }
 }

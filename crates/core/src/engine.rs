@@ -906,7 +906,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                 let t0 = Instant::now();
                 let entries = self.class.successors(
                     s.interner.get(cfg),
-                    Some(cfg),
                     &self.compiled.rules()[rule_idx].guard,
                     &s.interner,
                 );
@@ -945,7 +944,6 @@ impl<'a, C: SymbolicClass> Engine<'a, C> {
                 let (cfg, rule_idx) = epoch.tasks[i];
                 let entries = self.class.successors(
                     epoch.interner.get(cfg),
-                    Some(cfg),
                     &self.compiled.rules()[rule_idx].guard,
                     &epoch.interner,
                 );

@@ -79,8 +79,8 @@ pub enum Resolved<Cfg> {
 /// that hashes as a single `u64` (such as a [`crate::RelConfig`] with a
 /// packed key, which feeds just that) gets that word through a
 /// multiply-xorshift finalizer, so callers holding only the word can
-/// compute the probe hash without the value, in a few instructions. Any other input goes through
-/// the standard library's [`DefaultHasher`].
+/// compute the probe hash without the value, in a few instructions. Any
+/// other input goes through the standard library's [`DefaultHasher`].
 pub(crate) fn probe_hash<V: Hash + ?Sized>(value: &V) -> u64 {
     let mut h = ProbeHasher::default();
     value.hash(&mut h);
@@ -422,7 +422,7 @@ mod tests {
         let cfg = known.get(bare).clone();
         let ids = |guard: &Formula| -> Vec<ConfigId> {
             class
-                .successors(&cfg, Some(bare), guard, &known)
+                .successors(&cfg, guard, &known)
                 .into_iter()
                 .map(|entry| match entry {
                     Resolved::Interned(id) => id,

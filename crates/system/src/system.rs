@@ -36,6 +36,18 @@ pub fn new_var(i: usize) -> Var {
     Var(2 * i as u32 + 1)
 }
 
+/// How many characters of a guard its diagnostics quote.
+const GUARD_ECHO: usize = 80;
+
+/// `guard` as its diagnostics quote it: in backticks, cut after
+/// [`GUARD_ECHO`] characters with `...`.
+fn quoted(guard: &str) -> String {
+    match guard.char_indices().nth(GUARD_ECHO) {
+        Some((end, _)) => format!("`{}...`", &guard[..end]),
+        None => format!("`{guard}`"),
+    }
+}
+
 /// A transition rule `from --guard--> to`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Rule {
@@ -273,10 +285,11 @@ impl SystemBuilder {
             |name| self.resolve_var(name),
             2 * k, // quantified variables start past the register block
         )
-        .map_err(|e| SystemError::Guard(format!("{e} in `{guard}`")))?;
+        .map_err(|e| SystemError::Guard(format!("{e} in {}", quoted(guard))))?;
         if !parsed.is_existential() {
             return Err(SystemError::Guard(format!(
-                "guard `{guard}` is not existential (quantifier under negation)"
+                "guard {} is not existential (quantifier under negation)",
+                quoted(guard)
             )));
         }
         self.rules.push(Rule {
@@ -408,5 +421,31 @@ mod tests {
         ));
         let sys = b.finish().unwrap();
         assert!(!sys.is_quantifier_free());
+    }
+
+    #[test]
+    fn guard_errors_quote_at_most_a_line_of_the_guard() {
+        let mut b = SystemBuilder::new(schema(), &["x"]);
+        b.state("a").initial();
+        let Err(SystemError::Guard(short)) = b.rule("a", "a", "E(x_old)") else {
+            panic!("an arity error");
+        };
+        assert!(short.ends_with(" in `E(x_old)`"), "{short}");
+        let long = format!("{}E(x_old, x_old)", "(".repeat(300));
+        let Err(SystemError::Guard(msg)) = b.rule("a", "a", &long) else {
+            panic!("a parse error");
+        };
+        assert!(
+            msg.ends_with(&format!(" in `{}...`", "(".repeat(80))),
+            "{msg}"
+        );
+        let long = format!("!(exists z . E(x_old, z)){}", " & true".repeat(20));
+        let Err(SystemError::Guard(msg)) = b.rule("a", "a", &long) else {
+            panic!("a negated quantifier");
+        };
+        assert!(
+            msg.starts_with(&format!("guard `{}...`", &long[..80])),
+            "{msg}"
+        );
     }
 }
