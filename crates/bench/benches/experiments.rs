@@ -1,4 +1,5 @@
-//! The experiment suite E1–E10 (see EXPERIMENTS.md and DESIGN.md §6).
+//! The experiment suite E1–E10, one experiment per theorem (see the
+//! paper-to-code map in ARCHITECTURE.md).
 //!
 //! Each group reproduces one claim of the paper as a measurable shape:
 //! who wins, how cost scales with the theorem's parameters, and where the

@@ -1,10 +1,10 @@
 //! Shared workload generators for the experiment benches (E1–E10).
 //!
-//! The paper has no empirical section; EXPERIMENTS.md defines one experiment
-//! per theorem and maps each to a bench group in
-//! `benches/experiments.rs`. This library builds the workloads once, for
-//! those benches and for the `experiments_json` runner, so both and the
-//! EXPERIMENTS.md tables stay in sync.
+//! The paper has no empirical section; the suite defines one experiment
+//! per theorem (listed in ARCHITECTURE.md's paper-to-code map), each a
+//! bench group in `benches/experiments.rs`. This library builds the
+//! workloads once, for those benches and for the `experiments_json`
+//! runner, so both measure the same systems.
 //!
 //! It also holds the timing and baseline-gate helpers both JSON runners
 //! (`experiments_json`, `macro_json`) share: [`env_or`], [`measure`] and the

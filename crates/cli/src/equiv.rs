@@ -1,7 +1,7 @@
 //! Spec equivalence: `EquivRequest → EquivReport` via product construction.
 //!
-//! The "safe migration" decision procedure (ROADMAP item 3, after Wang et
-//! al., arXiv:1710.07660): given two `.dds` specs over the same schema and
+//! The "safe migration" decision procedure (after Wang et al.,
+//! arXiv:1710.07660): given two `.dds` specs over the same schema and
 //! structure class, decide for every shared `reach` property whether the
 //! two systems reach the same outcome. Both systems are joined into one
 //! product system ([`dds_core::product`]) — disjoint control states, the

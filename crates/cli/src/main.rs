@@ -131,7 +131,9 @@ and checks
   * four-way       engine outcomes and statistics are bit-identical at
                    1 vs N threads, with and without certification,
   * baselines      bounded brute-force oracles never contradict the
-                   engine; certified witnesses replay and are members.
+                   engine; certified witnesses replay and are members,
+  * completeness   (trees) every step of every accepted run within the
+                   baseline's node budget is a step of the symbolic search.
 
 Equivalence fuzzing (--mode equiv): each iteration mutates a generated
 base spec with a rewrite whose effect is known by construction

@@ -52,9 +52,11 @@
 //! its result still fills the cache. Nothing stops or bounds that run:
 //! the engine checks `max_configs` only between BFS nodes, so a single
 //! expansion, or the enumeration of the initial configurations, can run
-//! (and allocate) without limit — ROADMAP item 1 has an `R/3` spec that
-//! exhausts memory this way. Workers are panic-isolated: a panicking
-//! request answers `500` and the worker lives on.
+//! (and allocate) without limit: the initial configurations of
+//! `specs/adversarial/free_r3.dds` (one `R/3` relation, three registers)
+//! would exhaust memory if a panic did not stop them first. Workers are
+//! panic-isolated: a panicking request answers `500` and the worker lives
+//! on.
 //!
 //! ## The content-hash result cache
 //!

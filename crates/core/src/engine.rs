@@ -316,8 +316,8 @@ pub struct EngineStats {
     /// Always 0. It counted allocations of the thread-local structure pool,
     /// which is gone: amalgams now stream through one buffer per
     /// expansion. The field stays only because the benchmark's traced run
-    /// reads it by name; splitting these stats into counters and
-    /// measurements (ROADMAP item 2) removes it together with that reader.
+    /// reads it by name; the ROADMAP item that splits these stats into
+    /// counters and measurements removes it together with that reader.
     pub scratch_allocs: u64,
     /// Wall time in successor computation (the class's `successors`,
     /// including resolving each successor against the interner), summed

@@ -12,6 +12,12 @@
 //! * engine `nonempty` ⇒ the certified witness replays through
 //!   [`System::check_run`] and is a member of the class.
 //!
+//! Tree scenarios also get a completeness leg that ignores the guards:
+//! every step between two valuations of an accepted run within the tree
+//! baseline's node budget must be a step of the class's glue under `true`.
+//! A guard rarely forces the walk that exposes a missing step, so this leg
+//! finds one that the baseline comparison would need a lucky system for.
+//!
 //! No claim is made on `resource-limit` outcomes beyond four-way equality —
 //! the engine is undecided there, and the baselines stay sound either way.
 
@@ -20,10 +26,16 @@ use crate::AnyClass;
 use dds_core::amalgam::{point_patterns, project_structure};
 use dds_core::data::DataKind;
 use dds_core::{DataSpec, Engine, EngineOptions, Outcome, SymbolicClass};
+use dds_logic::Formula;
 use dds_reductions::words_succ;
+use dds_structure::structure::tuples_over;
 use dds_structure::{Element, Schema, Structure};
 use dds_system::baseline::{bounded_emptiness, bounded_emptiness_relational, BaselineStats};
 use dds_system::{Run, System};
+use dds_trees::baseline::for_each_accepted_run;
+use dds_trees::pointers::run_pointers;
+use dds_trees::{TreeClass, TreePattern};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Differential-run tuning.
@@ -113,6 +125,7 @@ pub fn check_built(sc: &Scenario, built: &Built, opts: &DiffOptions) -> Result<D
                     finish_with_oracle(four, system, oracle.is_some(), |_| true)
                 }
                 AnyClass::Trees(c) => {
+                    tree_steps_complete(c, system.num_registers(), opts.tree_bound)?;
                     let four = four_way(c, system, opts)?;
                     let oracle = dds_trees::baseline::bounded_emptiness(
                         c.automaton(),
@@ -256,6 +269,51 @@ fn finish_members(
 ) -> Result<DiffReport, String> {
     let oracle = bounded_emptiness(system, members);
     finish_with_oracle(four, system, oracle.is_some(), is_member)
+}
+
+/// The tree class's completeness leg, independent of the guards: over
+/// every accepted run within the node budget, each valuation's pattern
+/// ([`TreePattern::of_run`]) is an initial configuration, and each step
+/// between two valuations is a successor under `true`.
+fn tree_steps_complete(class: &TreeClass, k: usize, bound: usize) -> Result<(), String> {
+    let initial: HashSet<TreePattern> = class.initial_configs(k).into_iter().collect();
+    let mut next: HashMap<TreePattern, HashSet<TreePattern>> = HashMap::new();
+    let mut missing = None;
+    for_each_accepted_run(class.automaton(), bound, |t, states| {
+        let ptr = run_pointers(class.automaton(), t, states);
+        let nodes: Vec<Element> = (0..t.len()).map(Element::from_index).collect();
+        let patterns: Vec<TreePattern> = tuples_over(&nodes, k)
+            .iter()
+            .map(|v| {
+                let points: Vec<usize> = v.iter().map(|e| e.index()).collect();
+                TreePattern::of_run(t, states, &ptr, &points)
+            })
+            .collect();
+        for from in &patterns {
+            let succ = next.entry(from.clone()).or_insert_with(|| {
+                class
+                    .transitions(from, &Formula::True)
+                    .into_iter()
+                    .collect()
+            });
+            if !initial.contains(from) {
+                missing = Some(format!("initial pattern {from:?}"));
+            } else if let Some(to) = patterns.iter().find(|to| !succ.contains(*to)) {
+                missing = Some(format!("step {from:?} -> {to:?}"));
+            }
+            if missing.is_some() {
+                return false;
+            }
+        }
+        true
+    });
+    match missing {
+        None => Ok(()),
+        Some(m) => Err(format!(
+            "completeness violation: a run of at most {bound} nodes has the {m}, \
+             which the tree class does not enumerate"
+        )),
+    }
 }
 
 /// Joins the four-way result with a brute-force verdict.

@@ -198,10 +198,17 @@ fn gen_literal(rng: &mut FuzzRng, pool: &AtomPool, vars: &[String]) -> String {
             2 | 3 => format!("{} < {}", v(rng), v(rng)),
             _ => format!("{} = {}", v(rng), v(rng)),
         },
-        AtomPool::Labels(labels) => match rng.below(6) {
+        AtomPool::Labels(labels) => match rng.below(7) {
             0 | 1 => format!("{}({})", rng.pick(labels), v(rng)),
             2 | 3 => format!("{} <= {}", v(rng), v(rng)),
             4 => format!("{} != {}", v(rng), v(rng)),
+            // A strict descent between two distinct variables: two of them
+            // in a row walk down one chain.
+            5 => {
+                let a = rng.below(vars.len());
+                let b = (a + 1 + rng.below(vars.len() - 1)) % vars.len();
+                format!("{0} <= {1} & {0} != {1}", vars[a], vars[b])
+            }
             _ => format!("{} = {}", v(rng), v(rng)),
         },
         AtomPool::Data(inner, sym) => {

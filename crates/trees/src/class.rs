@@ -1,24 +1,36 @@
 //! The [`TreeClass`]: plugging tree patterns into the Theorem 5 engine.
 //!
-//! Sub-transitions place the `k` new register values into the old pattern:
-//! on an existing node, splitting a pattern edge, as a fresh child subtree,
-//! or diverging off an edge through a fresh cca node (the closure of the new
-//! points demands the meet explicitly, mirroring Appendix E's case split of
-//! Figures 2/3). The amalgam must keep the old pattern's *determined*
-//! pointers intact (its `ancestormost`/`descendantmost` values are frozen —
-//! the executable form of Lemma 25's "the pointers are defined the same
-//! way") and pass the membership conditions; the guard is evaluated exactly
-//! on the materialized amalgam.
+//! One glue builds every pattern. It places the `k` new register values
+//! into the old pattern: on an existing node, splitting a pattern edge, as
+//! a fresh leaf child, or diverging off an edge through a fresh cca node
+//! (Appendix E's case split of Figures 2/3). Then it closes the placement
+//! under fresh pointer nodes (§5.4): a fresh point may get a fresh
+//! `ancestormost_Γ` on its root path, and a fresh point, cca node or
+//! `ancestormost` node may get a fresh same-component `descendantmost`
+//! below it, with the cca node that hangs it off an existing edge. Each
+//! node asks for each pointer once, so the closure adds at most
+//! `k · (components + 1)` pointer nodes and their cca nodes, a bound of the
+//! automaton in the spirit of Lemma 14. The amalgam must keep the old
+//! pattern's *determined* pointers intact (its `ancestormost` /
+//! `descendantmost` values are frozen — the executable form of Lemma 25's
+//! "the pointers are defined the same way"), be generated by its points,
+//! and pass the membership conditions; the guard is evaluated exactly on the
+//! materialized amalgam. The successor is the closure of the new points.
+//!
+//! The initial patterns are the same glue under `true`, from the 0-point
+//! patterns: the root alone, or the root with its same-component
+//! `descendantmost` (every closure holds both).
 //!
 //! `NonEmpty` answers are certified through the bounded baseline (an actual
-//! accepted tree plus a re-validated run). `Empty` answers can be wrong: a
-//! new point's pointer nodes may lie outside both configurations, and the
-//! placements above never add such nodes, so that step is missed (see the
-//! crate docs).
+//! accepted tree plus a re-validated run). `tests/completeness_oracle.rs`
+//! checks, for every accepted run of at most 6 nodes of every corpus
+//! automaton and up to 2 registers, that the pattern of each valuation is
+//! initial and that each step between two valuations is a glue step; larger
+//! runs are not checked.
 
 use crate::automaton::TreeAutomaton;
 use crate::baseline::bounded_emptiness;
-use crate::pattern::TreePattern;
+use crate::pattern::{sibling_pair_feasible, TreePattern};
 use crate::tree::{label_symbols, tree_schema};
 use dds_core::{Pointed, SymbolicClass, Trace};
 use dds_logic::eval::eval;
@@ -38,8 +50,6 @@ pub struct TreeClass {
     aut: TreeAutomaton,
     schema: Arc<Schema>,
     label_syms: Vec<SymbolId>,
-    /// Node cap for initial-pattern enumeration.
-    initial_cap: usize,
 }
 
 impl TreeClass {
@@ -51,7 +61,6 @@ impl TreeClass {
             aut,
             schema,
             label_syms,
-            initial_cap: 8,
         }
     }
 
@@ -60,322 +69,295 @@ impl TreeClass {
         &self.aut
     }
 
-    /// Enumerates valid patterns with at most `cap` nodes generated by `k`
-    /// points.
-    fn enumerate_patterns(&self, k: usize, cap: usize) -> Vec<TreePattern> {
-        // Generate preorder shapes with states, prune by validity, then
-        // choose points that generate the whole pattern.
-        let mut out = Vec::new();
-        let nq = self.aut.num_states() as u32;
-        // Components on the pattern root path of `v` (inclusive), computed
-        // on the raw vectors so pruning needs no pattern allocation.
-        fn path_comps(
-            aut: &TreeAutomaton,
-            parent: &[Option<usize>],
-            states: &[u32],
-            mut v: usize,
-        ) -> std::collections::BTreeSet<usize> {
-            let mut comps = std::collections::BTreeSet::new();
-            loop {
-                comps.insert(aut.comp(states[v]));
-                match parent[v] {
-                    Some(p) => v = p,
-                    None => break,
-                }
-            }
-            comps
-        }
-        // Shapes as parent vectors in preorder: parent[v] in 0..v.
-        // Recursive generation with early state assignment.
-        fn gen(
-            class: &TreeClass,
-            parent: &mut Vec<Option<usize>>,
-            states: &mut Vec<u32>,
-            k: usize,
-            cap: usize,
-            nq: u32,
-            out: &mut Vec<TreePattern>,
-        ) {
-            // Try to finish here: choose generating points.
-            let proto = TreePattern {
-                parent: parent.clone(),
-                states: states.clone(),
-                points: vec![],
+    /// Glues `k` new points onto each of `cfgs` under `guard`; returns the
+    /// successors in first-occurrence order.
+    fn glue<'a>(
+        &self,
+        cfgs: impl IntoIterator<Item = &'a TreePattern>,
+        guard: &Formula,
+        k: usize,
+    ) -> Vec<TreePattern> {
+        let (mut out, mut seen) = (Vec::new(), HashSet::new());
+        for cfg in cfgs {
+            let mut glue = Glue {
+                class: self,
+                cfg,
+                guard,
+                k,
+                out: &mut out,
+                seen: &mut seen,
             };
-            if proto.is_valid(&class.aut) {
-                class.complete_points(&proto, k, out);
-            }
-            if parent.len() == cap {
-                return;
-            }
-            // Append a node in preorder: its parent is any node on the
-            // rightmost path of the current shape (keeps preorder valid).
-            let mut rightmost_path = Vec::new();
-            if !parent.is_empty() {
-                // Rightmost path: start at root, repeatedly take last child.
-                let mut cur = 0usize;
-                rightmost_path.push(cur);
-                loop {
-                    let last_child = (0..parent.len()).rfind(|&w| parent[w] == Some(cur));
-                    match last_child {
-                        Some(c) => {
-                            rightmost_path.push(c);
-                            cur = c;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            let choices: Vec<Option<usize>> = if parent.is_empty() {
-                vec![None]
-            } else {
-                rightmost_path.into_iter().map(Some).collect()
-            };
-            for p in choices {
-                // Prune inputs depending only on the parent, hoisted out of
-                // the state loop.
-                let parent_ctx = p.map(|par| {
-                    (
-                        par,
-                        path_comps(&class.aut, parent, states, par),
-                        (0..parent.len()).rfind(|&w| parent[w] == Some(par)),
-                    )
-                });
-                for q in 0..nq {
-                    if !class.aut.is_groundable(q) {
-                        continue;
-                    }
-                    // Monotone prunes: these `is_valid` conditions only
-                    // involve states and root paths that are frozen the
-                    // moment the node is appended (preorder generation never
-                    // revisits them), so a failing prefix cannot extend to
-                    // any valid pattern and the whole subtree is skipped.
-                    // This collapses the `states^nodes` explosion to the
-                    // automaton-consistent shapes.
-                    match &parent_ctx {
-                        None => {
-                            if !class.aut.is_root_state(q) {
-                                continue;
-                            }
-                        }
-                        Some((par, allowed, prev)) => {
-                            if !crate::pattern::desc_allowed(&class.aut, q, states[*par], allowed) {
-                                continue;
-                            }
-                            if let Some(prev) = prev {
-                                if !crate::pattern::sibling_pair_feasible(
-                                    &class.aut,
-                                    states[*par],
-                                    states[*prev],
-                                    q,
-                                ) {
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    parent.push(p);
-                    states.push(q);
-                    gen(class, parent, states, k, cap, nq, out);
-                    parent.pop();
-                    states.pop();
-                }
-            }
+            glue.place(&Arena::from_pattern(cfg), &mut Vec::new());
         }
-        let mut parent = Vec::new();
-        let mut states = Vec::new();
-        gen(self, &mut parent, &mut states, k, cap, nq, &mut out);
         out
     }
 
-    /// Chooses all `k`-point tuples that generate the whole pattern.
-    fn complete_points(&self, proto: &TreePattern, k: usize, out: &mut Vec<TreePattern>) {
-        let n = proto.len();
-        let mut points = vec![0u32; k];
-        fn assign(
-            class: &TreeClass,
-            proto: &TreePattern,
-            i: usize,
-            n: usize,
-            points: &mut Vec<u32>,
-            out: &mut Vec<TreePattern>,
-        ) {
-            if i == points.len() {
-                let seeds: Vec<usize> = points.iter().map(|&p| p as usize).collect();
-                if proto.closure(&class.aut, &seeds).len() == n {
-                    out.push(TreePattern {
-                        parent: proto.parent.clone(),
-                        states: proto.states.clone(),
-                        points: points.clone(),
-                    });
-                }
-                return;
+    /// Groundable states of component `comp`, or of every component.
+    fn states(&self, comp: Option<usize>) -> Vec<u32> {
+        (0..self.aut.num_states() as u32)
+            .filter(|&q| self.aut.is_groundable(q) && comp.map_or(true, |c| self.aut.comp(q) == c))
+            .collect()
+    }
+
+    /// The 0-point patterns: a root, alone or with a fresh same-component
+    /// `descendantmost` below it.
+    fn empty_patterns(&self) -> Vec<TreePattern> {
+        let mut out = Vec::new();
+        for q in self.states(None) {
+            if !self.aut.is_root_state(q) {
+                continue;
             }
-            for p in 0..n as u32 {
-                points[i] = p;
-                assign(class, proto, i + 1, n, points, out);
+            out.push(TreePattern {
+                parent: vec![None],
+                states: vec![q],
+                points: vec![],
+            });
+            let c = self.aut.comp(q);
+            if !self.aut.is_branching(c) {
+                out.extend(self.states(Some(c)).into_iter().map(|d| TreePattern {
+                    parent: vec![None, Some(0)],
+                    states: vec![q, d],
+                    points: vec![],
+                }));
             }
         }
-        assign(self, proto, 0, n, &mut points, out);
+        out
     }
 
-    /// Enumerates amalgams: mutable pattern arenas with stable ids.
-    fn glue(&self, cfg: &TreePattern, guard: &Formula) -> Vec<TreePattern> {
-        let k = cfg.points.len();
-        let mut results = Vec::new();
-        let mut seen = HashSet::new();
-        let base = Arena::from_pattern(cfg);
-        self.place(
-            &base,
-            cfg,
-            guard,
-            0,
-            k,
-            &mut Vec::new(),
-            &mut results,
-            &mut seen,
-        );
-        results
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn place(
+    /// Every way to add one fresh node with a state from `states`: on the
+    /// edge above a node of `above`, as a leaf child of a node of `under` at
+    /// any sibling gap, or (with `diverge`) as the other child of a fresh
+    /// cca node on the edge above a node of `above`, on either side.
+    ///
+    /// Each arena on the way to an amalgam is the pattern induced by a set
+    /// of nodes of a run, so each insertion must keep what any such pattern
+    /// satisfies: a fresh node's state reaches its child's and is reached
+    /// from its parent's, and consecutive children fit under their parent.
+    fn insertions(
         &self,
         arena: &Arena,
-        cfg: &TreePattern,
-        guard: &Formula,
-        reg: usize,
-        k: usize,
-        chosen: &mut Vec<usize>, // node ids per placed register
-        results: &mut Vec<TreePattern>,
-        seen: &mut HashSet<TreePattern>,
-    ) {
-        if reg == k {
-            self.finish_glue(arena, cfg, guard, chosen, results, seen);
-            return;
-        }
-        // (a) an existing node.
-        for id in arena.ids() {
-            chosen.push(id);
-            self.place(arena, cfg, guard, reg + 1, k, chosen, results, seen);
-            chosen.pop();
-        }
-        let nq = self.aut.num_states() as u32;
-        // (b) split a pattern edge (fresh node strictly between p and x).
-        for id in arena.ids() {
-            if arena.parent(id).is_none() {
-                continue;
+        states: &[u32],
+        above: &[usize],
+        under: &[usize],
+        diverge: bool,
+    ) -> Vec<(Arena, usize)> {
+        let aut = &self.aut;
+        let parent = |id: usize| arena.parent[id].expect("non-root");
+        let on_edge = |id: usize, q: u32| {
+            aut.desc(arena.state[id], q) && aut.desc(q, arena.state[parent(id)])
+        };
+        let mut out = Vec::new();
+        let mut keep = |a2: Arena, fresh: usize, changed: &[usize]| {
+            if changed.iter().all(|&v| a2.siblings_fit(aut, v)) {
+                out.push((a2, fresh));
             }
-            for q in 0..nq {
+        };
+        for &id in above {
+            for &q in states.iter().filter(|&&q| on_edge(id, q)) {
                 let mut a2 = arena.clone();
                 let fresh = a2.split_edge(id, q);
-                chosen.push(fresh);
-                self.place(&a2, cfg, guard, reg + 1, k, chosen, results, seen);
-                chosen.pop();
+                keep(a2, fresh, &[parent(id)]);
             }
         }
-        // (c) a fresh child subtree of an existing node, at any sibling gap.
-        for id in arena.ids() {
-            let gaps = arena.children(id).len() + 1;
-            for gap in 0..gaps {
-                for q in 0..nq {
+        for &id in under {
+            for gap in 0..=arena.children[id].len() {
+                for &q in states.iter().filter(|&&q| aut.desc(q, arena.state[id])) {
                     let mut a2 = arena.clone();
                     let fresh = a2.insert_child(id, gap, q);
-                    chosen.push(fresh);
-                    self.place(&a2, cfg, guard, reg + 1, k, chosen, results, seen);
-                    chosen.pop();
+                    keep(a2, fresh, &[id]);
                 }
             }
         }
-        // (d) diverge off an edge: fresh cca node w on the edge above `id`,
-        // fresh point y as w's other child (either side of the old branch).
-        for id in arena.ids() {
-            if arena.parent(id).is_none() {
-                continue;
-            }
-            for wq in 0..nq {
-                for yq in 0..nq {
-                    for side in [0usize, 1] {
-                        let mut a2 = arena.clone();
-                        let w = a2.split_edge(id, wq);
-                        let fresh = a2.insert_child(w, side, yq);
-                        chosen.push(fresh);
-                        self.place(&a2, cfg, guard, reg + 1, k, chosen, results, seen);
-                        chosen.pop();
+        if diverge {
+            for &id in above {
+                for &wq in states.iter().filter(|&&q| on_edge(id, q)) {
+                    for &yq in states.iter().filter(|&&q| aut.desc(q, wq)) {
+                        for side in [0usize, 1] {
+                            let mut a2 = arena.clone();
+                            let w = a2.split_edge(id, wq);
+                            let fresh = a2.insert_child(w, side, yq);
+                            keep(a2, fresh, &[parent(id), w]);
+                        }
                     }
                 }
             }
         }
+        out
     }
 
-    fn finish_glue(
-        &self,
-        arena: &Arena,
-        cfg: &TreePattern,
-        guard: &Formula,
-        chosen: &[usize],
-        results: &mut Vec<TreePattern>,
-        seen: &mut HashSet<TreePattern>,
-    ) {
-        // Amalgam pattern, with maps: arena id -> pattern index.
-        let (amalgam_nopoints, index_of) = arena.to_pattern();
-        let old_points: Vec<u32> = cfg
-            .points
+    /// A fresh `ancestormost_comp(x)`: a `comp` node on `x`'s root path,
+    /// above the path's topmost `comp` node and below every old node (whose
+    /// pointers are frozen).
+    fn fresh_amost(&self, arena: &Arena, old: usize, x: usize, comp: usize) -> Vec<(Arena, usize)> {
+        let mut path = vec![x];
+        while let Some(p) = arena.parent[*path.last().expect("nonempty")] {
+            path.push(p);
+        }
+        let top = path
             .iter()
-            .map(|&p| index_of[arena.old_id(p as usize)] as u32)
+            .rposition(|&v| self.aut.comp(arena.state[v]) == comp)
+            .unwrap_or(0);
+        let above: Vec<usize> = path[top..]
+            .iter()
+            .copied()
+            .take_while(|&v| v >= old)
             .collect();
-        let new_points: Vec<u32> = chosen.iter().map(|&id| index_of[id] as u32).collect();
-        let mut amalgam = amalgam_nopoints;
-        amalgam.points = new_points.clone();
-        if !amalgam.is_valid(&self.aut) {
+        self.insertions(arena, &self.states(Some(comp)), &above, &[], false)
+    }
+
+    /// A fresh `descendantmost(x)` in a linear component: a same-component
+    /// node below the lowest one under `x`, when that one is fresh.
+    fn fresh_dmost(&self, arena: &Arena, old: usize, x: usize) -> Vec<(Arena, usize)> {
+        let comp = self.aut.comp(arena.state[x]);
+        if self.aut.is_branching(comp) {
+            return Vec::new();
+        }
+        let same = |w: &&usize| self.aut.comp(arena.state[**w]) == comp;
+        let mut low = x;
+        while let Some(&w) = arena.children[low].iter().find(same) {
+            low = w;
+        }
+        if low < old {
+            return Vec::new();
+        }
+        let below = arena.children[low].clone();
+        self.insertions(arena, &self.states(Some(comp)), &below, &[low], true)
+    }
+}
+
+/// A pointer of a fresh node that the glue may add as a fresh node.
+#[derive(Clone, Copy)]
+enum Pointer {
+    /// `ancestormost_Γ` of the node, for component `Γ`.
+    Amost(usize, usize),
+    /// `descendantmost` of the node.
+    Dmost(usize),
+}
+
+/// One glue: amalgams of `cfg` with `k` new points, under `guard`, whose
+/// successors go to `out` in first-occurrence order.
+struct Glue<'a> {
+    class: &'a TreeClass,
+    cfg: &'a TreePattern,
+    guard: &'a Formula,
+    k: usize,
+    out: &'a mut Vec<TreePattern>,
+    seen: &'a mut HashSet<TreePattern>,
+}
+
+impl Glue<'_> {
+    /// Places the next register's value, then closes under pointers.
+    fn place(&mut self, arena: &Arena, chosen: &mut Vec<usize>) {
+        let old = self.cfg.len();
+        if chosen.len() == self.k {
+            let ncomp = self.class.aut.num_components();
+            let mut slots = Vec::new();
+            for x in old..arena.len() {
+                if chosen.contains(&x) {
+                    slots.extend((0..ncomp).map(|c| Pointer::Amost(x, c)));
+                }
+                slots.push(Pointer::Dmost(x));
+            }
+            self.close(arena, chosen, &mut slots, 0);
+            return;
+        }
+        let ids: Vec<usize> = (0..arena.len()).collect();
+        for &id in &ids {
+            chosen.push(id);
+            self.place(arena, chosen);
+            chosen.pop();
+        }
+        let edges = &ids[1..]; // every node but the root has an edge above it
+        let states = self.class.states(None);
+        for (a2, fresh) in self.class.insertions(arena, &states, edges, &ids, true) {
+            chosen.push(fresh);
+            self.place(&a2, chosen);
+            chosen.pop();
+        }
+    }
+
+    /// Decides `slots[i..]`: each pointer is a node the arena already has,
+    /// or a fresh one.
+    fn close(&mut self, arena: &Arena, chosen: &[usize], slots: &mut Vec<Pointer>, i: usize) {
+        let Some(&slot) = slots.get(i) else {
+            return self.finish(arena, chosen);
+        };
+        self.close(arena, chosen, slots, i + 1);
+        let old = self.cfg.len();
+        let options = match slot {
+            Pointer::Amost(x, c) => self.class.fresh_amost(arena, old, x, c),
+            Pointer::Dmost(x) => self.class.fresh_dmost(arena, old, x),
+        };
+        let amost = matches!(slot, Pointer::Amost(..));
+        for (a2, fresh) in options {
+            // An `ancestormost` node's own `descendantmost` may be fresh
+            // too; its other pointers are those of the node below it.
+            if amost {
+                slots.push(Pointer::Dmost(fresh));
+            }
+            self.close(&a2, chosen, slots, i + 1);
+            if amost {
+                slots.pop();
+            }
+        }
+    }
+
+    /// Checks the amalgam and records the successor.
+    fn finish(&mut self, arena: &Arena, chosen: &[usize]) {
+        let aut = &self.class.aut;
+        let cfg = self.cfg;
+        let (mut amalgam, index_of) = arena.to_pattern();
+        let new_points: Vec<usize> = chosen.iter().map(|&id| index_of[id]).collect();
+        amalgam.points = new_points.iter().map(|&p| p as u32).collect();
+        if !amalgam.is_valid(aut) {
             return;
         }
         // Frozen determined pointers of old nodes.
-        for (old_idx, &_q) in cfg.states.iter().enumerate() {
-            let a_idx = index_of[arena.old_id(old_idx)];
-            for c in 0..self.aut.num_components() {
-                let old_t = cfg.amost(&self.aut, old_idx, c);
-                let new_t = amalgam.amost(&self.aut, a_idx, c);
-                if index_of[arena.old_id(old_t)] != new_t {
+        for old_idx in 0..cfg.len() {
+            let a_idx = index_of[old_idx];
+            for c in 0..aut.num_components() {
+                if index_of[cfg.amost(aut, old_idx, c)] != amalgam.amost(aut, a_idx, c) {
                     return;
                 }
             }
-            let old_d = cfg.dmost(&self.aut, old_idx);
-            let new_d = amalgam.dmost(&self.aut, a_idx);
-            if index_of[arena.old_id(old_d)] != new_d {
+            if index_of[cfg.dmost(aut, old_idx)] != amalgam.dmost(aut, a_idx) {
                 return;
             }
         }
-        // Guard on the materialized amalgam.
-        let db = amalgam.materialize(&self.aut, &self.schema, &self.label_syms);
-        let mut combined = Vec::with_capacity(2 * old_points.len());
-        for i in 0..old_points.len() {
-            combined.push(Element::from_index(old_points[i] as usize));
-            combined.push(Element::from_index(new_points[i] as usize));
+        // Every node is generated by the points.
+        let old_points: Vec<usize> = cfg.points.iter().map(|&p| index_of[p as usize]).collect();
+        let all: Vec<usize> = old_points.iter().chain(&new_points).copied().collect();
+        if amalgam.closure(aut, &all).len() != amalgam.len() {
+            return;
         }
-        if !eval(guard, &db, &combined).unwrap_or(false) {
+        // Guard on the materialized amalgam.
+        let db = amalgam.materialize(aut, &self.class.schema, &self.class.label_syms);
+        let combined: Vec<Element> = old_points
+            .iter()
+            .zip(&new_points)
+            .flat_map(|(&o, &n)| [Element::from_index(o), Element::from_index(n)])
+            .collect();
+        if !eval(self.guard, &db, &combined).unwrap_or(false) {
             return;
         }
         // Successor configuration = closure of the new points.
-        let seeds: Vec<usize> = new_points.iter().map(|&p| p as usize).collect();
-        let keep = amalgam.closure(&self.aut, &seeds);
-        let next = amalgam.restrict(&keep, &seeds);
-        debug_assert!(next.is_valid(&self.aut));
-        if seen.insert(next.clone()) {
-            results.push(next);
+        let keep = amalgam.closure(aut, &new_points);
+        let next = amalgam.restrict(&keep, &new_points);
+        debug_assert!(next.is_valid(aut));
+        if self.seen.insert(next.clone()) {
+            self.out.push(next);
         }
     }
 }
 
-/// A mutable pattern with stable node ids (indices into arena vectors),
-/// supporting the gluing insertions.
+/// A mutable pattern with stable node ids (the old pattern's nodes keep
+/// their indices; fresh nodes are appended), supporting the gluing
+/// insertions.
 #[derive(Clone, Debug)]
 struct Arena {
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>, // ordered
     state: Vec<u32>,
-    /// Arena ids of the original pattern's nodes (by pattern index).
-    old_ids: Vec<usize>,
 }
 
 impl Arena {
@@ -385,7 +367,6 @@ impl Arena {
             parent: p.parent.clone(),
             children: vec![Vec::new(); n],
             state: p.states.clone(),
-            old_ids: (0..n).collect(),
         };
         for v in 0..n {
             if let Some(par) = p.parent[v] {
@@ -395,20 +376,16 @@ impl Arena {
         a
     }
 
-    fn ids(&self) -> Vec<usize> {
-        (0..self.parent.len()).collect()
+    fn len(&self) -> usize {
+        self.parent.len()
     }
 
-    fn parent(&self, id: usize) -> Option<usize> {
-        self.parent[id]
-    }
-
-    fn children(&self, id: usize) -> &[usize] {
-        &self.children[id]
-    }
-
-    fn old_id(&self, pattern_index: usize) -> usize {
-        self.old_ids[pattern_index]
+    /// Do consecutive children of `v` fit under it (see
+    /// [`sibling_pair_feasible`])?
+    fn siblings_fit(&self, aut: &TreeAutomaton, v: usize) -> bool {
+        self.children[v]
+            .windows(2)
+            .all(|w| sibling_pair_feasible(aut, self.state[v], self.state[w[0]], self.state[w[1]]))
     }
 
     /// Inserts a fresh node on the edge above `x`; returns its id.
@@ -443,9 +420,8 @@ impl Arena {
     /// points) and the id → pattern-index map.
     fn to_pattern(&self) -> (TreePattern, Vec<usize>) {
         let n = self.parent.len();
-        let root = (0..n).find(|&v| self.parent[v].is_none()).expect("rooted");
         let mut order = Vec::with_capacity(n);
-        let mut stack = vec![root];
+        let mut stack = vec![0]; // the old pattern's root stays the root
         while let Some(v) = stack.pop() {
             order.push(v);
             for &c in self.children[v].iter().rev() {
@@ -483,15 +459,11 @@ impl SymbolicClass for TreeClass {
     }
 
     fn initial_configs(&self, k: usize) -> Vec<TreePattern> {
-        let cap = self.initial_cap.max(2 * k);
-        let mut out = self.enumerate_patterns(k, cap);
-        let mut seen = HashSet::new();
-        out.retain(|p| seen.insert(p.clone()));
-        out
+        self.glue(&self.empty_patterns(), &Formula::True, k)
     }
 
     fn transitions(&self, cfg: &TreePattern, guard: &Formula) -> Vec<TreePattern> {
-        self.glue(cfg, guard)
+        self.glue([cfg], guard, cfg.points.len())
     }
 
     fn materialize(&self, cfg: &TreePattern) -> Pointed {

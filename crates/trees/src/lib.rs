@@ -26,16 +26,18 @@
 //!   necessary conditions derived from the pointer discipline (edge
 //!   components restricted by `ancestormost` closure, linear-component
 //!   chains, per-node sibling-chain feasibility); the `leftmost_q` /
-//!   `rightmost_q` child pointers are abstracted away. `NonEmpty` answers
-//!   are certified by concretizing through the bounded baseline and
-//!   re-validating with the explicit model checker. `Empty` answers are
-//!   **not known to be sound**: each new register gets one fresh node, and
-//!   the successor is closed under the pointers computed inside that
-//!   amalgam, so a step whose new points have `ancestormost` or
-//!   `descendantmost` nodes outside both configurations is missed, and the
-//!   class can answer `Empty` for a system with an accepting run. The
-//!   cross-validation suite agrees with the bounded baseline on the
-//!   evaluation workloads, which does not rule that out. See DESIGN.md §8.
+//!   `rightmost_q` child pointers are abstracted away. One pointer-closed
+//!   glue builds both the initial patterns and the successors: a new point
+//!   may bring its `ancestormost` and `descendantmost` nodes along as fresh
+//!   nodes, since in a real run they can lie outside both configurations.
+//!   `NonEmpty` answers are certified by concretizing through the bounded
+//!   baseline and re-validating with the explicit model checker. `Empty`
+//!   answers rest on the glue finding every step of a real run.
+//!   `tests/completeness_oracle.rs` checks exactly that for every accepted
+//!   run of at most 6 nodes over the corpus automata, with up to 2
+//!   registers, and the cross-validation suite agrees with the bounded
+//!   baseline on the evaluation workloads. Neither is a proof for larger
+//!   runs (see `ARCHITECTURE.md`, "The engine core").
 
 pub mod automaton;
 pub mod baseline;

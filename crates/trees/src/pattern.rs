@@ -3,14 +3,15 @@
 //! A pattern is a cca-closed set of nodes of some run tree with the induced
 //! descendant order, document order and states. Nodes are numbered in
 //! document (pre-)order, which makes the representation canonical. The
-//! `ancestormost` and `descendantmost` pointers are *determined* by the
-//! pattern (topmost / lowest same-component pattern node on the respective
-//! path — see DESIGN.md §4.3), so they are recomputed rather than stored;
-//! the `leftmost_q`/`rightmost_q` child pointers are abstracted away (the
-//! crate docs say why `Empty` answers of the class are not known to be
-//! sound).
+//! `ancestormost` and `descendantmost` pointers of §5.4 are *determined* by
+//! the pattern (topmost / lowest same-component pattern node on the
+//! respective path: a closed set holds the run's pointer nodes, so the
+//! pattern's own are the run's), so they are recomputed rather than
+//! stored; the `leftmost_q`/`rightmost_q` child pointers are abstracted
+//! away.
 
 use crate::automaton::TreeAutomaton;
+use crate::pointers::RunPointers;
 use crate::tree::Tree;
 use dds_structure::{Element, Schema, Structure, SymbolId};
 use std::collections::BTreeSet;
@@ -130,10 +131,10 @@ impl TreePattern {
     }
 
     /// Membership check: the necessary conditions derived from the pointer
-    /// discipline (see module docs). These conditions alone do not make
-    /// `Empty` engine answers sound: the successor enumeration can miss
-    /// runs whose pointer nodes lie outside both configurations (see the
-    /// crate docs).
+    /// discipline (see module docs). Every closure of a real run passes it
+    /// (`closures_of_real_runs_validate`, and the completeness oracle for
+    /// runs of at most 6 nodes); it is not shown to be sufficient, so a
+    /// valid pattern need not occur in any run.
     pub fn is_valid(&self, aut: &TreeAutomaton) -> bool {
         let n = self.len();
         if n == 0 || self.parent[0].is_some() {
@@ -285,6 +286,28 @@ impl TreePattern {
             }
         }
         s
+    }
+
+    /// The pattern of a valuation in a concrete run (the abstraction the
+    /// class's search must follow): the closure of `points` under cca,
+    /// `ancestormost` and `descendantmost`, induced. The child pointers
+    /// `leftmost`/`rightmost` are left out, as the class abstracts them.
+    pub fn of_run(t: &Tree, states: &[u32], ptr: &RunPointers, points: &[usize]) -> TreePattern {
+        let mut set: BTreeSet<usize> = points.iter().copied().collect();
+        loop {
+            let items: Vec<usize> = set.iter().copied().collect();
+            let mut add = Vec::new();
+            for &a in &items {
+                add.extend(items.iter().map(|&b| t.cca(a, b)));
+                add.extend(ptr.amost[a].iter().copied());
+                add.push(ptr.dmost[a]);
+            }
+            let before = set.len();
+            set.extend(add);
+            if set.len() == before {
+                return TreePattern::from_run_subset(t, states, &set, points);
+            }
+        }
     }
 
     /// Extracts the pattern induced by a node subset of a concrete run
