@@ -11,11 +11,13 @@
 //!   `docs/SPEC_LANGUAGE.md`) to `--out PATH` (default
 //!   `BENCH_E1_E10.json`).
 //! * **Gate** (`--gate BASELINE.json`): after recording, compares each
-//!   experiment's `wall_ns` against the committed baseline and exits
-//!   non-zero when any experiment regressed by more than the allowed ratio
-//!   (default 2.0, `DDS_BENCH_MAX_RATIO`) *and* more than the absolute noise
-//!   floor (default 5 ms, `DDS_BENCH_FLOOR_MS`). Small absolute differences
-//!   never fail the gate, so microsecond-scale experiments do not flap.
+//!   experiment against the committed baseline and exits non-zero when any
+//!   experiment's `outcome` or `configs_explored` differs from it, or its
+//!   `wall_ns` regressed by more than the allowed ratio (default 2.0,
+//!   `DDS_BENCH_MAX_RATIO`) *and* more than the absolute noise floor
+//!   (default 5 ms, `DDS_BENCH_FLOOR_MS`). Small absolute differences never
+//!   fail the wall-time check, so microsecond-scale experiments do not
+//!   flap.
 //!
 //! Each experiment is measured `DDS_BENCH_REPS` times (default 3) and the
 //! minimum wall time is reported — the standard trick to suppress scheduler
@@ -36,7 +38,7 @@
 use dds_bench::{
     abc_tree_automaton, chain_system, chain_tree, cycle_template, data_walk_system, env_or,
     example1, existential_chain_system, graph_schema, measure, nfa4, run_engine, run_free,
-    tree_walk_system, word_step_system, Gate,
+    tree_walk_system, word_step_system, Gate, GateRecord,
 };
 use dds_core::{DataClass, DataSpec, Engine, FreeRelationalClass, SymbolicClass};
 use dds_reductions::counter::CounterMachine;
@@ -198,7 +200,8 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
     std::fs::write(path, dds_cli::render::document("bench", &rendered))
 }
 
-/// The E1–E10 gate: 2x the baseline and 5 ms absolute by default.
+/// The E1–E10 gate: the baseline's counts, and 2x its wall time and 5 ms
+/// absolute by default.
 const GATE: Gate = Gate {
     ratio_env: "DDS_BENCH_MAX_RATIO",
     default_ratio: 2.0,
@@ -236,8 +239,16 @@ fn main() {
     write_json(&out_path, &records).expect("write results");
     eprintln!("wrote {} records to {out_path}", records.len());
     if let Some(b) = gate_path {
-        let walls: Vec<(&str, u128)> = records.iter().map(|r| (r.id, r.wall_ns)).collect();
-        if let Err(msg) = GATE.check(&walls, &b) {
+        let gated: Vec<GateRecord> = records
+            .iter()
+            .map(|r| GateRecord {
+                id: r.id,
+                wall_ns: r.wall_ns,
+                configs_explored: r.configs_explored,
+                outcome: &r.outcome,
+            })
+            .collect();
+        if let Err(msg) = GATE.check(&gated, &b) {
             eprintln!("{msg}");
             std::process::exit(1);
         }

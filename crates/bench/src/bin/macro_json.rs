@@ -15,11 +15,12 @@
 //!   (default `MACRO_BENCH.json`). The document also records where it was
 //!   measured, `"host": {"cores", "git_rev"}`, so numbers from different
 //!   machines or revisions cannot be confused; the gate ignores it.
-//! * **Gate** (`--gate BASELINE.json`): compares each scenario's `wall_ns`
-//!   against the committed baseline and exits non-zero when any scenario
-//!   regressed by more than `DDS_MACRO_MAX_RATIO` (default 3.0) *and* more
-//!   than `DDS_MACRO_FLOOR_MS` (default 250 ms) absolute — macro runs are
-//!   long, so the generous floor keeps shared-runner noise from flapping.
+//! * **Gate** (`--gate BASELINE.json`): compares each scenario against the
+//!   committed baseline and exits non-zero when any scenario's `outcome` or
+//!   `configs_explored` differs from it, or its `wall_ns` regressed by more
+//!   than `DDS_MACRO_MAX_RATIO` (default 3.0) *and* more than
+//!   `DDS_MACRO_FLOOR_MS` (default 250 ms) absolute — macro runs are long,
+//!   so the generous floor keeps shared-runner noise from flapping.
 //!   Gating also runs the **parallel-leg gate** over scenarios whose
 //!   sequential leg clears `DDS_MACRO_PAR_FLOOR_MS` (default 100 ms): the
 //!   aggregate parallel wall time must stay within `DDS_MACRO_PAR_RATIO`
@@ -40,7 +41,7 @@
 //! cargo run --release -p dds_bench --bin macro_json -- --out bench/macro_baseline.json
 //! ```
 
-use dds_bench::{env_or, measure, Gate};
+use dds_bench::{env_or, measure, Gate, GateRecord};
 use dds_cli::api::VerifyRequest;
 use dds_cli::render;
 use dds_cli::runner::RunOptions;
@@ -222,7 +223,8 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
     std::fs::write(path, doc)
 }
 
-/// The macro gate: 3x the baseline and 250 ms absolute by default.
+/// The macro gate: the baseline's counts, and 3x its wall time and 250 ms
+/// absolute by default.
 const GATE: Gate = Gate {
     ratio_env: "DDS_MACRO_MAX_RATIO",
     default_ratio: 3.0,
@@ -406,8 +408,16 @@ fn main() {
     }
     if let Some(b) = gate_path {
         let mut failed = false;
-        let walls: Vec<(&str, u128)> = records.iter().map(|r| (r.id.as_str(), r.wall_ns)).collect();
-        if let Err(msg) = GATE.check(&walls, &b) {
+        let gated: Vec<GateRecord> = records
+            .iter()
+            .map(|r| GateRecord {
+                id: &r.id,
+                wall_ns: r.wall_ns,
+                configs_explored: r.configs_explored,
+                outcome: &r.outcome,
+            })
+            .collect();
+        if let Err(msg) = GATE.check(&gated, &b) {
             eprintln!("{msg}");
             failed = true;
         }

@@ -8,7 +8,7 @@
 //!
 //! It also holds the timing and baseline-gate helpers both JSON runners
 //! (`experiments_json`, `macro_json`) share: [`env_or`], [`measure`] and the
-//! ratio-and-floor regression [`Gate`].
+//! count-and-wall-time regression [`Gate`].
 
 use dds_core::{Engine, FreeRelationalClass, HomClass, SymbolicClass};
 use dds_structure::{Element, Schema, Structure};
@@ -260,12 +260,29 @@ fn extract_field(obj: &str, key: &str) -> Option<String> {
     }
 }
 
-/// Parses a report document written by one of the runners into
-/// `(id, wall_ns)` pairs. The reader is intentionally minimal: records are
-/// exactly the objects carrying an `id` (the document wrapper and the
-/// `host` object are skipped), and the pre-`schema_version` flat-array
-/// shape still reads, so old baselines keep gating until refreshed.
-fn read_baseline(path: &str) -> Result<Vec<(String, u128)>, String> {
+/// One record a [`Gate`] checks: its id, its wall time, and the
+/// deterministic counts the baseline pins.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GateRecord<'a> {
+    /// The experiment or scenario id.
+    pub id: &'a str,
+    /// Measured wall time.
+    pub wall_ns: u128,
+    /// Configurations the search explored.
+    pub configs_explored: u64,
+    /// The outcome keyword (`nonempty`, `empty`, `halts`, ...).
+    pub outcome: &'a str,
+}
+
+/// A baseline record: id, wall time, configurations explored, outcome.
+type BaselineRecord = (String, u128, u64, String);
+
+/// Parses a report document written by one of the runners into its
+/// records. The reader is intentionally minimal: records are exactly the
+/// objects carrying an `id` (the document wrapper and the `host` object are
+/// skipped), and the pre-`schema_version` flat-array shape still reads, so
+/// old baselines keep gating until refreshed.
+fn read_baseline(path: &str) -> Result<Vec<BaselineRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut out = Vec::new();
     for obj in text.split('{').skip(1) {
@@ -273,18 +290,24 @@ fn read_baseline(path: &str) -> Result<Vec<(String, u128)>, String> {
         let Some(id) = extract_field(obj, "id") else {
             continue;
         };
+        let bad = |field: &str| format!("{path}: bad {field} for {id}");
         let wall: u128 = extract_field(obj, "wall_ns")
             .and_then(|w| w.parse().ok())
-            .ok_or_else(|| format!("{path}: bad wall_ns for {id}"))?;
-        out.push((id, wall));
+            .ok_or_else(|| bad("wall_ns"))?;
+        let configs: u64 = extract_field(obj, "configs_explored")
+            .and_then(|c| c.parse().ok())
+            .ok_or_else(|| bad("configs_explored"))?;
+        let outcome = extract_field(obj, "outcome").ok_or_else(|| bad("outcome"))?;
+        out.push((id, wall, configs, outcome));
     }
     Ok(out)
 }
 
-/// A wall-time regression gate against a committed baseline: a record
-/// fails when it is slower than the baseline by more than the ratio *and*
-/// by more than the absolute floor, so small absolute differences never
-/// fail and microsecond-scale records do not flap.
+/// A regression gate against a committed baseline: a record fails when its
+/// outcome or `configs_explored` differs from the baseline's, or when it is
+/// slower than the baseline by more than the ratio *and* by more than the
+/// absolute floor, so small absolute differences never fail and
+/// microsecond-scale records do not flap.
 #[derive(Debug)]
 pub struct Gate<'a> {
     /// Env var overriding the allowed slowdown ratio.
@@ -306,10 +329,13 @@ pub struct Gate<'a> {
 }
 
 impl Gate<'_> {
-    /// Compares each `(id, wall_ns)` record against the baseline file,
-    /// printing one report line per record to stderr. `Err` carries the
-    /// failure message, ending with the refresh command.
-    pub fn check(&self, records: &[(&str, u128)], baseline_path: &str) -> Result<(), String> {
+    /// Compares each record against the baseline file, printing one report
+    /// line per record to stderr. A record fails on a wall-time regression
+    /// or when its outcome or `configs_explored` differs from the
+    /// baseline's: both are deterministic, so any difference is a change
+    /// in behaviour. `Err` carries the failure message, ending with the
+    /// refresh command.
+    pub fn check(&self, records: &[GateRecord<'_>], baseline_path: &str) -> Result<(), String> {
         let max_ratio: f64 = env_or(self.ratio_env, self.default_ratio);
         let floor_ns: u128 = env_or::<u128>(self.floor_env, self.default_floor_ms) * 1_000_000;
         let noun = self.noun;
@@ -320,18 +346,27 @@ impl Gate<'_> {
         // the fix is the one-line baseline refresh.
         let mut mismatches: Vec<String> = baseline
             .iter()
-            .filter(|(id, _)| !records.iter().any(|(r, _)| r == id))
-            .map(|(id, _)| format!("baseline entry `{id}` matches no {noun}"))
+            .filter(|(id, ..)| !records.iter().any(|r| r.id == id))
+            .map(|(id, ..)| format!("baseline entry `{id}` matches no {noun}"))
             .collect();
-        let mut failures = Vec::new();
-        for &(id, wall_ns) in records {
-            let Some((_, base)) = baseline.iter().find(|(b, _)| b == id) else {
-                mismatches.push(format!("{noun} `{id}` has no baseline entry"));
+        let (mut failures, mut drifts) = (Vec::new(), Vec::new());
+        for r in records {
+            let Some((_, base, configs, outcome)) = baseline.iter().find(|(b, ..)| b == r.id)
+            else {
+                mismatches.push(format!("{noun} `{}` has no baseline entry", r.id));
                 continue;
             };
+            let (id, wall_ns) = (r.id, r.wall_ns);
             let ratio = wall_ns as f64 / (*base).max(1) as f64;
             let over_floor = wall_ns > base + floor_ns;
-            let verdict = if ratio > max_ratio && over_floor {
+            let drifted = r.outcome != outcome || r.configs_explored != *configs;
+            let verdict = if drifted {
+                drifts.push(format!(
+                    "`{id}`: {} / {} configs vs baseline {outcome} / {configs} configs",
+                    r.outcome, r.configs_explored
+                ));
+                "DRIFTED"
+            } else if ratio > max_ratio && over_floor {
                 failures.push(id);
                 "REGRESSED"
             } else {
@@ -342,7 +377,7 @@ impl Gate<'_> {
                 w = self.id_width
             );
         }
-        if failures.is_empty() && mismatches.is_empty() {
+        if failures.is_empty() && drifts.is_empty() && mismatches.is_empty() {
             return Ok(());
         }
         let mut msg = String::new();
@@ -350,6 +385,11 @@ impl Gate<'_> {
             msg.push_str(&format!(
                 "{} (> {max_ratio}x and > {floor_ns} ns absolute): {failures:?}\n",
                 self.failure
+            ));
+        }
+        if !drifts.is_empty() {
+            msg.push_str(&format!(
+                "{noun} outcome/configs_explored drift: {drifts:?}\n"
             ));
         }
         if !mismatches.is_empty() {

@@ -14,9 +14,11 @@
 //! * sub-transition successors (amalgams filtered by the guard, restricted to
 //!   the substructure generated by the new points, canonicalized), resolved
 //!   against the search's interner ([`SymbolicClass::successors`]);
-//! * witness concretization by replaying the trace against ever-growing full
-//!   databases — the executable form of the paper's soundness induction
-//!   ("by closure under amalgamation we get a database A′ ...", §4.1).
+//! * witness concretization by construction ([`replay_trace`]): each trace
+//!   step is found among the candidates over the previous configuration and
+//!   amalgamated onto the witness so far ([`AmalgamClass::glue`]) — the
+//!   executable form of the paper's soundness induction ("by closure under
+//!   amalgamation we get a database A′ ...", §4.1).
 //!
 //! Amalgams are *streamed* in *families*: [`AmalgamClass::for_each_amalgam`]
 //! lends a visitor one [`Family`] at a time — a candidate built in a buffer
@@ -77,9 +79,11 @@
 //! initial configuration — every `k`-generated member — before it expands
 //! anything, so its calls build no configuration at all; `transitions`,
 //! against an empty interner, builds each distinct successor once. Replay
-//! evaluates the guard on each candidate, builds the configuration its new
-//! points generate, stops at the first that is the trace step and clones
-//! only that candidate.
+//! enumerates the candidates over the previous trace configuration — the
+//! base the expansion used — evaluates the guard on each, builds the
+//! configuration its new points generate, stops at the first that is the
+//! trace step and clones only that candidate, which it keeps for the steps
+//! that recur. It never enumerates amalgams of the witness itself.
 //!
 //! The guard steers the enumeration through *hints*: the relation atoms of
 //! the guard, as variable tuples. Classes closed under removing tuples
@@ -100,6 +104,7 @@
 //! unpruned enumeration.
 
 use crate::class::{point_numbers, PackedLayout, Pointed, RelConfig, SymbolicClass, Trace};
+use crate::data::DataLayer;
 use crate::intern::{probe_hash, BuildWordHasher, ConfigId, Interner, Resolved};
 use dds_logic::eval::{eval, eval_with, is_local};
 use dds_logic::transform::{forced_literals, Literal};
@@ -107,6 +112,7 @@ use dds_logic::{Formula, Term, Var};
 use dds_structure::{Element, Schema, Structure, SymbolId};
 use dds_system::{Run, System};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::rc::Rc;
@@ -408,6 +414,20 @@ pub trait AmalgamClass: Sync {
     fn project(&self, s: &Structure) -> Structure {
         project_structure(s, self.public_schema())
     }
+
+    /// Amalgamates a candidate `step` onto the witness `w` ([`replay_trace`]).
+    /// `step` is a candidate over a configuration whose element `i` is
+    /// `w`'s element `at[i]`, and on which `w` induces that configuration;
+    /// `step`'s fresh elements `at.len()..` are appended to `w`, in order.
+    /// The default is the free amalgam ([`free_glue`]), which is the
+    /// class's own for the free and `HOM` classes.
+    fn glue(&self, w: &mut Witness, step: &Structure, at: &[Element]) {
+        free_glue(self.internal_schema(), w, step, at);
+    }
+
+    /// Writes what [`AmalgamClass::glue`] deferred, making `w.db` the
+    /// witness database. The default defers nothing.
+    fn finish(&self, _w: &mut Witness) {}
 }
 
 /// Copies all facts of symbols that exist (by name) in `target` — the
@@ -788,44 +808,174 @@ pub(crate) fn fill_combined(out: &mut Vec<Element>, old: &[Element], new: &[Elem
     out.extend(old.iter().zip(new).flat_map(|(&o, &n)| [o, n]));
 }
 
-/// Generic witness concretization by trace replay (see module docs): grows a
-/// full database step by step, at each step selecting the first amalgam of
-/// the *entire current database* whose new-point-generated configuration
-/// matches the trace. Mirrors the paper's soundness induction.
+/// A witness database under construction by [`replay_trace`]: a member of
+/// the class over its internal schema, except that a data product keeps
+/// its relation as one value class per element, updated as each step is
+/// glued on and written once by [`AmalgamClass::finish`].
+#[derive(Clone, Debug)]
+pub struct Witness {
+    /// The database; a data layer's relation holds only the first
+    /// configuration's facts until [`AmalgamClass::finish`].
+    pub(crate) db: Structure,
+    /// One entry per data layer glued so far.
+    pub(crate) layers: Vec<DataLayer>,
+}
+
+/// The free amalgam of `step` onto `w` along `at` ([`AmalgamClass::glue`]'s
+/// default): appends `step`'s fresh elements and copies every fact over
+/// `schema`'s relations that involves one. `schema`'s symbols must be a
+/// prefix of `step`'s.
+pub fn free_glue(schema: &Schema, w: &mut Witness, step: &Structure, at: &[Element]) {
+    let (n, m) = (at.len(), w.db.size());
+    w.db.extend_domain_in_place(step.size() - n);
+    let image = |e: &Element| match at.get(e.index()) {
+        Some(&old) => old,
+        None => Element::from_index(m + e.index() - n),
+    };
+    let mut mapped = Vec::new();
+    for r in schema.relations() {
+        for t in step
+            .rel_tuples(r)
+            .filter(|t| t.iter().any(|e| e.index() >= n))
+        {
+            mapped.clear();
+            mapped.extend(t.iter().map(image));
+            w.db.add_fact(r, &mapped)
+                .expect("glued elements are in range");
+        }
+    }
+}
+
+/// Witness concretization by construction, the executable form of the
+/// paper's soundness induction ("by closure under amalgamation we get a
+/// database A′", §4.1). The trace's first configuration seeds the witness.
+/// Each later step searches the candidates over the *previous*
+/// configuration's representative — the base an engine expansion uses —
+/// for the first that satisfies the rule's guard and whose new points
+/// generate the step's configuration, then glues it onto the witness
+/// ([`AmalgamClass::glue`]) along the map from the configuration's points
+/// to the current register values. The witness restricted to the glued
+/// candidate's image is that candidate, so the guard, which is
+/// quantifier-free, holds there as it did on the candidate.
+///
+/// Within one replay the found candidate is kept per (previous
+/// configuration, guard, next configuration), so a step that recurs is
+/// glued without a search.
 pub fn replay_trace<T: AmalgamClass>(
     class: &T,
     system: &System,
     trace: &Trace<RelConfig>,
 ) -> Option<(Structure, Run)> {
+    replay(class, system, trace, None)
+}
+
+/// [`replay_trace`], calling `inspect` after each glue with the witness so
+/// far (finished, over the internal schema) and the new register values.
+pub fn replay_trace_inspect<T: AmalgamClass>(
+    class: &T,
+    system: &System,
+    trace: &Trace<RelConfig>,
+    inspect: &mut Inspect<'_>,
+) -> Option<(Structure, Run)> {
+    replay(class, system, trace, Some(inspect))
+}
+
+/// The visitor [`replay_trace_inspect`] calls after each glue.
+type Inspect<'a> = dyn FnMut(&Structure, &[Element]) + 'a;
+
+fn replay<T: AmalgamClass>(
+    class: &T,
+    system: &System,
+    trace: &Trace<RelConfig>,
+    mut inspect: Option<&mut Inspect<'_>>,
+) -> Option<(Structure, Run)> {
     let first = trace.steps.first()?;
-    let mut db = first.config.pointed.structure.clone();
+    // The distinct guards of the rules the trace takes, over the internal
+    // schema, and each rule's number among them once it is taken.
+    let mut guards: Vec<Formula> = Vec::new();
+    let mut guard_of = vec![None; system.rules().len()];
+    let mut found: HashMap<(&RelConfig, usize, &RelConfig), Pointed> = HashMap::new();
+    let mut w = Witness {
+        db: first.config.pointed.structure.clone(),
+        layers: Vec::new(),
+    };
     let mut points = first.config.pointed.points.clone();
     let mut states = vec![first.state];
     let mut vals = vec![points.clone()];
-    let mut combined = Vec::new();
+    let mut at = Vec::new();
+    for pair in trace.steps.windows(2) {
+        let (prev, next) = (&pair[0].config, &pair[1].config);
+        let rule = pair[1].rule?;
+        let guard = *guard_of[rule].get_or_insert_with(|| {
+            let g = translate_formula(
+                &system.rules()[rule].guard,
+                system.schema(),
+                class.internal_schema(),
+            );
+            guards.iter().position(|h| *h == g).unwrap_or_else(|| {
+                guards.push(g);
+                guards.len() - 1
+            })
+        });
+        let step = match found.entry((prev, guard, next)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                e.insert(step_candidate(class, &prev.pointed, &guards[guard], next)?)
+            }
+        };
+        // The configuration's elements are its distinct points.
+        at.clear();
+        at.resize(prev.pointed.structure.size(), Element(0));
+        for (p, &v) in prev.pointed.points.iter().zip(&points) {
+            at[p.index()] = v;
+        }
+        let m = w.db.size();
+        class.glue(&mut w, &step.structure, &at);
+        for (v, p) in points.iter_mut().zip(&step.points) {
+            *v = at
+                .get(p.index())
+                .copied()
+                .unwrap_or_else(|| Element::from_index(m + p.index() - at.len()));
+        }
+        states.push(pair[1].state);
+        vals.push(points.clone());
+        if let Some(inspect) = inspect.as_mut() {
+            let mut done = w.clone();
+            class.finish(&mut done);
+            inspect(&done.db, &points);
+        }
+    }
+    class.finish(&mut w);
+    Some((class.project(&w.db), Run { states, vals }))
+}
 
-    for step in &trace.steps[1..] {
-        let rule = &system.rules()[step.rule?];
-        let guard = translate_formula(&rule.guard, system.schema(), class.internal_schema());
-        let hints = GuardHints::of(&guard);
-        let base = Pointed::new(db, points);
-        let mut found = None;
-        let k = base.points.len();
-        let _ = for_each_candidate(class, &base, k, &hints, |s, new_points| {
+/// The first candidate over `base` that satisfies `guard` and whose new
+/// points generate `next`, with its new points.
+fn step_candidate<T: AmalgamClass>(
+    class: &T,
+    base: &Pointed,
+    guard: &Formula,
+    next: &RelConfig,
+) -> Option<Pointed> {
+    let mut found = None;
+    let mut combined = Vec::new();
+    let _ = for_each_candidate(
+        class,
+        base,
+        base.points.len(),
+        &GuardHints::of(guard),
+        |s, new_points| {
             fill_combined(&mut combined, &base.points, new_points);
-            if eval(&guard, s, &combined).unwrap_or(false)
-                && RelConfig::generated_by(s, new_points) == step.config
+            if eval(guard, s, &combined).unwrap_or(false)
+                && RelConfig::generated_by(s, new_points) == *next
             {
-                found = Some((s.clone(), new_points.to_vec()));
+                found = Some(Pointed::new(s.clone(), new_points.to_vec()));
                 return ControlFlow::Break(());
             }
             ControlFlow::Continue(())
-        });
-        (db, points) = found?;
-        states.push(step.state);
-        vals.push(points.clone());
-    }
-    Some((class.project(&db), Run { states, vals }))
+        },
+    );
+    found
 }
 
 impl<T: AmalgamClass> SymbolicClass for T {

@@ -20,7 +20,12 @@
 //! as `C`; its proof amalgamates the two coordinates independently over a
 //! shared domain — exactly how the product's
 //! [`AmalgamClass::for_each_amalgam`] composes the inner class's amalgams
-//! with data-part extensions.
+//! with data-part extensions, and how witness replay glues a step onto the
+//! witness ([`AmalgamClass::glue`]): the inner class glues the σ part, and
+//! each fresh element joins the value class the step ties it to, or gets a
+//! new one placed in the gap the step puts it in. The witness keeps those
+//! classes as one vector per data product and writes the relation once,
+//! when the replay ends ([`AmalgamClass::finish`]).
 //!
 //! Example 3's classes are such products over the *empty* free class (the
 //! class of bare finite sets): finite equivalence relations are the
@@ -32,7 +37,7 @@
 
 use crate::amalgam::{
     for_each_candidate, project_structure, reset_extended, AmalgamClass, AmalgamVisitor, Family,
-    GuardHints,
+    GuardHints, Witness,
 };
 use crate::class::Pointed;
 use crate::free::FreeRelationalClass;
@@ -95,6 +100,16 @@ impl DataSpec {
             ..DataSpec::rational_order()
         }
     }
+}
+
+/// A data product's relation in a [`Witness`], as the value class of each
+/// element: block ids for `Equality`, ranks (dense, ascending) for `Order`.
+#[derive(Clone, Debug)]
+pub(crate) struct DataLayer {
+    sym: SymbolId,
+    classes: Vec<usize>,
+    /// The number of distinct classes.
+    count: usize,
 }
 
 /// The product class `C ⊗ F` / `C ⊙ F` over an inner [`AmalgamClass`].
@@ -410,6 +425,94 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
                 ControlFlow::Continue(())
             },
         )
+    }
+
+    /// Composes the inner class's glue with the data coordinate
+    /// (Proposition 1). A fresh element that `step` ties to a configuration
+    /// element joins that element's witness class. Under `Equality` any
+    /// other gets a new class, shared with the fresh elements `step` ties
+    /// it to. Under `Order` it gets a new rank just above the witness rank
+    /// of its greatest lower neighbour among the configuration's elements
+    /// (at the bottom when it has none), and fresh elements in one gap keep
+    /// `step`'s order. The witness induces the configuration, so that rank
+    /// lies below every rank the configuration puts above the element.
+    /// The classes are updated in `O(m)`; [`AmalgamClass::finish`] writes
+    /// the relation.
+    fn glue(&self, w: &mut Witness, step: &Structure, at: &[Element]) {
+        let layer = match w.layers.iter().position(|l| l.sym == self.data_sym) {
+            Some(i) => i,
+            None => {
+                let classes = self.data_classes(&w.db);
+                let count = classes.iter().max().map_or(0, |c| c + 1);
+                w.layers.push(DataLayer {
+                    sym: self.data_sym,
+                    classes,
+                    count,
+                });
+                w.layers.len() - 1
+            }
+        };
+        self.inner.glue(w, step, at);
+        let layer = &mut w.layers[layer];
+        let (n, ours) = (at.len(), self.data_classes(step));
+        let order = self.spec.kind == DataKind::Order;
+        // Per fresh element: the witness element `step` ties it to, or the
+        // key of its new class — its gap (0: the bottom, `g`: just above
+        // witness rank `g - 1`; always 0 under `Equality`) and its class in
+        // `step`.
+        let fresh: Vec<Result<usize, (usize, usize)>> = (n..step.size())
+            .map(|e| match (0..n).find(|&o| ours[o] == ours[e]) {
+                Some(o) => Ok(at[o].index()),
+                None if !order => Err((0, ours[e])),
+                None => {
+                    let below = (0..n).filter(|&o| ours[o] < ours[e]);
+                    let gap = below
+                        .max_by_key(|&o| ours[o])
+                        .map_or(0, |o| layer.classes[at[o].index()] + 1);
+                    Err((gap, ours[e]))
+                }
+            })
+            .collect();
+        let mut opened: Vec<(usize, usize)> = fresh.iter().filter_map(|f| f.err()).collect();
+        opened.sort_unstable();
+        opened.dedup();
+        if order {
+            // `before[g]`: the new ranks in the gaps below `g`. The `i`-th
+            // new rank, in gap `g`, is `g + i` after the shift.
+            let mut before = vec![0usize; layer.count + 2];
+            for &(gap, _) in &opened {
+                before[gap + 1] += 1;
+            }
+            for g in 1..before.len() {
+                before[g] += before[g - 1];
+            }
+            for rank in &mut layer.classes {
+                *rank += before[*rank + 1];
+            }
+        }
+        for f in fresh {
+            let class = match f {
+                Ok(o) => layer.classes[o],
+                Err(key) => {
+                    let i = opened.binary_search(&key).expect("an opened key");
+                    if order {
+                        key.0 + i
+                    } else {
+                        layer.count + i
+                    }
+                }
+            };
+            layer.classes.push(class);
+        }
+        layer.count += opened.len();
+    }
+
+    /// Writes each data layer's relation, in sorted order.
+    fn finish(&self, w: &mut Witness) {
+        self.inner.finish(w);
+        if let Some(layer) = w.layers.iter().find(|l| l.sym == self.data_sym) {
+            self.add_data_facts(&mut w.db, &layer.classes, 0);
+        }
     }
 }
 

@@ -8,8 +8,11 @@
 //! color-compatible with `H`. The lift is Fraïssé (Lemma 7: amalgamation is
 //! disjoint union with identification — the coloring itself witnesses the
 //! homomorphism), its σ-projection is `HOM(H)` up to substructures, so
-//! emptiness transfers by Lemma 6. Because the schema stays relational the
-//! blowup is the identity and the procedure runs in PSpace (Theorem 4).
+//! emptiness transfers by Lemma 6. That amalgam is the free one, so witness
+//! replay glues each step with [`AmalgamClass::glue`]'s default: the fresh
+//! elements are appended with their colors and their σ-tuples. Because the
+//! schema stays relational the blowup is the identity and the procedure
+//! runs in PSpace (Theorem 4).
 //!
 //! Candidate amalgams are enumerated as in the free class, per placement
 //! and fresh coloring: each is one [`Family`] whose optional facts are the
@@ -127,8 +130,9 @@ impl HomClass {
 
     /// Membership over the *public* schema: whether some homomorphism of
     /// `s` into the template exists (the defining condition of `HOM(H)`,
-    /// decided by brute force over all assignments). This is the oracle the
-    /// differential fuzz harness feeds to
+    /// decided by a complete backtracking search: elements are assigned in
+    /// order, and each tuple is checked as soon as its greatest element is
+    /// assigned). This is the oracle the differential fuzz harness feeds to
     /// `dds_system::baseline::bounded_emptiness_relational`, and the check
     /// applied to certified engine witnesses — which live over the public
     /// schema, unlike [`HomClass::is_member`]'s colored lifts.
@@ -141,32 +145,46 @@ impl HomClass {
         if m == 0 {
             return false;
         }
-        let mut assign = vec![0usize; n];
-        loop {
-            let ok = self.public.relations().all(|r| {
-                s.rel_tuples(r).all(|t| {
-                    let mapped: Vec<Element> = t
-                        .iter()
-                        .map(|e| Element::from_index(assign[e.index()]))
-                        .collect();
-                    self.template.holds(r, &mapped)
-                })
-            });
-            if ok {
-                return true;
-            }
-            // Odometer over assignments.
-            let mut i = 0;
-            loop {
-                if i == n {
-                    return false;
+        // Each tuple under its greatest element; nullary ones are decided
+        // up front.
+        let mut by_last: Vec<Vec<(SymbolId, &[Element])>> = vec![Vec::new(); n];
+        for r in self.public.relations() {
+            for t in s.rel_tuples(r) {
+                match t.iter().max() {
+                    Some(last) => by_last[last.index()].push((r, t)),
+                    None if !self.template.holds(r, &[]) => return false,
+                    None => {}
                 }
+            }
+        }
+        let mut assign = vec![0usize; n];
+        let mut mapped = Vec::new();
+        let mut i = 0;
+        loop {
+            let consistent = by_last[i].iter().all(|&(r, t)| {
+                mapped.clear();
+                mapped.extend(t.iter().map(|e| Element::from_index(assign[e.index()])));
+                self.template.holds(r, &mapped)
+            });
+            if consistent {
+                i += 1;
+                if i == n {
+                    return true;
+                }
+                assign[i] = 0;
+                continue;
+            }
+            // The next assignment of element `i`, backtracking past the
+            // exhausted ones.
+            loop {
                 assign[i] += 1;
                 if assign[i] < m {
                     break;
                 }
-                assign[i] = 0;
-                i += 1;
+                if i == 0 {
+                    return false;
+                }
+                i -= 1;
             }
         }
     }
@@ -321,6 +339,7 @@ mod tests {
     use super::*;
     use crate::amalgam::collect_amalgams;
     use crate::class::SymbolicClass;
+    use dds_structure::enumerate::StructureIter;
     use dds_structure::morphism::find_homomorphism;
 
     /// The paper's Example 2 template: enough to kill odd red cycles.
@@ -350,6 +369,28 @@ mod tests {
                     find_homomorphism(&projected, class.template()).is_some(),
                     "projection not in HOM(H): {projected:?}"
                 );
+            }
+        }
+    }
+
+    /// The backtracking search agrees with `dds_structure`'s homomorphism
+    /// search on every graph with at most 3 elements, for the 2-clique and
+    /// for a template with a loop.
+    #[test]
+    fn maps_into_template_matches_homomorphism_search() {
+        let mut looped = two_clique();
+        let e = looped.schema().lookup("E").unwrap();
+        looped.add_fact(e, &[Element(1), Element(1)]).unwrap();
+        for template in [two_clique(), looped] {
+            let class = HomClass::new(template.clone());
+            for n in 1..=3 {
+                for g in StructureIter::new(template.schema().clone(), n) {
+                    assert_eq!(
+                        class.maps_into_template(&g),
+                        find_homomorphism(&g, &template).is_some(),
+                        "{g:?}"
+                    );
+                }
             }
         }
     }

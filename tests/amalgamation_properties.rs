@@ -10,10 +10,12 @@
 //! a candidate's per-family packed key is that of the configuration it
 //! generates — over the same corpora.
 //! A fourth pins the guard evaluator the successor search decides families
-//! with (`eval_with`) to `eval`.
+//! with (`eval_with`) to `eval`, and a fifth checks each glue of witness
+//! replay against the class's amalgamation over the same corpora.
 
 use dds::core::amalgam::{
-    combined_valuation, for_each_candidate, residual, translate_formula, FamilyKeys, GuardHints,
+    combined_valuation, for_each_candidate, replay_trace_inspect, residual, translate_formula,
+    FamilyKeys, GuardHints,
 };
 use dds::core::intern::Resolved;
 use dds::core::{AmalgamClass, Interner, Pointed, RelConfig};
@@ -476,15 +478,22 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Runs `check` on the class and every reach system of each relational
-/// spec in `dirs`; returns how many specs were relational.
+/// spec in `paths` (directories of specs, or spec files); returns how many
+/// specs were relational.
 fn for_each_relational_spec(
-    dirs: &[&str],
+    paths: &[&str],
     mut check: impl FnMut(&AnyClass, &System, &str),
 ) -> usize {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut specs = 0;
-    for dir in dirs {
-        for path in spec_files(&root.join(dir)) {
+    for path in paths {
+        let path = root.join(path);
+        let files = if path.is_dir() {
+            spec_files(&path)
+        } else {
+            vec![path]
+        };
+        for path in files {
             let label = path.display().to_string();
             let lowered = load_spec(&std::fs::read_to_string(&path).unwrap())
                 .unwrap_or_else(|e| panic!("{}", e.with_path(&label)));
@@ -561,6 +570,99 @@ fn corpus_transitions_match_the_reference() {
         reading.contains("disjunctive_guards.dds"),
         "no family of disjunctive_guards.dds has a guard reading an optional fact"
     );
+}
+
+/// The six thin `nonempty` chains of `bench/macro/`, whose witnesses take
+/// the longest replays.
+const THIN_CHAINS: [&str; 6] = [
+    "bench/macro/data_order_deep.dds",
+    "bench/macro/order_deep.dds",
+    "bench/macro/hom_chain_k5.dds",
+    "bench/macro/chain_free_thin.dds",
+    "bench/macro/chain_free_deep.dds",
+    "bench/macro/equiv_deep.dds",
+];
+
+/// Replays the trace of `system`'s reach property, when it is `nonempty`,
+/// checking after each glue that the witness so far extends the one before
+/// it (which is its induced substructure on the old elements), that the
+/// new register values generate the trace's next configuration, and that
+/// `member` holds of it; the finished witness must pass `check_run`.
+/// Returns how many glues were checked.
+fn check_replay<C: AmalgamClass>(
+    class: &C,
+    system: &System,
+    label: &str,
+    member: impl Fn(&Structure) -> bool,
+) -> usize {
+    let engine =
+        Engine::new(class, system).with_options(EngineOptions::default().concretize(false));
+    let Outcome::NonEmpty { trace, .. } = engine.run() else {
+        return 0;
+    };
+    let compiled = engine.compiled_system();
+    let mut prev = trace.steps[0].config.pointed.structure.clone();
+    let mut step = 0;
+    let (db, run) = replay_trace_inspect(class, compiled, &trace, &mut |db, points| {
+        step += 1;
+        let old: Vec<Element> = prev.elements().collect();
+        assert_eq!(
+            db.substructure(&old).unwrap().0,
+            prev,
+            "{label}: glue {step} changed the witness on its old elements"
+        );
+        assert_eq!(
+            RelConfig::generated_by(db, points),
+            trace.steps[step].config,
+            "{label}: glue {step}: the new register values generate another configuration"
+        );
+        assert!(member(db), "{label}: glue {step} left the class");
+        prev = db.clone();
+    })
+    .unwrap_or_else(|| panic!("{label}: replay found no step"));
+    assert_eq!(step + 1, trace.steps.len(), "{label}");
+    compiled
+        .check_run(&db, &run, true)
+        .unwrap_or_else(|e| panic!("{label}: the witness does not replay: {e:?}"));
+    step
+}
+
+/// Replay glues each step onto the witness by the class's amalgamation:
+/// over every relational `nonempty` property of `specs/`, `specs/fuzz/`
+/// and the thin chains of `bench/macro/`, each glue keeps the witness so
+/// far as an induced substructure, its new register values generate the
+/// trace's next configuration, and the witness stays in the class (each
+/// data layer is its kind of relation; the σ-projection of a `HOM`
+/// witness maps into the template).
+#[test]
+fn replay_glues_each_step_onto_the_witness() {
+    let mut glues = 0;
+    let mut paths = vec!["specs", "specs/fuzz"];
+    paths.extend(THIN_CHAINS);
+    for_each_relational_spec(&paths, |class, system, label| {
+        let data = |spec: &DataSpec, db: &Structure| is_data_relation(spec, db);
+        glues += match class {
+            AnyClass::Free(c) => check_replay(c, system, label, |_| true),
+            AnyClass::Hom(c) => {
+                check_replay(c, system, label, |db| c.maps_into_template(&c.project(db)))
+            }
+            AnyClass::Order(c) | AnyClass::Equiv(c) | AnyClass::DataFree(c) => {
+                check_replay(c, system, label, |db| data(c.spec(), db))
+            }
+            AnyClass::DataHom(c) => check_replay(c, system, label, |db| {
+                data(c.spec(), db) && c.inner().maps_into_template(&c.inner().project(db))
+            }),
+            AnyClass::DataOrder(c) | AnyClass::DataEquiv(c) => {
+                check_replay(c, system, label, |db| {
+                    data(c.spec(), db) && data(c.inner().spec(), db)
+                })
+            }
+            AnyClass::Words(_) | AnyClass::Trees(_) | AnyClass::Counter(_) => {
+                unreachable!("not a relational class")
+            }
+        };
+    });
+    assert!(glues >= 800, "only {glues} glues checked");
 }
 
 /// A quantified guard is not local, so `successors` evaluates it on each

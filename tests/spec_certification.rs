@@ -1,4 +1,5 @@
-//! Corpus-wide certification: every `specs/**/*.dds` reachability property
+//! Corpus-wide certification: every `specs/**/*.dds` reachability property,
+//! and the six thin chains of `bench/macro/` whose traces are the longest,
 //! must behave identically with and without certification, and every
 //! non-empty outcome must produce a certified witness that replays.
 //!
@@ -100,6 +101,69 @@ fn dispatch(class: &AnyClass, system: &dds::system::System) -> (RunResult, RunRe
     }
 }
 
+/// Runs every reach property of the spec at `path` with and without
+/// certification and checks the two agree, that the certified witness (if
+/// any) replays and is a class member. Returns `(reach properties,
+/// certified witnesses)`.
+fn check_spec(root: &Path, path: &Path) -> (usize, usize) {
+    let label = path
+        .strip_prefix(root)
+        .unwrap()
+        .to_string_lossy()
+        .into_owned();
+    let src = fs::read_to_string(path).unwrap();
+    let lowered = load_spec(&src).unwrap_or_else(|e| panic!("{}", e.with_path(&label)));
+    let (mut reach_properties, mut witnesses) = (0, 0);
+    for p in &lowered.properties {
+        let Task::Reach(system) = &p.task else {
+            continue;
+        };
+        reach_properties += 1;
+        let (certified, bare, tolerate_missing) = dispatch(&lowered.class, system);
+        assert_eq!(
+            certified.kind, bare.kind,
+            "{label}::{}: outcome differs with certification off",
+            p.name
+        );
+        assert_eq!(
+            certified.stats, bare.stats,
+            "{label}::{}: deterministic stats differ with certification off",
+            p.name
+        );
+        assert!(
+            bare.witness.is_none(),
+            "{label}::{}: no-certify run produced a witness",
+            p.name
+        );
+        if certified.kind == "nonempty" {
+            match &certified.witness {
+                None => assert!(
+                    tolerate_missing,
+                    "{label}::{}: nonempty outcome without a certified witness",
+                    p.name
+                ),
+                Some((db, run)) => {
+                    witnesses += 1;
+                    system.check_run(db, run, true).unwrap_or_else(|e| {
+                        panic!(
+                            "{label}::{}: certified witness does not replay: {e:?}",
+                            p.name
+                        )
+                    });
+                    if let Some(member) = certified.member {
+                        assert!(
+                            member,
+                            "{label}::{}: witness database is not a class member",
+                            p.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+    (reach_properties, witnesses)
+}
+
 #[test]
 fn corpus_certification_agrees_and_witnesses_replay() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -107,8 +171,8 @@ fn corpus_certification_agrees_and_witnesses_replay() {
     let fuzz_dir = root.join("specs/fuzz");
     assert!(
         fuzz_dir.is_dir(),
-        "specs/fuzz corpus directory is missing — regenerate it with \
-         `dds fuzz --seed 3541 --iters 2 --emit-corpus specs/fuzz` \
+        "specs/fuzz corpus directory is missing — it is pinned, so restore \
+         it from version control rather than regenerating it \
          (see docs/SPEC_LANGUAGE.md)"
     );
     dirs.push(fuzz_dir);
@@ -117,60 +181,9 @@ fn corpus_certification_agrees_and_witnesses_replay() {
     let mut witnesses = 0usize;
     for dir in dirs {
         for path in spec_files(&dir) {
-            let label = path
-                .strip_prefix(&root)
-                .unwrap()
-                .to_string_lossy()
-                .into_owned();
-            let src = fs::read_to_string(&path).unwrap();
-            let lowered = load_spec(&src).unwrap_or_else(|e| panic!("{}", e.with_path(&label)));
-            for p in &lowered.properties {
-                let Task::Reach(system) = &p.task else {
-                    continue;
-                };
-                reach_properties += 1;
-                let (certified, bare, tolerate_missing) = dispatch(&lowered.class, system);
-                assert_eq!(
-                    certified.kind, bare.kind,
-                    "{label}::{}: outcome differs with certification off",
-                    p.name
-                );
-                assert_eq!(
-                    certified.stats, bare.stats,
-                    "{label}::{}: deterministic stats differ with certification off",
-                    p.name
-                );
-                assert!(
-                    bare.witness.is_none(),
-                    "{label}::{}: no-certify run produced a witness",
-                    p.name
-                );
-                if certified.kind == "nonempty" {
-                    match &certified.witness {
-                        None => assert!(
-                            tolerate_missing,
-                            "{label}::{}: nonempty outcome without a certified witness",
-                            p.name
-                        ),
-                        Some((db, run)) => {
-                            witnesses += 1;
-                            system.check_run(db, run, true).unwrap_or_else(|e| {
-                                panic!(
-                                    "{label}::{}: certified witness does not replay: {e:?}",
-                                    p.name
-                                )
-                            });
-                            if let Some(member) = certified.member {
-                                assert!(
-                                    member,
-                                    "{label}::{}: witness database is not a class member",
-                                    p.name
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+            let (reach, certified) = check_spec(&root, &path);
+            reach_properties += reach;
+            witnesses += certified;
         }
     }
     // The corpus genuinely exercises this test.
@@ -182,4 +195,23 @@ fn corpus_certification_agrees_and_witnesses_replay() {
         witnesses >= 10,
         "only {witnesses} certified witnesses found — corpus shrank?"
     );
+}
+
+/// The long traces: the six thin `nonempty` chains of `bench/macro/`
+/// (the `witness-certify` benchmark workload) certify, agree with their
+/// uncertified runs, and their witnesses replay and are class members.
+#[test]
+fn macro_chain_witnesses_certify() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for id in [
+        "data_order_deep",
+        "order_deep",
+        "hom_chain_k5",
+        "chain_free_thin",
+        "chain_free_deep",
+        "equiv_deep",
+    ] {
+        let path = root.join("bench/macro").join(format!("{id}.dds"));
+        assert_eq!(check_spec(&root, &path), (1, 1), "{id}");
+    }
 }
