@@ -419,10 +419,30 @@ pub trait AmalgamClass: Sync {
     /// `step` is a candidate over a configuration whose element `i` is
     /// `w`'s element `at[i]`, and on which `w` induces that configuration;
     /// `step`'s fresh elements `at.len()..` are appended to `w`, in order.
-    /// The default is the free amalgam ([`free_glue`]), which is the
-    /// class's own for the free and `HOM` classes.
+    /// The default is the free amalgam, which is the class's own for the
+    /// free and `HOM` classes: it appends `step`'s fresh elements and
+    /// copies every fact over the internal schema's relations that involves
+    /// one. (A product's inner class calls it with a longer `step`, whose
+    /// symbols extend the inner schema's.)
     fn glue(&self, w: &mut Witness, step: &Structure, at: &[Element]) {
-        free_glue(self.internal_schema(), w, step, at);
+        let (n, m) = (at.len(), w.db.size());
+        w.db.extend_domain_in_place(step.size() - n);
+        let image = |e: &Element| match at.get(e.index()) {
+            Some(&old) => old,
+            None => Element::from_index(m + e.index() - n),
+        };
+        let mut mapped = Vec::new();
+        for r in self.internal_schema().relations() {
+            for t in step
+                .rel_tuples(r)
+                .filter(|t| t.iter().any(|e| e.index() >= n))
+            {
+                mapped.clear();
+                mapped.extend(t.iter().map(image));
+                w.db.add_fact(r, &mapped)
+                    .expect("glued elements are in range");
+            }
+        }
     }
 
     /// Writes what [`AmalgamClass::glue`] deferred, making `w.db` the
@@ -819,31 +839,6 @@ pub struct Witness {
     pub(crate) db: Structure,
     /// One entry per data layer glued so far.
     pub(crate) layers: Vec<DataLayer>,
-}
-
-/// The free amalgam of `step` onto `w` along `at` ([`AmalgamClass::glue`]'s
-/// default): appends `step`'s fresh elements and copies every fact over
-/// `schema`'s relations that involves one. `schema`'s symbols must be a
-/// prefix of `step`'s.
-pub fn free_glue(schema: &Schema, w: &mut Witness, step: &Structure, at: &[Element]) {
-    let (n, m) = (at.len(), w.db.size());
-    w.db.extend_domain_in_place(step.size() - n);
-    let image = |e: &Element| match at.get(e.index()) {
-        Some(&old) => old,
-        None => Element::from_index(m + e.index() - n),
-    };
-    let mut mapped = Vec::new();
-    for r in schema.relations() {
-        for t in step
-            .rel_tuples(r)
-            .filter(|t| t.iter().any(|e| e.index() >= n))
-        {
-            mapped.clear();
-            mapped.extend(t.iter().map(image));
-            w.db.add_fact(r, &mapped)
-                .expect("glued elements are in range");
-        }
-    }
 }
 
 /// Witness concretization by construction, the executable form of the
